@@ -56,6 +56,17 @@ def _dump_json(doc: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -70,7 +81,7 @@ def cmd_check_set(args) -> int:
         return _fail(f"cannot read {args.path}: {exc}", EXIT_INPUT)
     except (kssets.RaySetFormatError, kssets.DuplicateRay) as exc:
         return _fail(str(exc), EXIT_INPUT)
-    graph = kssets.build_ortho_graph(ray_set)
+    graph = ray_set.graph
     if ray_set.bases is not None:
         bases = ray_set.bases
         source = "supplied"
@@ -293,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_wit = sub.add_parser("witness", help="extract a contradiction certificate from an oracle")
     p_wit.add_argument("oracle", help="oracle-spec JSON file")
     p_wit.add_argument("--seed", type=int, default=0, help="deterministic sampling seed")
-    p_wit.add_argument("--budget", type=int, default=10_000, help="total oracle-call budget")
-    p_wit.add_argument("--meridians", type=int, default=64, help="equator probe count")
-    p_wit.add_argument("--latitudes", type=int, default=256, help="initial sample count")
+    p_wit.add_argument("--budget", type=_positive_int, default=10_000, help="total oracle-call budget")
+    p_wit.add_argument("--meridians", type=_positive_int, default=64, help="equator probe count")
+    p_wit.add_argument("--latitudes", type=_positive_int, default=256, help="initial sample count")
     p_wit.add_argument("--out", help="write the report here instead of stdout")
     p_wit.set_defaults(func=cmd_witness)
 
@@ -322,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--oracle", help="oracle-spec JSON file to grid instead")
     p_plot.add_argument("--out", required=True, help="output file path")
     p_plot.add_argument("--format", choices=("csv", "svg"), default="csv")
-    p_plot.add_argument("--grid", type=int, default=64, help="latitude rows (longitudes = 2x)")
+    p_plot.add_argument("--grid", type=_positive_int, default=64, help="latitude rows (longitudes = 2x)")
     p_plot.add_argument("--theta-p", type=float, default=math.pi / 4,
                         help="descent-circle apex latitude")
     p_plot.add_argument("--phi-p", type=float, default=0.0,

@@ -20,7 +20,10 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 from math import gcd
+from operator import mul
 from pathlib import Path
 
 
@@ -145,12 +148,6 @@ def _canonical_ray(ray: tuple[Entry, ...]) -> tuple[Entry, ...]:
     return ray
 
 
-def format_entry(entry: Entry):
-    """JSON form of one coordinate: plain int when possible, else [a, b]."""
-    a, b = entry
-    return a if b == 0 else [a, b]
-
-
 @dataclass(frozen=True)
 class RaySet:
     """A named finite set of rays with integer (or integer + integer*sqrt2)
@@ -174,12 +171,26 @@ class RaySet:
         for ray in self.rays:
             if len(ray) != self.dimension:
                 raise RaySetFormatError("ray length does not match dimension")
-        for i in range(len(self.rays)):
-            for j in range(i + 1, len(self.rays)):
-                if are_parallel(self.rays[i], self.rays[j]):
-                    raise DuplicateRay(
-                        f"rays {i} and {j} of {self.name!r} are scalar multiples"
-                    )
+            if all(e == (0, 0) for e in ray):
+                raise RaySetFormatError("the zero vector is not a ray")
+        # Parallel nonzero rays share their zero pattern, so only rays within
+        # one pattern are compared.  The first clashing pair is reported.
+        patterns: dict[tuple[bool, ...], list[int]] = {}
+        for i, ray in enumerate(self.rays):
+            patterns.setdefault(tuple(e == (0, 0) for e in ray), []).append(i)
+        clash = min(
+            (
+                (i, j)
+                for group in patterns.values()
+                for i, j in combinations(group, 2)
+                if are_parallel(self.rays[i], self.rays[j])
+            ),
+            default=None,
+        )
+        if clash is not None:
+            raise DuplicateRay(
+                f"rays {clash[0]} and {clash[1]} of {self.name!r} are scalar multiples"
+            )
         if self.bases is not None:
             for basis in self.bases:
                 if len(set(basis)) != self.dimension:
@@ -191,15 +202,31 @@ class RaySet:
     def __len__(self) -> int:
         return len(self.rays)
 
+    @cached_property
+    def graph(self) -> OrthoGraph:
+        """The orthogonality graph, built on first use and then kept."""
+        return build_ortho_graph(self)
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
 
 @dataclass(frozen=True)
 class OrthoGraph:
     """Orthogonality graph: one vertex per ray, an edge per exactly
-    orthogonal pair."""
+    orthogonal pair.  ``adjacency[i]`` is a bitset whose bit j is set iff
+    rays i and j are orthogonal."""
 
     vertex_count: int
     edges: frozenset[tuple[int, int]]
-    adjacency: tuple[frozenset[int], ...]
+    adjacency: tuple[int, ...]
 
     @property
     def edge_count(self) -> int:
@@ -207,17 +234,31 @@ class OrthoGraph:
 
 
 def build_ortho_graph(ray_set: RaySet) -> OrthoGraph:
-    """Edges are decided by exact integer arithmetic; no tolerance exists."""
-    n = len(ray_set.rays)
-    edges = set()
-    neighbors = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if is_orthogonal(ray_set.rays[i], ray_set.rays[j]):
-                edges.add((i, j))
-                neighbors[i].add(j)
-                neighbors[j].add(i)
-    return OrthoGraph(n, frozenset(edges), tuple(frozenset(s) for s in neighbors))
+    """Edges are decided by exact integer arithmetic; no tolerance exists.
+
+    A pair of rays with no sqrt(2) part takes the plain integer dot product;
+    any other pair goes through ``exact_dot``.
+    """
+    rays = ray_set.rays
+    n = len(rays)
+    plain = [None if any(b for _, b in ray) else tuple(a for a, _ in ray) for ray in rays]
+    adjacency = [0] * n
+    edges = []
+    for i, (ray, p) in enumerate(zip(rays, plain)):
+        hits = [
+            j
+            for j in range(i + 1, n)
+            if (
+                not sum(map(mul, p, plain[j]))
+                if p is not None and plain[j] is not None
+                else is_orthogonal(ray, rays[j])
+            )
+        ]
+        for j in hits:
+            adjacency[i] |= 1 << j
+            adjacency[j] |= 1 << i
+        edges.extend((i, j) for j in hits)
+    return OrthoGraph(n, frozenset(edges), tuple(adjacency))
 
 
 def enumerate_bases(graph: OrthoGraph, dimension: int) -> tuple[tuple[int, ...], ...]:
@@ -226,29 +267,33 @@ def enumerate_bases(graph: OrthoGraph, dimension: int) -> tuple[tuple[int, ...],
     A d-clique of mutually orthogonal rays in d dimensions is automatically a
     basis, so no extra geometric check is needed.
     """
+    adjacency = graph.adjacency
     bases: list[tuple[int, ...]] = []
 
-    def extend(clique: list[int], candidates: list[int]):
-        if len(clique) == dimension:
-            bases.append(tuple(clique))
+    def extend(clique: tuple[int, ...], candidates: int, need: int):
+        # ``candidates``: the common neighbours of ``clique`` above its last
+        # member, of which ``need`` more must join it.
+        if need == 1:
+            bases.extend(clique + (v,) for v in _bits(candidates))
             return
-        # Not enough candidates left to finish the clique.
-        if len(clique) + len(candidates) < dimension:
-            return
-        for k, v in enumerate(candidates):
-            adj = graph.adjacency[v]
-            extend(clique + [v], [u for u in candidates[k + 1:] if u in adj])
+        while candidates.bit_count() >= need:
+            low = candidates & -candidates
+            v = low.bit_length() - 1
+            candidates ^= low
+            common = candidates & adjacency[v]
+            if common.bit_count() >= need - 1:
+                extend(clique + (v,), common, need - 1)
 
-    extend([], list(range(graph.vertex_count)))
+    extend((), (1 << graph.vertex_count) - 1, dimension)
     return tuple(bases)
 
 
 def validate_supplied_bases(graph: OrthoGraph, dimension: int,
                             supplied: tuple[tuple[int, ...], ...]) -> None:
-    """Supplied bases must be cliques and a subset of the enumerated ones."""
-    enumerated = {tuple(sorted(b)) for b in enumerate_bases(graph, dimension)}
+    """Supplied bases must be d-cliques: every pair in each is an edge."""
+    adjacency = graph.adjacency
     for basis in supplied:
-        if tuple(sorted(basis)) not in enumerated:
+        if not all(adjacency[i] >> j & 1 for i, j in combinations(basis, 2)):
             raise RaySetFormatError(
                 f"supplied basis {basis!r} is not a mutually orthogonal {dimension}-tuple"
             )
@@ -298,75 +343,84 @@ def verify_assignment(graph: OrthoGraph, bases, assignment) -> bool:
 def find_valuation(graph: OrthoGraph, bases) -> ColoringResult:
     """Backtracking search with constraint propagation.
 
-    Branches on the basis with the fewest unassigned members (any ordering
-    is correct; this one is fast).  Assigning a ray 1 zeroes its neighbors;
-    a basis whose members are all 0 is a dead end; a basis with one live
-    member left forces it to 1.
+    Branches on the first basis with no 1 and the fewest unassigned members
+    (any ordering is correct; this one is fast).  Assigning a ray 1 zeroes
+    its neighbors and the other members of its bases; a basis whose members
+    are all 0 is a dead end; a basis with one live member left forces it to
+    1.  These rules reach the same fixpoint in any order, so propagation
+    visits only the bases holding a changed ray, through per-basis counts
+    of members valued 1 and of unassigned members.
     """
     n = graph.vertex_count
     bases = [tuple(b) for b in bases]
+    holding: list[list[int]] = [[] for _ in range(n)]  # ray -> indices of its bases
+    excluded = list(graph.adjacency)
+    for k, basis in enumerate(bases):
+        members = 0
+        for i in basis:
+            holding[i].append(k)
+            members |= 1 << i
+        for i in basis:
+            excluded[i] |= members
+    # ray -> the rays a 1 there forces to 0: its neighbours and basis-mates
+    exclusive = [_bits(mask & ~(1 << i)) for i, mask in enumerate(excluded)]
     values: list[int] = [-1] * n
+    # Per basis, one count: its unassigned members plus ``full`` times its
+    # members valued 1.  Below ``full`` a basis holds no 1; at ``2 * full``
+    # or above it holds two.
+    full = max(map(len, bases), default=0) + 1
+    score = [len(b) for b in bases]
     stats = {"nodes": 0, "backtracks": 0}
 
-    def propagate(assignments: list[tuple[int, int]], trail: list[int]) -> bool:
-        queue = list(assignments)
-        while queue:
-            ray, val = queue.pop()
+    def propagate(pending: list[tuple[int, int]], trail: list[int]) -> bool:
+        while pending:
+            ray, val = pending.pop()
             if values[ray] != -1:
                 if values[ray] != val:
                     return False
                 continue
             values[ray] = val
             trail.append(ray)
+            # Counts are updated for every basis before any return, so that
+            # undo can take them back from the trail alone.
+            dead = False
             if val == 1:
-                for other in graph.adjacency[ray]:
+                for k in holding[ray]:
+                    c = score[k] + full - 1
+                    score[k] = c
+                    if c >= 2 * full:
+                        dead = True
+            else:
+                for k in holding[ray]:
+                    c = score[k] - 1
+                    score[k] = c
+                    if c == 1:
+                        for i in bases[k]:
+                            if values[i] == -1:
+                                pending.append((i, 1))
+                                break
+                    elif c == 0:
+                        dead = True
+            if dead:
+                return False
+            if val == 1:
+                for other in exclusive[ray]:
                     if values[other] == 1:
                         return False
                     if values[other] == -1:
-                        queue.append((other, 0))
-        # Unit propagation over bases: a basis must contain exactly one 1.
-        changed = True
-        while changed:
-            changed = False
-            for basis in bases:
-                ones = sum(1 for i in basis if values[i] == 1)
-                if ones > 1:
-                    return False
-                open_rays = [i for i in basis if values[i] == -1]
-                if ones == 1:
-                    for i in open_rays:
-                        values[i] = 0
-                        trail.append(i)
-                        changed = True
-                elif not open_rays:
-                    return False
-                elif len(open_rays) == 1:
-                    forced = open_rays[0]
-                    values[forced] = 1
-                    trail.append(forced)
-                    changed = True
-                    for other in graph.adjacency[forced]:
-                        if values[other] == 1:
-                            return False
-                        if values[other] == -1:
-                            values[other] = 0
-                            trail.append(other)
+                        pending.append((other, 0))
         return True
 
     def undo(trail: list[int]) -> None:
         for ray in trail:
+            step = full - 1 if values[ray] == 1 else -1
             values[ray] = -1
+            for k in holding[ray]:
+                score[k] -= step
 
     def choose_basis() -> tuple[int, ...] | None:
-        best = None
-        best_open = None
-        for basis in bases:
-            if any(values[i] == 1 for i in basis):
-                continue
-            open_rays = [i for i in basis if values[i] == -1]
-            if best is None or len(open_rays) < len(best_open):
-                best, best_open = basis, open_rays
-        return best
+        best = min(score, default=full)
+        return bases[score.index(best)] if best < full else None
 
     def search() -> bool:
         stats["nodes"] += 1
@@ -383,8 +437,9 @@ def find_valuation(graph: OrthoGraph, bases) -> ColoringResult:
             stats["backtracks"] += 1
         return False
 
-    trail0: list[int] = []
-    ok = propagate([], trail0)
+    # Bases too small to leave a choice: an empty one is dead, a single
+    # member is forced.
+    ok = all(bases) and propagate([(b[0], 1) for b in bases if len(b) == 1], [])
     if ok and search():
         assignment = tuple(v if v != -1 else 0 for v in values)
         if not verify_assignment(graph, bases, assignment):
@@ -443,8 +498,7 @@ def ray_set_from_dict(doc: dict) -> RaySet:
         bases=bases,
     )
     if bases is not None:
-        graph = build_ortho_graph(ray_set)
-        validate_supplied_bases(graph, dimension, bases)
+        validate_supplied_bases(ray_set.graph, dimension, bases)
     return ray_set
 
 

@@ -198,3 +198,68 @@ class TestPlot:
         code = main(["plot", "--figure", "pentagram", "--out", str(tmp_path / "x.csv")])
         capsys.readouterr()
         assert code == 2
+
+
+class TestCountFlags:
+    """Count flags take integers of at least 1; anything else is a usage
+    error (exit 2, one ``error:`` line) before any work starts."""
+
+    CASES = [
+        ("witness", "--budget", "0"),
+        ("witness", "--budget", "-5"),
+        ("witness", "--budget", "many"),
+        ("witness", "--meridians", "0"),
+        ("witness", "--latitudes", "-1"),
+        ("plot-descent", "--grid", "0"),
+        ("plot-descent", "--grid", "-1"),
+        ("plot-oracle", "--grid", "0"),
+        ("plot-oracle", "--grid", "1.5"),
+    ]
+
+    @pytest.mark.parametrize("command,flag,value", CASES)
+    def test_non_positive_count_exits_2(self, capsys, tmp_path, oracle_file, command, flag, value):
+        out = tmp_path / "out.csv"
+        spec = oracle_file({"kind": "four_segment"})
+        argv = {
+            "witness": ["witness", spec, "--out", str(out)],
+            "plot-descent": ["plot", "--figure", "descent-circle", "--out", str(out)],
+            "plot-oracle": ["plot", "--oracle", spec, "--out", str(out)],
+        }[command]
+        code, stdout, err = run_cli(capsys, *argv, flag, value)
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert code == 2 and stdout == ""
+        assert len(errors) == 1 and flag in errors[0]
+        assert not out.exists()
+
+
+class TestCheckSetLayers:
+    """``perfbench`` times the ray-set layers by swapping these ``kssets``
+    functions for wrappers, so check-set must reach each of them through the
+    module."""
+
+    LAYERS = ("load_ray_set", "validate_supplied_bases", "build_ortho_graph",
+              "enumerate_bases", "find_valuation", "verify_assignment")
+
+    def traced_calls(self, monkeypatch, capsys, name):
+        from kswitness import kssets
+
+        calls = dict.fromkeys(self.LAYERS, 0)
+        for layer in self.LAYERS:
+            def counted(*args, _fn=getattr(kssets, layer), _layer=layer, **kwargs):
+                calls[_layer] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(kssets, layer, counted)
+        code, out, _ = run_cli(capsys, "check-set", str(bundled_data_dir() / f"{name}.json"))
+        return code, json.loads(out), {k for k, v in calls.items() if v}
+
+    def test_enumerated_path_reaches_its_layers(self, monkeypatch, capsys):
+        code, report, called = self.traced_calls(monkeypatch, capsys, "disjoint_bases3")
+        assert code == 0 and report["bases"]["source"] == "enumerated"
+        assert called == {"load_ray_set", "build_ortho_graph", "enumerate_bases",
+                          "find_valuation", "verify_assignment"}
+
+    def test_supplied_path_reaches_its_layers(self, monkeypatch, capsys):
+        code, report, called = self.traced_calls(monkeypatch, capsys, "cabello18")
+        assert code == 10 and report["bases"]["source"] == "supplied"
+        assert called == {"load_ray_set", "validate_supplied_bases", "build_ortho_graph",
+                          "find_valuation"}
