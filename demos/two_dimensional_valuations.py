@@ -12,13 +12,13 @@ import math
 
 import numpy as np
 
-from kswitness import Generator2D, check_basis, make_valuation_2d
+from kswitness import Generator2D, Valuation2D, check_basis
 
 rng = np.random.default_rng(0)
 
 print("=== a valuation generated by g = indicator of [0.2, 0.9) ===")
 gen = Generator2D(((0.2, 0.9),))
-v = make_valuation_2d(gen)
+v = Valuation2D(gen)
 
 for theta in (0.0, 0.5, 1.2, 2.0, 3.3, 5.0):
     print(f"  v({theta:4.2f}) = {v.value_at_angle(theta)}"
@@ -35,7 +35,7 @@ for theta in rng.uniform(0, 2 * math.pi, 5):
 print("\n=== the image is automatically 50/50, for any generator ===")
 for trial in range(5):
     gen = Generator2D.random(rng)
-    v = make_valuation_2d(gen)
+    v = Valuation2D(gen)
     thetas = rng.uniform(0, 2 * math.pi, 20_000)
     ones = v.values_at_angles(thetas).mean()
     print(f"  generator with {len(gen.intervals)} interval(s): "

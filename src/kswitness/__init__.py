@@ -8,7 +8,7 @@ The package splits along the problem's own joints:
 - ``valuation``: the oracle interface plus every explicit construction
   (1D, 2D, and the 3D near-miss families), the basis sum rule, and the
   d >= 4 -> 3 reduction;
-- ``witness``: the certificate extractor and its circle-level operations;
+- ``witness``: the certificate extractor;
 - ``kssets``: exact integer ray sets, orthogonality graphs, basis
   enumeration, and the {0,1}-coloring solver with bundled classic data;
 - ``cli``: the ``kswitness`` command-line front door.
@@ -24,12 +24,10 @@ from .sphere_geom import (
     SphPoint,
     Triad,
     complete_triad,
-    complete_triad2,
     descent_theta,
     equator_crossings,
     from_cartesian,
     perp_of_apex,
-    rotation_about_polar_axis,
     rotation_to_pole,
     to_cartesian,
     two_step_chain,
@@ -53,16 +51,12 @@ from .valuation import (
     check_basis,
     find_zero_orthogonal_set,
     make_valuation_1d,
-    make_valuation_2d,
     reduce_dimension,
 )
 from .witness import (
-    PreconditionFailed,
     WitnessConfig,
     WitnessReport,
-    classify_great_circle,
     extract_witness,
-    propagate_zero_along_descent,
 )
 from .kssets import (
     ColoringResult,

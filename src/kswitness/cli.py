@@ -115,7 +115,7 @@ def cmd_witness(args) -> int:
         oracle = _load_oracle(args.oracle)
     except OSError as exc:
         return _fail(f"cannot read {args.oracle}: {exc}", EXIT_INPUT)
-    except (json.JSONDecodeError, OracleSpecError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, OracleSpecError) as exc:
         return _fail(f"bad oracle spec: {exc}", EXIT_INPUT)
     config = WitnessConfig(
         meridian_samples=args.meridians,
@@ -246,30 +246,19 @@ def cmd_plot(args) -> int:
     if bool(args.figure) == bool(args.oracle):
         return _fail("exactly one of --figure or --oracle is required", EXIT_INPUT)
     lat_rows, lon_cols = args.grid, 2 * args.grid
+    if args.figure == "four-segment":
+        oracle = build_oracle({"kind": "four_segment"})
+        title = "four-segment valuation (dark = 1)"
+    elif args.oracle:
+        try:
+            oracle = _load_oracle(args.oracle)
+        except OSError as exc:
+            return _fail(f"cannot read {args.oracle}: {exc}", EXIT_INPUT)
+        except (json.JSONDecodeError, UnicodeDecodeError, OracleSpecError) as exc:
+            return _fail(f"bad oracle spec: {exc}", EXIT_INPUT)
+        title = f"oracle grid: {args.oracle}"
     try:
-        if args.oracle:
-            try:
-                oracle = _load_oracle(args.oracle)
-            except OSError as exc:
-                return _fail(f"cannot read {args.oracle}: {exc}", EXIT_INPUT)
-            except (json.JSONDecodeError, OracleSpecError) as exc:
-                return _fail(f"bad oracle spec: {exc}", EXIT_INPUT)
-            rows = _valuation_grid(oracle, lat_rows, lon_cols)
-            title = f"oracle grid: {args.oracle}"
-            if args.format == "csv":
-                _write_grid_csv(rows, args.out)
-            else:
-                _write_grid_svg(rows, lat_rows, lon_cols, args.out, title)
-        elif args.figure == "four-segment":
-            from .valuation import FourSegmentValuation
-
-            rows = _valuation_grid(FourSegmentValuation(), lat_rows, lon_cols)
-            if args.format == "csv":
-                _write_grid_csv(rows, args.out)
-            else:
-                _write_grid_svg(rows, lat_rows, lon_cols, args.out,
-                                "four-segment valuation (dark = 1)")
-        elif args.figure == "descent-circle":
+        if args.figure == "descent-circle":
             try:
                 rows = _descent_curve(args.theta_p, args.phi_p, 4 * args.grid)
             except DomainError as exc:
@@ -280,7 +269,11 @@ def cmd_plot(args) -> int:
                 _write_curve_svg(rows, args.out,
                                  f"descent circle, apex ({args.theta_p:.4f}, {args.phi_p:.4f})")
         else:
-            return _fail(f"unknown figure {args.figure!r}; choose from {FIGURES}", EXIT_INPUT)
+            rows = _valuation_grid(oracle, lat_rows, lon_cols)
+            if args.format == "csv":
+                _write_grid_csv(rows, args.out)
+            else:
+                _write_grid_svg(rows, lat_rows, lon_cols, args.out, title)
     except OSError as exc:
         return _fail(f"cannot write {args.out}: {exc}", EXIT_IO)
     return EXIT_OK

@@ -82,7 +82,7 @@ def _parse_entry(raw) -> Entry | Fraction:
     if isinstance(raw, int):
         return (raw, 0)
     if isinstance(raw, float):
-        if raw != int(raw):
+        if not raw.is_integer():
             raise RaySetFormatError(
                 f"non-integral float coordinate {raw!r}; use an exact 'p/q' string"
             )
@@ -101,6 +101,8 @@ def _parse_entry(raw) -> Entry | Fraction:
 
 
 def _parse_ray(raw_vector, dimension: int) -> tuple[Entry, ...]:
+    if not isinstance(raw_vector, list):
+        raise RaySetFormatError(f"vector {raw_vector!r} must be a list of coordinates")
     if len(raw_vector) != dimension:
         raise RaySetFormatError(
             f"vector {raw_vector!r} has length {len(raw_vector)}, expected {dimension}"
@@ -475,6 +477,8 @@ def ray_set_from_dict(doc: dict) -> RaySet:
     dimension = doc["dimension"]
     if not isinstance(name, str) or not isinstance(dimension, int) or isinstance(dimension, bool):
         raise RaySetFormatError("'name' must be a string and 'dimension' an integer")
+    if not isinstance(doc.get("provenance", ""), str):
+        raise RaySetFormatError("'provenance' must be a string")
     vectors = doc["vectors"]
     if not isinstance(vectors, list) or not vectors:
         raise RaySetFormatError("'vectors' must be a nonempty list")
@@ -482,7 +486,7 @@ def ray_set_from_dict(doc: dict) -> RaySet:
     bases = None
     if doc.get("bases") is not None:
         raw_bases = doc["bases"]
-        if not isinstance(raw_bases, list):
+        if not isinstance(raw_bases, list) or not all(isinstance(b, list) for b in raw_bases):
             raise RaySetFormatError("'bases' must be a list of index lists")
         bases = tuple(tuple(b) for b in raw_bases)
         for basis in bases:
@@ -506,7 +510,7 @@ def load_ray_set(path) -> RaySet:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise RaySetFormatError(f"invalid JSON in {path}: {exc}") from exc
     return ray_set_from_dict(doc)
 

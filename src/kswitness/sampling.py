@@ -14,17 +14,17 @@ _PLASTIC = 1.32471795724474602596
 _ALPHA = np.array([1.0 / _PLASTIC, 1.0 / _PLASTIC ** 2])
 
 
-def unit_square_sequence(count: int, seed: int, start: int = 0) -> np.ndarray:
+def unit_square_sequence(count: int, seed: int) -> np.ndarray:
     """``count`` points of the seeded R2 sequence in [0, 1)^2."""
     rng = np.random.default_rng(seed)
     offset = rng.random(2)
-    idx = np.arange(start + 1, start + count + 1, dtype=float)[:, None]
+    idx = np.arange(1, count + 1, dtype=float)[:, None]
     return (offset + idx * _ALPHA) % 1.0
 
 
-def sphere_sequence(count: int, seed: int, start: int = 0) -> np.ndarray:
+def sphere_sequence(count: int, seed: int) -> np.ndarray:
     """Low-discrepancy points on S^2 (area-uniform), shape (count, 3)."""
-    uv = unit_square_sequence(count, seed, start)
+    uv = unit_square_sequence(count, seed)
     z = 2.0 * uv[:, 0] - 1.0
     phi = 2.0 * np.pi * uv[:, 1]
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # Floating-point slack for geometry built from exact formulas.  EPS_NORM
-# gates unit-norm and rotation checks, EPS_ORTHO gates orthogonality checks.
+# gates unit-norm checks and pole detection, EPS_ORTHO gates orthogonality
+# checks.  Every tolerance test is written ``not err <= eps`` so that NaN
+# fails it.
 EPS_NORM = 1e-12
 EPS_ORTHO = 1e-9
 
@@ -69,11 +71,13 @@ class SphPoint:
     phi: float
 
     def __post_init__(self):
-        theta = float(self.theta)
-        if abs(theta) > HALF_PI + 1e-12:
+        theta, phi = float(self.theta), float(self.phi)
+        if not abs(theta) <= HALF_PI + 1e-12:
             raise DomainError(f"latitude {theta} outside [-pi/2, pi/2]")
+        if not math.isfinite(phi):
+            raise DomainError(f"longitude {phi} is not finite")
         theta = max(-HALF_PI, min(HALF_PI, theta))
-        phi = 0.0 if abs(theta) == HALF_PI else wrap_longitude(float(self.phi))
+        phi = 0.0 if abs(theta) == HALF_PI else wrap_longitude(phi)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", phi)
 
@@ -84,20 +88,20 @@ def to_cartesian(p: SphPoint) -> np.ndarray:
     return np.array([ct * math.cos(p.phi), ct * math.sin(p.phi), math.sin(p.theta)])
 
 
-def from_cartesian(v, eps: float = EPS_NORM) -> SphPoint:
+def from_cartesian(v) -> SphPoint:
     """Inverse of to_cartesian, up to phi canonicalization at the poles."""
-    v = require_unit(v, eps)
+    v = require_unit(v)
     theta = math.asin(max(-1.0, min(1.0, float(v[2]))))
     phi = math.atan2(float(v[1]), float(v[0]))
     return SphPoint(theta, phi)
 
 
-def require_unit(v, eps: float = EPS_NORM) -> np.ndarray:
+def require_unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise DomainError(f"expected a 3-vector, got shape {v.shape}")
-    if abs(float(np.dot(v, v)) - 1.0) > 2.0 * eps:
-        raise DomainError(f"vector {v} is not unit within {eps}")
+    if not abs(float(np.dot(v, v)) - 1.0) <= 2.0 * EPS_NORM:
+        raise DomainError(f"vector {v} is not unit within {EPS_NORM}")
     return v
 
 
@@ -174,8 +178,7 @@ def two_step_delta_phi(theta_p: float, theta_q: float) -> float:
     return math.acos(math.sqrt(min(1.0, ratio)))
 
 
-def two_step_chain(p: SphPoint, theta_q: float,
-                   eps: float = EPS_ORTHO) -> tuple[SphPoint, SphPoint]:
+def two_step_chain(p: SphPoint, theta_q: float) -> tuple[SphPoint, SphPoint]:
     """The intermediate and final points (r, q) of the two-step descent.
 
     r sits on C(p) at longitude phi_p + delta_phi, q = (theta_q, phi_p) sits
@@ -196,15 +199,9 @@ def two_step_chain(p: SphPoint, theta_q: float,
     q = SphPoint(theta_q, p.phi)
     for point, circle_apex in ((r, p), (q, r)):
         err = abs(float(np.dot(to_cartesian(point), perp_of_apex(circle_apex))))
-        if err > eps:
-            raise AssertionError(f"two-step membership residual {err} exceeds {eps}")
+        if not err <= EPS_ORTHO:
+            raise AssertionError(f"two-step membership residual {err} exceeds {EPS_ORTHO}")
     return r, q
-
-
-def rotation_about_polar_axis(delta_phi: float) -> np.ndarray:
-    """Proper rotation fixing the z-axis and shifting longitudes by delta_phi."""
-    c, s = math.cos(delta_phi), math.sin(delta_phi)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def _rodrigues(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -217,31 +214,20 @@ def _rodrigues(axis: np.ndarray, angle: float) -> np.ndarray:
     return c * np.eye(3) + s * ax + (1.0 - c) * np.outer(axis, axis)
 
 
-def rotation_to_pole(p, eps: float = EPS_NORM) -> np.ndarray:
+def rotation_to_pole(p) -> np.ndarray:
     """Proper rotation R with R @ p = (0, 0, 1).
 
     The south pole maps via a fixed half-turn about the x-axis; everything
     else rotates about the axis p x z by the angle between them.
     """
-    p = require_unit(p, eps)
+    p = require_unit(p)
     z = float(p[2])
-    if z >= 1.0 - eps:
+    if z >= 1.0 - EPS_NORM:
         return np.eye(3)
-    if z <= -1.0 + eps:
+    if z <= -1.0 + EPS_NORM:
         return np.diag([1.0, -1.0, -1.0])
     axis = normalized(np.cross(p, Z_AXIS))
     return _rodrigues(axis, math.acos(max(-1.0, min(1.0, z))))
-
-
-def require_rotation(matrix: np.ndarray, eps: float = EPS_NORM) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (3, 3):
-        raise DomainError("rotation must be a 3x3 matrix")
-    if not np.allclose(matrix.T @ matrix, np.eye(3), atol=eps, rtol=0.0):
-        raise DomainError("matrix is not orthogonal within tolerance")
-    if abs(float(np.linalg.det(matrix)) - 1.0) > eps * 10.0:
-        raise DomainError("matrix is not a proper rotation (det != +1)")
-    return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,7 +243,7 @@ class Triad:
         for i in range(3):
             for j in range(i + 1, 3):
                 d = abs(float(np.dot(vs[i], vs[j])))
-                if d > EPS_ORTHO:
+                if not d <= EPS_ORTHO:
                     raise NotOrthogonal(
                         f"triad members {i} and {j} have |dot| = {d} > {EPS_ORTHO}"
                     )
@@ -270,7 +256,7 @@ class Triad:
         return (self.n1, self.n2, self.n3)
 
 
-def complete_triad(n1, eps: float = EPS_ORTHO) -> Triad:
+def complete_triad(n1) -> Triad:
     """Deterministically extend one unit vector to a triad.
 
     Rule: take the coordinate axis least aligned with n1 (smallest absolute
@@ -284,12 +270,3 @@ def complete_triad(n1, eps: float = EPS_ORTHO) -> Triad:
     n3 = normalized(np.cross(n1, n2))
     return Triad(n1, n2, n3)
 
-
-def complete_triad2(n1, n2, eps: float = EPS_ORTHO) -> Triad:
-    """Close two orthogonal unit vectors with their cross product."""
-    n1 = require_unit(n1)
-    n2 = require_unit(n2)
-    d = abs(float(np.dot(n1, n2)))
-    if d > eps:
-        raise NotOrthogonal(f"|<n1, n2>| = {d} exceeds {eps}")
-    return Triad(n1, n2, normalized(np.cross(n1, n2)))

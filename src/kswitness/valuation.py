@@ -169,10 +169,6 @@ class Valuation2D(Valuation):
         return self.value_at_angle(math.atan2(float(n[1]), float(n[0])))
 
 
-def make_valuation_2d(generator: Generator2D) -> Valuation2D:
-    return Valuation2D(generator)
-
-
 # --- three-dimensional near-miss constructions ----------------------------
 
 BOUNDARY_VARIANTS = ("one_at_step", "zero_at_step")
@@ -223,12 +219,14 @@ class StepMeridianValuation(Valuation):
 
     Points with longitude in [-pi/2, pi/2) take profile(theta); the opposite
     half-sphere takes profile(-theta), which is exactly the antipodal
-    completion, and both poles take the north-pole profile value.  Every
-    orthogonal pair within a single meridian circle then sums to 1, so the
-    inevitable failures sit on tilted triads only.
+    completion, and both poles take ``pole_value``, the north-pole profile
+    value (1 for every valid step).  Every orthogonal pair within a single
+    meridian circle then sums to 1, so the inevitable failures sit on tilted
+    triads only.
     """
 
     dimension = 3
+    pole_value = 1
 
     def __init__(self, theta_star: float, boundary_variant: str = "one_at_step"):
         _validate_step_params(theta_star, boundary_variant)
@@ -242,7 +240,7 @@ class StepMeridianValuation(Valuation):
         n = require_unit(n)
         theta = math.asin(max(-1.0, min(1.0, float(n[2]))))
         if abs(theta) == HALF_PI:
-            return self.profile(HALF_PI)
+            return self.pole_value
         return self.profile(theta if _front_half(n) else -theta)
 
     def to_oracle_dict(self) -> dict:
@@ -254,32 +252,22 @@ class StepMeridianValuation(Valuation):
         }
 
 
-class FourSegmentValuation(Valuation):
+class FourSegmentValuation(StepMeridianValuation):
     """Split the sphere by the equator and the phi = +-pi/2 meridians into
     four segments: zero on {theta > 0, |phi| < pi/2} and {theta < 0,
     |phi| > pi/2}, one on the two complementary segments and at the poles.
 
-    The boundary arcs carry the standardized meridian assignment (equator 0,
-    each boundary meridian circle in profile form); the witness extractor
-    never relies on boundary points.
+    This is the step-meridian valuation with its step at the pole (profile
+    1 only below the equator), except that the poles may carry 0.  The
+    boundary arcs carry the standardized meridian assignment; the witness
+    extractor never relies on boundary points.
     """
-
-    dimension = 3
 
     def __init__(self, pole_value: int = 1):
         if pole_value not in (0, 1):
             raise ValueError("pole_value must be 0 or 1")
+        super().__init__(HALF_PI, "one_at_step")
         self.pole_value = pole_value
-
-    def evaluate(self, n) -> int:
-        n = require_unit(n)
-        theta = math.asin(max(-1.0, min(1.0, float(n[2]))))
-        if abs(theta) == HALF_PI:
-            return self.pole_value
-        theta = theta if _front_half(n) else -theta
-        # Standardized profile with the step at the pole: 1 only below the
-        # equator (theta < 0), 0 on [0, pi/2).
-        return step_profile(theta, HALF_PI, "one_at_step")
 
     def to_oracle_dict(self) -> dict:
         return {"schema": 1, "kind": "four_segment", "pole_value": self.pole_value}
@@ -393,16 +381,15 @@ def build_oracle(spec: dict) -> Valuation:
         raise OracleSpecError(f"bad parameters for oracle kind {kind!r}: {exc}") from exc
     seed = spec.get("rotation_seed")
     if seed is not None:
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise OracleSpecError("rotation_seed must be an integer")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise OracleSpecError("rotation_seed must be a non-negative integer")
         oracle = RotatedValuation(oracle, random_rotation(seed), seed=seed)
     return oracle
 
 
 # --- the sum rule and dimension reduction ---------------------------------
 
-def check_basis(valuation: Valuation, basis, eps_ortho: float = EPS_ORTHO,
-                eps_norm: float = EPS_NORM) -> int:
+def check_basis(valuation: Valuation, basis) -> int:
     """Sum of the valuation over one orthonormal basis.
 
     The defining condition holds iff the return value is 1; callers hunting
@@ -416,11 +403,11 @@ def check_basis(valuation: Valuation, basis, eps_ortho: float = EPS_ORTHO,
     for i, v in enumerate(vecs):
         if v.shape != (d,):
             raise NotABasis(f"vector {i} has shape {v.shape}, expected ({d},)")
-        if abs(float(np.dot(v, v)) - 1.0) > 2.0 * eps_norm:
+        if not abs(float(np.dot(v, v)) - 1.0) <= 2.0 * EPS_NORM:
             raise NotABasis(f"vector {i} is not unit")
     for i in range(d):
         for j in range(i + 1, d):
-            if abs(float(np.dot(vecs[i], vecs[j]))) > eps_ortho:
+            if not abs(float(np.dot(vecs[i], vecs[j]))) <= EPS_ORTHO:
                 raise NotABasis(f"vectors {i} and {j} are not orthogonal")
     return sum(valuation.evaluate(v) for v in vecs)
 
@@ -468,8 +455,7 @@ class ReducedValuation(Valuation):
         return self.base.evaluate(self.embed(n))
 
 
-def reduce_dimension(valuation: Valuation, zeros,
-                     eps_ortho: float = EPS_ORTHO) -> ReducedValuation:
+def reduce_dimension(valuation: Valuation, zeros) -> ReducedValuation:
     """Restrict a d >= 4 valuation to the 2-sphere orthogonal to d-3
     mutually orthogonal unit vectors on which it vanishes.
 
@@ -486,11 +472,11 @@ def reduce_dimension(valuation: Valuation, zeros,
     if len(zs) != d - 3:
         raise ZeroSetInvalid(f"need exactly {d - 3} zero vectors, got {len(zs)}")
     for i, z in enumerate(zs):
-        if z.shape != (d,) or abs(float(np.dot(z, z)) - 1.0) > 1e-9:
+        if z.shape != (d,) or not abs(float(np.dot(z, z)) - 1.0) <= 1e-9:
             raise ZeroSetInvalid(f"zero vector {i} is not a unit {d}-vector")
     for i in range(len(zs)):
         for j in range(i + 1, len(zs)):
-            if abs(float(np.dot(zs[i], zs[j]))) > eps_ortho:
+            if not abs(float(np.dot(zs[i], zs[j]))) <= EPS_ORTHO:
                 raise ZeroSetInvalid(f"zero vectors {i} and {j} are not orthogonal")
     for i, z in enumerate(zs):
         if valuation.evaluate(z) != 0:

@@ -39,6 +39,7 @@ from .sampling import sphere_sequence
 from .sphere_geom import (
     EPS_ORTHO,
     HALF_PI,
+    Z_AXIS,
     DescentCircle,
     SphPoint,
     Triad,
@@ -53,8 +54,6 @@ from .sphere_geom import (
 )
 from .valuation import Valuation
 
-Z_AXIS = np.array([0.0, 0.0, 1.0])
-
 # Geometry of the competing-meridian web, relative to the standardized frame:
 # the second meridian, and the disputed point x in the overlap of the two
 # descent sweeps (its latitude/longitude).  The derived apex latitudes all
@@ -66,11 +65,6 @@ _APEX_GUARD = 1.45
 
 # Number of leading samples that also get an antipodal spot-check.
 _ANTIPODAL_CHECKS = 16
-
-
-class PreconditionFailed(ValueError):
-    """A caller-supplied fact (v(p) = 0, v(pole) = 1, p off the equator)
-    does not hold."""
 
 
 @dataclass(frozen=True)
@@ -171,96 +165,6 @@ class _Session:
             raise ValueError(f"oracle returned {val!r}, expected 0 or 1")
         self.cache[key] = val
         return val
-
-
-# --- circle-level operations ----------------------------------------------
-
-@dataclass
-class CircleClassification:
-    """Sample-based label of a great circle: "all_zero", "fifty_fifty", or
-    "violation" (with the offending triad)."""
-
-    kind: str
-    triad: Triad | None
-    normal_value: int
-    dyads_checked: int
-
-
-def classify_great_circle(valuation: Valuation, normal, samples: int) -> CircleClassification:
-    """Classify the valuation on the great circle orthogonal to ``normal``.
-
-    Under the sum rule the circle is forced to be identically zero when the
-    normal carries 1, and to satisfy the two-dimensional half-and-half
-    structure when it carries 0.  ``samples`` dyads are checked; the label
-    is sample-based, but any "violation" comes with a concrete triad.
-    """
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
-    normal = normalized(np.asarray(normal, dtype=float))
-    m = valuation.evaluate(normal)
-    _, u, w = complete_triad(normal).vectors
-
-    def at(t: float) -> np.ndarray:
-        return math.cos(t) * u + math.sin(t) * w
-
-    for k in range(samples):
-        t = (k / samples) * HALF_PI
-        a, b = at(t), at(t + HALF_PI)
-        va, vb = valuation.evaluate(a), valuation.evaluate(b)
-        if va + vb + m != 1:
-            return CircleClassification("violation", Triad(a, b, normal), m, k + 1)
-    return CircleClassification("all_zero" if m == 1 else "fifty_fifty", None, m, samples)
-
-
-@dataclass
-class DescentPropagation:
-    """Result of pushing a zero around its descent circle:
-    "zero_circle_confirmed" or "violation" (with the triad)."""
-
-    kind: str
-    triad: Triad | None
-    points_checked: int
-
-
-def propagate_zero_along_descent(valuation: Valuation, p: SphPoint,
-                                 samples: int = 64) -> DescentPropagation:
-    """Check that a zero at ``p`` (with value 1 at the poles) forces zero on
-    the whole descent circle C(p).
-
-    The mechanism is the proof's own: the apex and the equator crossing are
-    an orthogonal pair inside C(p), so the circle normal must carry 1, and
-    then any circle point carrying 1 completes (with its in-circle
-    orthocomplement and the normal) to a triad summing past 1.
-    """
-    if p.theta == 0.0 or abs(p.theta) == HALF_PI:
-        raise PreconditionFailed("p must lie strictly between the equator and a pole")
-    p_vec = to_cartesian(p)
-    if valuation.evaluate(p_vec) != 0:
-        raise PreconditionFailed("v(p) must be 0")
-    if valuation.evaluate(Z_AXIS) != 1:
-        raise PreconditionFailed("v(pole) = 1 must be established first")
-    circle = DescentCircle(p)
-    normal = circle.normal
-    checked = 0
-    for s in equator_crossings(circle):
-        checked += 1
-        if valuation.evaluate(s) == 1:
-            # The equator must be zero once the pole carries 1.
-            return DescentPropagation(
-                "violation", Triad(Z_AXIS, s, normalized(np.cross(Z_AXIS, s))), checked
-            )
-    if valuation.evaluate(normal) == 0:
-        s = equator_crossings(circle)[0]
-        return DescentPropagation("violation", Triad(p_vec, s, normal), checked + 1)
-    in_circle = normalized(np.cross(normal, p_vec))
-    for k in range(samples):
-        t = 2.0 * math.pi * k / samples
-        point = math.cos(t) * p_vec + math.sin(t) * in_circle
-        checked += 1
-        if valuation.evaluate(point) == 1:
-            partner = normalized(np.cross(normal, point))
-            return DescentPropagation("violation", Triad(point, partner, normal), checked)
-    return DescentPropagation("zero_circle_confirmed", None, checked)
 
 
 # --- the extractor ----------------------------------------------------------
@@ -492,7 +396,7 @@ def _competing_meridian_web(w, work_to_orig, anchor: SphPoint,
         for i in range(3):
             for j in range(i + 1, 3):
                 d = abs(float(np.dot(members[i], members[j])))
-                if d > EPS_ORTHO:
+                if not d <= EPS_ORTHO:
                     raise AssertionError(f"web triad {label} not orthogonal: {d}")
 
     for e in equator_points:

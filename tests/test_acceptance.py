@@ -53,10 +53,10 @@ from kswitness.valuation import (
     PolarCapValuation,
     RotatedValuation,
     StepMeridianValuation,
+    Valuation2D,
     Valuation2DRotated,
     check_basis,
     find_zero_orthogonal_set,
-    make_valuation_2d,
     reduce_dimension,
 )
 from kswitness.witness import WitnessConfig, extract_witness
@@ -88,7 +88,7 @@ def test_criterion_1_two_dimensional_existence():
     with _Criterion(1, "two-dimensional existence") as crit:
         rng = np.random.default_rng(101)
         for _ in range(100):
-            v = make_valuation_2d(Generator2D.random(rng))
+            v = Valuation2D(Generator2D.random(rng))
             thetas = rng.uniform(0.0, 2 * math.pi, 10_000)
             base = v.values_at_angles(thetas)
             assert np.array_equal(base, v.values_at_angles(thetas + math.pi))

@@ -263,3 +263,31 @@ class TestCheckSetLayers:
         assert code == 10 and report["bases"]["source"] == "supplied"
         assert called == {"load_ray_set", "validate_supplied_bases", "build_ortho_graph",
                           "find_valuation"}
+
+
+class TestInputErrors:
+    """Malformed input files end in exit 2 with one ``error:`` line and no
+    traceback."""
+
+    VALID = {"name": "axes", "dimension": 3, "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    CASES = [
+        ("check-set", "bases-not-lists", json.dumps({**VALID, "bases": [5]}).encode()),
+        ("check-set", "overflowing-coordinate",
+         b'{"name": "x", "dimension": 3, "vectors": [[1e400, 0, 0], [0, 1, 0], [0, 0, 1]]}'),
+        ("check-set", "not-utf8", b'\xff\xfe{"name": "x"}'),
+        ("check-set", "provenance-not-string", json.dumps({**VALID, "provenance": 5}).encode()),
+        ("check-set", "vectors-as-strings",
+         json.dumps({**VALID, "vectors": ["100", "010", "001"]}).encode()),
+        ("witness", "negative-rotation-seed",
+         json.dumps({"kind": "four_segment", "rotation_seed": -1}).encode()),
+        ("witness", "not-utf8", b'\xff\xfe{"kind": "four_segment"}'),
+    ]
+
+    @pytest.mark.parametrize("command,label,payload", CASES, ids=[f"{c}-{l}" for c, l, _ in CASES])
+    def test_input_error_exits_2(self, capsys, tmp_path, command, label, payload):
+        path = tmp_path / "input.json"
+        path.write_bytes(payload)
+        code, stdout, err = run_cli(capsys, command, str(path))
+        lines = err.splitlines()
+        assert code == 2 and stdout == ""
+        assert len(lines) == 1 and lines[0].startswith("error: ")

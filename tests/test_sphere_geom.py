@@ -18,13 +18,11 @@ from kswitness.sphere_geom import (
     SphPoint,
     Triad,
     complete_triad,
-    complete_triad2,
     descent_theta,
     equator_crossings,
     from_cartesian,
     perp_of_apex,
-    require_rotation,
-    rotation_about_polar_axis,
+    require_unit,
     rotation_to_pole,
     to_cartesian,
     two_step_chain,
@@ -33,6 +31,7 @@ from kswitness.sphere_geom import (
 )
 
 HALF_PI = math.pi / 2
+NAN = float("nan")
 
 
 def random_sph_points(count, rng, theta_margin=0.0):
@@ -57,8 +56,17 @@ class TestSphPoint:
         with pytest.raises(DomainError):
             SphPoint(2.0, 0.0)
 
+    def test_nan_coordinates_rejected(self):
+        for theta, phi in ((NAN, 0.0), (0.3, NAN), (0.3, math.inf)):
+            with pytest.raises(DomainError):
+                SphPoint(theta, phi)
+
 
 class TestCartesian:
+    def test_nan_vector_is_not_unit(self):
+        with pytest.raises(DomainError):
+            require_unit([NAN] * 3)
+
     def test_north_pole(self):
         assert np.allclose(to_cartesian(SphPoint(HALF_PI, 0.0)), [0, 0, 1], atol=1e-15)
 
@@ -193,6 +201,10 @@ class TestTwoStepDeltaPhi:
 
 
 class TestTwoStepChain:
+    def test_nan_target_rejected(self):
+        with pytest.raises(DomainError):
+            two_step_chain(SphPoint(0.6, 0.0), NAN)
+
     def test_worked_example(self):
         # From p = (pi/4, 0) to the latitude with half the tangent: r sits a
         # quarter turn east at arctan(cos(pi/4)).
@@ -256,7 +268,7 @@ class TestRotations:
             v /= np.linalg.norm(v)
             rot = rotation_to_pole(v)
             assert np.dot(rot @ v, [0, 0, 1]) == pytest.approx(1.0, abs=1e-12)
-            require_rotation(rot)  # proper orthogonal within tolerance
+            assert np.allclose(rot.T @ rot, np.eye(3), atol=1e-12, rtol=0.0)
 
     def test_rotations_preserve_dot_products(self):
         rng = np.random.default_rng(29)
@@ -268,17 +280,6 @@ class TestRotations:
             rot = rotation_to_pole(a)
             assert np.dot(rot @ a, rot @ b) == pytest.approx(np.dot(a, b), abs=1e-12)
 
-    def test_polar_axis_rotation(self):
-        assert np.allclose(rotation_about_polar_axis(0.0), np.eye(3), atol=1e-15)
-        assert np.allclose(rotation_about_polar_axis(math.pi) @ [1, 0, 0],
-                           [-1, 0, 0], atol=1e-12)
-
-    def test_polar_axis_composition(self):
-        rng = np.random.default_rng(31)
-        for a, b in rng.uniform(-3, 3, (50, 2)):
-            lhs = rotation_about_polar_axis(a) @ rotation_about_polar_axis(b)
-            assert np.allclose(lhs, rotation_about_polar_axis(a + b), atol=1e-12)
-
 
 class TestTriadCompletion:
     def test_canonical_completion_of_pole(self):
@@ -286,14 +287,6 @@ class TestTriadCompletion:
         assert np.allclose(t.n1, [0, 0, 1], atol=1e-15)
         assert np.allclose(t.n2, [1, 0, 0], atol=1e-15)
         assert np.allclose(t.n3, [0, 1, 0], atol=1e-15)
-
-    def test_two_vector_completion(self):
-        t = complete_triad2([1, 0, 0], [0, 1, 0])
-        assert np.allclose(np.abs(t.n3), [0, 0, 1], atol=1e-15)
-
-    def test_not_orthogonal_rejected(self):
-        with pytest.raises(NotOrthogonal):
-            complete_triad2([1, 0, 0], [math.sqrt(0.5), math.sqrt(0.5), 0])
 
     def test_random_completions_orthonormal(self):
         rng = np.random.default_rng(37)
@@ -308,3 +301,7 @@ class TestTriadCompletion:
     def test_triad_validates(self):
         with pytest.raises(NotOrthogonal):
             Triad(np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), np.array([0.0, 0, 1]))
+
+    def test_nan_triad_rejected(self):
+        with pytest.raises(DomainError):
+            Triad(np.array([NAN] * 3), np.array([0.0, 1, 0]), np.array([0.0, 0, 1]))

@@ -17,13 +17,13 @@ from kswitness.valuation import (
     PolarCapValuation,
     RotatedValuation,
     StepMeridianValuation,
+    Valuation2D,
     Valuation2DRotated,
     ZeroSetInvalid,
     build_oracle,
     check_basis,
     find_zero_orthogonal_set,
     make_valuation_1d,
-    make_valuation_2d,
     reduce_dimension,
 )
 from kswitness.sampling import random_rotation
@@ -76,18 +76,18 @@ class TestGenerator2D:
 
 class TestValuation2D:
     def test_trivial_generator_values(self):
-        v = make_valuation_2d(Generator2D(()))
+        v = Valuation2D(Generator2D(()))
         assert v.value_at_angle(0.0) == 0
         assert v.value_at_angle(HALF_PI) == 1
         assert v.value_at_angle(0.0) + v.value_at_angle(HALF_PI) == 1
 
     def test_period_pi(self):
-        v = make_valuation_2d(Generator2D(()))
+        v = Valuation2D(Generator2D(()))
         assert v.value_at_angle(0.3) == v.value_at_angle(0.3 + math.pi)
 
     def test_image_is_half_ones(self):
         # g = indicator of [0, pi/4): one-count over uniform angles is half.
-        v = make_valuation_2d(Generator2D(((0.0, math.pi / 4),)))
+        v = Valuation2D(Generator2D(((0.0, math.pi / 4),)))
         rng = np.random.default_rng(5)
         thetas = rng.uniform(0.0, 2 * math.pi, 10_000)
         ones = int(v.values_at_angles(thetas).sum())
@@ -96,19 +96,19 @@ class TestValuation2D:
     def test_defining_identities_hold_exactly(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
-            v = make_valuation_2d(Generator2D.random(rng))
+            v = Valuation2D(Generator2D.random(rng))
             for theta in rng.uniform(0.0, 2 * math.pi, 500):
                 assert v.value_at_angle(theta) == v.value_at_angle(theta + math.pi)
                 assert v.value_at_angle(theta) + v.value_at_angle(theta + HALF_PI) == 1
 
     def test_evaluate_on_unit_vectors(self):
-        v = make_valuation_2d(Generator2D(((0.2, 0.9),)))
+        v = Valuation2D(Generator2D(((0.2, 0.9),)))
         theta = 0.4
         assert v.evaluate(np.array([math.cos(theta), math.sin(theta)])) == v.value_at_angle(theta)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(21)
-        v = make_valuation_2d(Generator2D.random(rng))
+        v = Valuation2D(Generator2D.random(rng))
         thetas = rng.uniform(-10, 10, 1000)
         assert list(v.values_at_angles(thetas)) == [v.value_at_angle(t) for t in thetas]
 
@@ -265,6 +265,11 @@ class TestOtherFamilies:
 
 
 class TestCheckBasis:
+    def test_nan_basis_is_not_a_basis(self):
+        # A non-finite "basis" must not read as one that violates the sum rule.
+        with pytest.raises(NotABasis):
+            check_basis(PolarCapValuation(0.5), [[float("nan")] * 3] * 3)
+
     def test_four_segment_pole_triad(self):
         # Independently derived: pole carries 1, both equator points carry 0.
         v = FourSegmentValuation()
@@ -280,7 +285,7 @@ class TestCheckBasis:
 
     def test_dyads_always_sum_to_one(self):
         rng = np.random.default_rng(25)
-        v = make_valuation_2d(Generator2D.random(rng))
+        v = Valuation2D(Generator2D.random(rng))
         for theta in rng.uniform(0, 2 * math.pi, 300):
             dyad = [np.array([math.cos(theta), math.sin(theta)]),
                     np.array([-math.sin(theta), math.cos(theta)])]
@@ -302,6 +307,11 @@ def _coordinate_indicator(dim, coord, threshold):
 
 
 class TestDimensionReduction:
+    def test_nan_zero_vector_rejected(self):
+        v = _coordinate_indicator(4, 3, 0.5)
+        with pytest.raises(ZeroSetInvalid):
+            reduce_dimension(v, [[float("nan")] * 4])
+
     def test_zero_set_with_value_one_rejected(self):
         v = _coordinate_indicator(4, 3, 0.5)
         e4 = np.eye(4)[3]
