@@ -269,6 +269,7 @@ class TestRotations:
             rot = rotation_to_pole(v)
             assert np.dot(rot @ v, [0, 0, 1]) == pytest.approx(1.0, abs=1e-12)
             assert np.allclose(rot.T @ rot, np.eye(3), atol=1e-12, rtol=0.0)
+            assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-11)
 
     def test_rotations_preserve_dot_products(self):
         rng = np.random.default_rng(29)
