@@ -12,64 +12,47 @@ The package splits along the problem's own joints:
 - ``kssets``: exact integer ray sets, orthogonality graphs, basis
   enumeration, and the {0,1}-coloring solver with bundled classic data;
 - ``cli``: the ``kswitness`` command-line front door.
+
+The names below are re-exported lazily: ``import kswitness`` loads no
+submodule, and numpy loads on first use of a geometry, valuation or
+witness name.
 """
 
-from .sphere_geom import (
-    EPS_NORM,
-    EPS_ORTHO,
-    DescentAwayFromEquator,
-    DescentCircle,
-    DomainError,
-    NotOrthogonal,
-    SphPoint,
-    Triad,
-    complete_triad,
-    descent_theta,
-    equator_crossings,
-    from_cartesian,
-    perp_of_apex,
-    rotation_to_pole,
-    to_cartesian,
-    two_step_chain,
-    two_step_delta_phi,
-)
-from .valuation import (
-    FourSegmentValuation,
-    FunctionValuation,
-    Generator2D,
-    NotABasis,
-    OracleSpecError,
-    PolarCapValuation,
-    ReducedValuation,
-    RotatedValuation,
-    StepMeridianValuation,
-    Valuation,
-    Valuation2D,
-    Valuation2DRotated,
-    ZeroSetInvalid,
-    build_oracle,
-    check_basis,
-    find_zero_orthogonal_set,
-    make_valuation_1d,
-    reduce_dimension,
-)
-from .witness import (
-    WitnessConfig,
-    WitnessReport,
-    extract_witness,
-)
-from .kssets import (
-    ColoringResult,
-    DuplicateRay,
-    OrthoGraph,
-    RaySet,
-    RaySetFormatError,
-    build_ortho_graph,
-    enumerate_bases,
-    find_valuation,
-    load_bundled,
-    load_ray_set,
-    verify_assignment,
-)
+from importlib import import_module
 
+_EXPORTS = {
+    "sphere_geom": (
+        "EPS_NORM", "EPS_ORTHO", "DescentAwayFromEquator", "DescentCircle",
+        "DomainError", "NotOrthogonal", "SphPoint", "Triad", "complete_triad",
+        "descent_theta", "equator_crossings", "from_cartesian", "perp_of_apex",
+        "rotation_to_pole", "to_cartesian", "two_step_chain", "two_step_delta_phi",
+    ),
+    "valuation": (
+        "FourSegmentValuation", "FunctionValuation", "Generator2D", "NotABasis",
+        "OracleSpecError", "PolarCapValuation", "ReducedValuation", "RotatedValuation",
+        "StepMeridianValuation", "Valuation", "Valuation2D", "Valuation2DRotated",
+        "ZeroSetInvalid", "build_oracle", "check_basis", "find_zero_orthogonal_set",
+        "make_valuation_1d", "reduce_dimension",
+    ),
+    "witness": ("WitnessConfig", "WitnessReport", "extract_witness"),
+    "kssets": (
+        "ColoringResult", "DuplicateRay", "OrthoGraph", "RaySet", "RaySetFormatError",
+        "build_ortho_graph", "enumerate_bases", "find_valuation", "load_bundled",
+        "load_ray_set", "verify_assignment",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        # Not an export: lets ``from kswitness import cli`` fall through to
+        # the submodule import.
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

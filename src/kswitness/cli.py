@@ -17,20 +17,42 @@ import csv
 import json
 import math
 import sys
+from importlib import import_module
 
 from . import kssets
-from .sphere_geom import (
-    DescentCircle,
-    DomainError,
-    SphPoint,
-    descent_theta,
-    equator_crossings,
-    to_cartesian,
-    two_step_chain,
-    two_step_delta_phi,
+
+# The float stack (numpy, sphere_geom, valuation, witness) loads on first
+# use, so check-set runs on kssets and the stdlib alone.  Commands call these
+# names through the module globals, where a tracer may have swapped them.
+_FLOAT_NAMES = (
+    "DescentCircle", "DomainError", "SphPoint", "descent_theta", "equator_crossings",
+    "to_cartesian", "two_step_chain", "two_step_delta_phi",
+    "OracleSpecError", "Valuation", "build_oracle",
+    "WitnessConfig", "extract_witness",
 )
-from .valuation import OracleSpecError, Valuation, build_oracle
-from .witness import WitnessConfig, extract_witness
+_float_stack_bound = False
+
+
+def _bind_float_stack() -> None:
+    """Binds _FLOAT_NAMES, from the package's lazy exports, into this
+    module, once; a name that is already set (say, to a wrapper) keeps its
+    value."""
+    global _float_stack_bound
+    if _float_stack_bound:
+        return
+    package = import_module(__package__)
+    namespace = globals()
+    for name in _FLOAT_NAMES:
+        namespace.setdefault(name, getattr(package, name))
+    _float_stack_bound = True
+
+
+def __getattr__(name: str):
+    if name not in _FLOAT_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_float_stack()
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -111,6 +133,7 @@ def _load_oracle(path: str) -> Valuation:
 
 
 def cmd_witness(args) -> int:
+    _bind_float_stack()
     try:
         oracle = _load_oracle(args.oracle)
     except OSError as exc:
@@ -131,6 +154,7 @@ def cmd_witness(args) -> int:
 # --- geom --------------------------------------------------------------------
 
 def cmd_geom(args) -> int:
+    _bind_float_stack()
     try:
         if args.geom_command == "descend":
             circle = DescentCircle(SphPoint(args.theta_p, args.phi_p))
@@ -243,6 +267,7 @@ def _write_curve_svg(rows, out_path: str, title: str) -> None:
 
 
 def cmd_plot(args) -> int:
+    _bind_float_stack()
     if bool(args.figure) == bool(args.oracle):
         return _fail("exactly one of --figure or --oracle is required", EXIT_INPUT)
     lat_rows, lon_cols = args.grid, 2 * args.grid

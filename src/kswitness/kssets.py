@@ -470,6 +470,9 @@ def ray_set_from_dict(doc: dict) -> RaySet:
     """Build a RaySet from the documented JSON schema (see README)."""
     if not isinstance(doc, dict):
         raise RaySetFormatError("ray-set document must be a JSON object")
+    schema = doc.get("schema", 1)
+    if type(schema) is not int or schema != 1:  # a bool is no schema number
+        raise RaySetFormatError(f"unsupported schema {schema!r}; expected 1")
     for key in ("name", "dimension", "vectors"):
         if key not in doc:
             raise RaySetFormatError(f"missing required field {key!r}")

@@ -147,6 +147,8 @@ def descent_theta(circle: DescentCircle, phi: float) -> float:
     """Latitude of the descent circle at longitude phi:
     theta(phi) = arctan(tan(theta_p) cos(phi - phi_p)).
     """
+    if not math.isfinite(phi):
+        raise DomainError(f"longitude {phi} is not finite")
     apex = circle.apex
     return math.atan(math.tan(apex.theta) * math.cos(phi - apex.phi))
 

@@ -264,7 +264,7 @@ class FourSegmentValuation(StepMeridianValuation):
     """
 
     def __init__(self, pole_value: int = 1):
-        if pole_value not in (0, 1):
+        if isinstance(pole_value, bool) or pole_value not in (0, 1):
             raise ValueError("pole_value must be 0 or 1")
         super().__init__(HALF_PI, "one_at_step")
         self.pole_value = pole_value
@@ -355,6 +355,9 @@ def build_oracle(spec: dict) -> Valuation:
     """
     if not isinstance(spec, dict):
         raise OracleSpecError("oracle spec must be a JSON object")
+    schema = spec.get("schema", 1)
+    if type(schema) is not int or schema != 1:  # a bool is no schema number
+        raise OracleSpecError(f"unsupported schema {schema!r}; expected 1")
     kind = spec.get("kind")
     if kind not in ORACLE_KINDS:
         raise OracleSpecError(f"unknown oracle kind {kind!r}; expected one of {ORACLE_KINDS}")

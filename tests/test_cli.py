@@ -126,6 +126,12 @@ class TestGeom:
                                "--theta-p", "0.5235987756", "--theta-q", "0.7853981634")
         assert code == 2 and "descend" in err
 
+    @pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+    def test_non_finite_query_longitude_exits_2(self, capsys, phi):
+        code, out, err = run_cli(capsys, "geom", "descend", "--theta-p", "0.5", f"--phi={phi}")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_chain_output(self, capsys):
         code, out, _ = run_cli(capsys, "geom", "chain", "--theta-p", repr(math.pi / 4),
                                "--theta-q", repr(math.atan(0.5)))
@@ -281,6 +287,11 @@ class TestInputErrors:
         pytest.param("witness", json.dumps({"kind": "four_segment", "rotation_seed": -1}),
                      id="negative-rotation-seed"),
         pytest.param("witness", b'\xff\xfe{"kind": "four_segment"}', id="spec-not-utf8"),
+        pytest.param("witness", json.dumps({"kind": "four_segment", "pole_value": True}),
+                     id="pole-value-bool"),
+        pytest.param("check-set", json.dumps({**VALID, "schema": "zz"}), id="set-schema-string"),
+        pytest.param("witness", json.dumps({"kind": "four_segment", "schema": True}),
+                     id="spec-schema-bool"),
     ]
 
     @pytest.mark.parametrize("command,payload", CASES)
