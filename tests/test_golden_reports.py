@@ -2,12 +2,17 @@
 
 Each file under ``tests/golden/witness/`` and ``tests/golden/plot/`` was
 written by the code as it stood before the refactors that these tests
-guard.  To rewrite them (only when a change to the output is intended):
+guard.  ``plot --oracle`` grids are pinned by the SHA-256 digest of their
+CSV and SVG bytes in ``tests/golden/plot/oracle_digests.json``, written by
+the scalar, one-``evaluate``-per-cell grid.  To rewrite them (only when a
+change to the output is intended):
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
 
+import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -33,9 +38,15 @@ def oracle_spec(kind: str, seed: int) -> dict:
     return spec
 
 
-WITNESS_CASES = [(kind, seed) for kind in ("four_segment", "step_meridian", "polar_cap",
-                                           "valuation2d_rotated") for seed in SEEDS]
+KINDS = ("four_segment", "step_meridian", "polar_cap", "valuation2d_rotated")
+WITNESS_CASES = [(kind, seed) for kind in KINDS for seed in SEEDS]
 PLOT_FORMATS = ("csv", "svg")
+# plot --oracle digests: one rotated spec per kind at grid 64, and the
+# rotated four-segment spec at grid 256.
+PLOT_ROTATION_SEED = 7
+ORACLE_PLOT_CASES = [(kind, 64, fmt) for kind in KINDS for fmt in PLOT_FORMATS]
+ORACLE_PLOT_CASES += [("four_segment", 256, fmt) for fmt in PLOT_FORMATS]
+ORACLE_DIGESTS = GOLDEN / "plot" / "oracle_digests.json"
 
 
 def witness_bytes(kind: str, seed: int, workdir: Path) -> bytes:
@@ -54,6 +65,25 @@ def plot_bytes(fmt: str, workdir: Path) -> bytes:
     return out.read_bytes()
 
 
+def oracle_plot_digest(kind: str, grid: int, fmt: str, workdir: Path) -> str:
+    # The SVG title names the spec path, so it is given relative to workdir.
+    spec = {**oracle_spec(kind, 0), "rotation_seed": PLOT_ROTATION_SEED}
+    (workdir / "oracle.json").write_text(json.dumps(spec))
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        code = main(["plot", "--oracle", "oracle.json", "--grid", str(grid), "--format", fmt,
+                     "--out", f"grid.{fmt}"])
+    finally:
+        os.chdir(cwd)
+    assert code == 0
+    return hashlib.sha256((workdir / f"grid.{fmt}").read_bytes()).hexdigest()
+
+
+def oracle_plot_key(kind: str, grid: int, fmt: str) -> str:
+    return f"{kind}_rot{PLOT_ROTATION_SEED}_grid{grid}.{fmt}"
+
+
 @pytest.mark.parametrize("kind,seed", WITNESS_CASES)
 def test_witness_report_matches_golden(kind, seed, tmp_path):
     golden = GOLDEN / "witness" / f"{kind}_seed{seed}.json"
@@ -64,6 +94,12 @@ def test_witness_report_matches_golden(kind, seed, tmp_path):
 def test_four_segment_plot_matches_golden(fmt, tmp_path):
     golden = GOLDEN / "plot" / f"four_segment_grid16.{fmt}"
     assert plot_bytes(fmt, tmp_path) == golden.read_bytes()
+
+
+@pytest.mark.parametrize("kind,grid,fmt", ORACLE_PLOT_CASES)
+def test_oracle_plot_matches_pinned_digest(kind, grid, fmt, tmp_path):
+    pinned = json.loads(ORACLE_DIGESTS.read_text())
+    assert oracle_plot_digest(kind, grid, fmt, tmp_path) == pinned[oracle_plot_key(kind, grid, fmt)]
 
 
 if __name__ == "__main__":
@@ -78,3 +114,6 @@ if __name__ == "__main__":
                 witness_bytes(kind, seed, work))
         for fmt in PLOT_FORMATS:
             (GOLDEN / "plot" / f"four_segment_grid16.{fmt}").write_bytes(plot_bytes(fmt, work))
+        digests = {oracle_plot_key(*case): oracle_plot_digest(*case, work)
+                   for case in ORACLE_PLOT_CASES}
+        ORACLE_DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
