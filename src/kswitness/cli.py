@@ -69,13 +69,19 @@ def _fmt(x: float) -> str:
     return s[1:] if s == "-0.000000000000" else s
 
 
-def _dump_json(doc: dict, out_path: str | None) -> None:
+def _dump_json(doc: dict, out_path: str | None, code: int) -> int:
+    """Writes a report to ``out_path`` or stdout; returns ``code``, or the
+    I/O-error code when ``out_path`` cannot be written."""
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        return _fail(f"cannot write {out_path}: {exc}", EXIT_IO)
+    return code
 
 
 def _positive_int(text: str) -> int:
@@ -120,8 +126,7 @@ def cmd_check_set(args) -> int:
         "bases": {"count": len(bases), "source": source},
         "coloring": result.to_json_dict(),
     }
-    _dump_json(report, args.out)
-    return EXIT_OK if result.colorable else EXIT_UNCOLORABLE
+    return _dump_json(report, args.out, EXIT_OK if result.colorable else EXIT_UNCOLORABLE)
 
 
 # --- witness -----------------------------------------------------------------
@@ -147,8 +152,8 @@ def cmd_witness(args) -> int:
         rng_seed=args.seed,
     )
     report = extract_witness(oracle, config)
-    _dump_json(report.to_json_dict(), args.out)
-    return EXIT_OK if report.found else EXIT_NOT_FOUND
+    return _dump_json(report.to_json_dict(), args.out,
+                      EXIT_OK if report.found else EXIT_NOT_FOUND)
 
 
 # --- geom --------------------------------------------------------------------
@@ -177,28 +182,36 @@ def cmd_geom(args) -> int:
 # --- plot --------------------------------------------------------------------
 
 def _valuation_grid(oracle: Valuation, lat_rows: int, lon_cols: int):
-    """Equal-area (theta, phi, value) grid avoiding the boundary arcs."""
-    rows = []
-    for i in range(lat_rows):
-        z = -1.0 + (2 * i + 1) / lat_rows
-        theta = math.asin(z)
-        for j in range(lon_cols):
-            phi = -math.pi + 2.0 * math.pi * (j + 0.5) / lon_cols
-            value = oracle.evaluate(to_cartesian(SphPoint(theta, phi)))
-            rows.append((theta, phi, value))
-    return rows
+    """Equal-area grid avoiding the boundary arcs: the row latitudes, the
+    column longitudes, and the oracle's value at each cell, row by row,
+    from one ``evaluate_many`` call."""
+    from .sphere_geom import to_cartesian_grid  # a local import keeps numpy off check-set
+
+    thetas = [math.asin(-1.0 + (2 * i + 1) / lat_rows) for i in range(lat_rows)]
+    phis = [-math.pi + 2.0 * math.pi * (j + 0.5) / lon_cols for j in range(lon_cols)]
+    values = oracle.evaluate_many(to_cartesian_grid(thetas, phis))
+    return thetas, phis, values.tolist()
 
 
-def _write_grid_csv(rows, out_path: str) -> None:
+def _write_grid_csv(grid, out_path: str) -> None:
+    """One ``theta,phi,value`` line per cell, as csv.writer would write it;
+    each latitude and longitude is formatted once."""
+    thetas, phis, values = grid
+    cols = [f",{_fmt(phi)}," for phi in phis]
+    lines = ["theta,phi,value\r\n"]
+    for i, theta in enumerate(thetas):
+        row = _fmt(theta)
+        first = i * len(cols)
+        lines.extend(f"{row}{col}{value}\r\n"
+                     for col, value in zip(cols, values[first:first + len(cols)]))
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "phi", "value"])
-        for theta, phi, value in rows:
-            writer.writerow([_fmt(theta), _fmt(phi), value])
+        fh.write("".join(lines))
 
 
-def _write_grid_svg(rows, lat_rows: int, lon_cols: int, out_path: str, title: str) -> None:
+def _write_grid_svg(grid, out_path: str, title: str) -> None:
     """Equirectangular projection: one rect per grid cell, ones shaded dark."""
+    thetas, phis, values = grid
+    lat_rows, lon_cols = len(thetas), len(phis)
     width, height, margin = 720, 360, 24
     cw = width / lon_cols
     ch = height / lat_rows
@@ -208,15 +221,15 @@ def _write_grid_svg(rows, lat_rows: int, lon_cols: int, out_path: str, title: st
         f'<text x="{margin}" y="16" font-family="monospace" font-size="13">{title}</text>',
         f'<g transform="translate({margin},{margin + 18})">',
     ]
-    for k, (theta, phi, value) in enumerate(rows):
-        i, j = divmod(k, lon_cols)
-        color = "#24476b" if value else "#e8e4da"
-        x = j * cw
-        y = height - (i + 1) * ch
-        parts.append(
-            f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw + 0.35:.2f}" '
-            f'height="{ch + 0.35:.2f}" fill="{color}"/>'
-        )
+    # A cell's rect is x_head[j] + y[i] + tail[value].
+    x_head = [f'<rect x="{j * cw:.2f}" y="' for j in range(lon_cols)]
+    tail = [f'" width="{cw + 0.35:.2f}" height="{ch + 0.35:.2f}" fill="{color}"/>'
+            for color in ("#e8e4da", "#24476b")]
+    for i in range(lat_rows):
+        y = f"{height - (i + 1) * ch:.2f}"
+        first = i * lon_cols
+        parts.extend(head + y + tail[value]
+                     for head, value in zip(x_head, values[first:first + lon_cols]))
     parts.append(f'<rect x="0" y="0" width="{width}" height="{height}" '
                  f'fill="none" stroke="#222" stroke-width="1"/>')
     parts.append("</g></svg>")
@@ -294,11 +307,11 @@ def cmd_plot(args) -> int:
                 _write_curve_svg(rows, args.out,
                                  f"descent circle, apex ({args.theta_p:.4f}, {args.phi_p:.4f})")
         else:
-            rows = _valuation_grid(oracle, lat_rows, lon_cols)
+            grid = _valuation_grid(oracle, lat_rows, lon_cols)
             if args.format == "csv":
-                _write_grid_csv(rows, args.out)
+                _write_grid_csv(grid, args.out)
             else:
-                _write_grid_svg(rows, lat_rows, lon_cols, args.out, title)
+                _write_grid_svg(grid, args.out, title)
     except OSError as exc:
         return _fail(f"cannot write {args.out}: {exc}", EXIT_IO)
     return EXIT_OK

@@ -88,6 +88,22 @@ def to_cartesian(p: SphPoint) -> np.ndarray:
     return np.array([ct * math.cos(p.phi), ct * math.sin(p.phi), math.sin(p.theta)])
 
 
+def to_cartesian_grid(thetas, phis) -> np.ndarray:
+    """``to_cartesian(SphPoint(theta, phi))`` for every theta in ``thetas``
+    and phi in ``phis``, as an (N, 3) array, row by row.  The angles are
+    normalized by SphPoint and the products are the ones to_cartesian
+    takes, so every coordinate has the same bits."""
+    lat = [SphPoint(theta, 0.0).theta for theta in thetas]
+    lon = [SphPoint(0.0, phi).phi for phi in phis]
+    pole = np.array([abs(theta) == HALF_PI for theta in lat])[:, None]
+    cos_t = np.array([math.cos(theta) for theta in lat])[:, None]
+    grid = np.empty((len(lat), len(lon), 3))
+    grid[:, :, 0] = cos_t * np.where(pole, 1.0, [math.cos(phi) for phi in lon])
+    grid[:, :, 1] = cos_t * np.where(pole, 0.0, [math.sin(phi) for phi in lon])
+    grid[:, :, 2] = np.array([math.sin(theta) for theta in lat])[:, None]
+    return grid.reshape(-1, 3)
+
+
 def from_cartesian(v) -> SphPoint:
     """Inverse of to_cartesian, up to phi canonicalization at the poles."""
     v = require_unit(v)
@@ -103,6 +119,17 @@ def require_unit(v) -> np.ndarray:
     if not abs(float(np.dot(v, v)) - 1.0) <= 2.0 * EPS_NORM:
         raise DomainError(f"vector {v} is not unit within {EPS_NORM}")
     return v
+
+
+def require_unit_rows(points) -> np.ndarray:
+    """``require_unit`` for each row of an (N, 3) array."""
+    p = np.asarray(points, dtype=float)
+    if p.ndim != 2 or p.shape[1] != 3:
+        raise DomainError(f"expected an (N, 3) array of 3-vectors, got shape {p.shape}")
+    bad = ~(np.abs(np.einsum("ij,ij->i", p, p) - 1.0) <= 2.0 * EPS_NORM)
+    if bad.any():
+        raise DomainError(f"vector {p[bad.argmax()]} is not unit within {EPS_NORM}")
+    return p
 
 
 def normalized(v) -> np.ndarray:

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import random_rotation, unit_vector
-from .sphere_geom import EPS_NORM, EPS_ORTHO, HALF_PI, require_unit
+from .sphere_geom import (
+    EPS_NORM, EPS_ORTHO, HALF_PI, DomainError, require_unit, require_unit_rows,
+)
 
 PI = math.pi
 
@@ -41,12 +43,37 @@ class OracleSpecError(ValueError):
 
 
 class Valuation:
-    """Base oracle interface: ``evaluate`` maps a unit d-vector to 0 or 1."""
+    """Base oracle interface: ``evaluate`` maps a unit d-vector to 0 or 1,
+    and ``evaluate_many`` maps an (N, d) array of them to an int8[N] array
+    of the same bits."""
 
     dimension: int = 3
 
     def evaluate(self, n) -> int:
         raise NotImplementedError
+
+    def evaluate_many(self, points) -> np.ndarray:
+        """``evaluate`` on each row.  The built-in families override this
+        with a vector form that gives the same bits as their ``evaluate``,
+        which stays the faster path for one point."""
+        points = _point_rows(points, self.dimension)
+        return np.fromiter(map(self.evaluate, points), np.int8, len(points))
+
+
+def _point_rows(points, dimension: int) -> np.ndarray:
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != dimension:
+        raise DomainError(f"expected an (N, {dimension}) array of points, "
+                          f"got shape {points.shape}")
+    return points
+
+
+def _libm(fn, *columns: np.ndarray) -> np.ndarray:
+    """``fn`` from ``math`` applied elementwise.  numpy's inverse trig can
+    differ from libm's in the last bit, so the vector paths call the same
+    ``math`` function the scalar paths do.  The columns are iterated, not
+    converted to lists, so no batch-sized list of floats is held."""
+    return np.fromiter(map(fn, *columns), float, len(columns[0]))
 
 
 class FunctionValuation(Valuation):
@@ -114,6 +141,9 @@ class Generator2D:
 
     def values(self, t: np.ndarray) -> np.ndarray:
         """Vectorized lookup: membership parity against flattened endpoints."""
+        t = np.asarray(t, dtype=float)
+        if not np.all((t >= 0.0) & (t < HALF_PI)):
+            raise ValueError("generator argument outside [0, pi/2)")
         edges = np.array([e for iv in self.intervals for e in iv])
         if edges.size == 0:
             return np.zeros(np.shape(t), dtype=int)
@@ -124,7 +154,8 @@ class Generator2D:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Generator2D":
-        return cls(tuple(tuple(iv) for iv in doc.get("intervals", [])))
+        return cls(tuple((_real(a, "interval endpoint"), _real(b, "interval endpoint"))
+                         for a, b in doc.get("intervals", [])))
 
     @classmethod
     def random(cls, rng: np.random.Generator, max_intervals: int = 4) -> "Generator2D":
@@ -158,11 +189,15 @@ class Valuation2D(Valuation):
         return g if branch % 2 == 0 else 1 - g
 
     def values_at_angles(self, theta: np.ndarray) -> np.ndarray:
-        t = np.mod(np.asarray(theta, dtype=float), 2.0 * PI)
-        branch = np.minimum((t // HALF_PI).astype(int), 3)
-        rem = np.minimum(t - branch * HALF_PI, math.nextafter(HALF_PI, 0.0))
-        return np.where(branch % 2 == 0, self.generator.values(rem),
-                        1 - self.generator.values(rem))
+        """``value_at_angle`` elementwise, with the same reduction steps, so
+        the bits agree."""
+        t = np.fmod(np.asarray(theta, dtype=float), 2.0 * PI)
+        t = np.where(t < 0.0, t + 2.0 * PI, t)
+        branch, rem = np.divmod(t, HALF_PI)
+        branch = np.minimum(branch, 3.0)
+        rem = np.minimum(rem, math.nextafter(HALF_PI, 0.0))
+        g = self.generator.values(rem)
+        return np.where(branch % 2.0 == 0.0, g, 1 - g)
 
     def evaluate(self, n) -> int:
         n = np.asarray(n, dtype=float)
@@ -214,6 +249,11 @@ def _front_half(n: np.ndarray) -> bool:
     return n[1] < 0.0
 
 
+def _front_half_rows(p: np.ndarray) -> np.ndarray:
+    """``_front_half`` of each row."""
+    return np.where(p[:, 0] != 0.0, p[:, 0] > 0.0, p[:, 1] < 0.0)
+
+
 class StepMeridianValuation(Valuation):
     """The standardized meridian profile spread over the sphere.
 
@@ -242,6 +282,17 @@ class StepMeridianValuation(Valuation):
         if abs(theta) == HALF_PI:
             return self.pole_value
         return self.profile(theta if _front_half(n) else -theta)
+
+    def evaluate_many(self, points) -> np.ndarray:
+        p = require_unit_rows(points)
+        theta = _libm(math.asin, np.clip(p[:, 2], -1.0, 1.0))
+        t = np.where(_front_half_rows(p), theta, -theta)
+        if self.boundary_variant == "one_at_step":
+            above, in_zero_band = t >= self.theta_star, t >= self.theta_star - HALF_PI
+        else:
+            above, in_zero_band = t > self.theta_star, t > self.theta_star - HALF_PI
+        value = above | ~in_zero_band
+        return np.where(np.abs(theta) == HALF_PI, self.pole_value, value).astype(np.int8)
 
     def to_oracle_dict(self) -> dict:
         return {
@@ -289,6 +340,10 @@ class PolarCapValuation(Valuation):
         n = np.asarray(n, dtype=float)
         return 1 if abs(float(n[2])) >= math.sin(self.cap_latitude) else 0
 
+    def evaluate_many(self, points) -> np.ndarray:
+        p = _point_rows(points, 3)
+        return (np.abs(p[:, 2]) >= math.sin(self.cap_latitude)).astype(np.int8)
+
     def to_oracle_dict(self) -> dict:
         return {"schema": 1, "kind": "polar_cap", "cap_latitude": self.cap_latitude}
 
@@ -313,6 +368,12 @@ class Valuation2DRotated(Valuation):
             n = -n
         return self._v2.value_at_angle(math.atan2(float(n[1]), float(n[0])))
 
+    def evaluate_many(self, points) -> np.ndarray:
+        p = _point_rows(points, 3)
+        flip = (p[:, 2] < 0.0) | ((p[:, 2] == 0.0) & ~_front_half_rows(p))
+        x, y = np.where(flip, -p[:, 0], p[:, 0]), np.where(flip, -p[:, 1], p[:, 1])
+        return self._v2.values_at_angles(_libm(math.atan2, y, x)).astype(np.int8)
+
     def to_oracle_dict(self) -> dict:
         return {"schema": 1, "kind": "valuation2d_rotated", **self.generator.to_dict()}
 
@@ -332,6 +393,12 @@ class RotatedValuation(Valuation):
     def evaluate(self, n) -> int:
         return self.base.evaluate(self.rotation @ np.asarray(n, dtype=float))
 
+    def evaluate_many(self, points) -> np.ndarray:
+        p = _point_rows(points, self.dimension)
+        # The stacked product rounds as ``rotation @ n`` does for each row;
+        # ``p @ rotation.T`` and einsum can differ in the last bit.
+        return self.base.evaluate_many((self.rotation[None] @ p[:, :, None])[:, :, 0])
+
     def to_oracle_dict(self) -> dict:
         if self.seed is None:
             raise OracleSpecError("only seed-derived rotations serialize")
@@ -341,6 +408,13 @@ class RotatedValuation(Valuation):
 
 
 # --- oracle-spec documents -------------------------------------------------
+
+def _real(value, name: str) -> float:
+    """A JSON number as a float; a bool or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
 
 ORACLE_KINDS = ("four_segment", "step_meridian", "polar_cap", "valuation2d_rotated")
 
@@ -367,7 +441,7 @@ def build_oracle(spec: dict) -> Valuation:
         elif kind == "step_meridian":
             if "theta_star" not in spec:
                 raise OracleSpecError("step_meridian requires theta_star")
-            theta_star = float(spec["theta_star"])
+            theta_star = _real(spec["theta_star"], "theta_star")
             # Each boundary variant is degenerate at one end of the range;
             # default to whichever is valid at this step position.
             default_variant = "one_at_step" if theta_star > 0.0 else "zero_at_step"
@@ -377,10 +451,10 @@ def build_oracle(spec: dict) -> Valuation:
         elif kind == "polar_cap":
             if "cap_latitude" not in spec:
                 raise OracleSpecError("polar_cap requires cap_latitude")
-            oracle = PolarCapValuation(float(spec["cap_latitude"]))
+            oracle = PolarCapValuation(_real(spec["cap_latitude"], "cap_latitude"))
         else:
             oracle = Valuation2DRotated(Generator2D.from_dict(spec))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise OracleSpecError(f"bad parameters for oracle kind {kind!r}: {exc}") from exc
     seed = spec.get("rotation_seed")
     if seed is not None:

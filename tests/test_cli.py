@@ -271,6 +271,21 @@ class TestCheckSetLayers:
                           "find_valuation"}
 
 
+class TestOutputErrors:
+    """A report that cannot be written ends in exit 3 with one ``error:``
+    line and no traceback."""
+
+    @pytest.mark.parametrize("command", ["check-set", "witness"])
+    def test_unwritable_out_exits_3(self, capsys, tmp_path, oracle_file, command):
+        source = (str(bundled_data_dir() / "peres33.json") if command == "check-set"
+                  else oracle_file({"kind": "four_segment"}))
+        code, stdout, err = run_cli(capsys, command, source,
+                                    "--out", str(tmp_path / "missing" / "x.json"))
+        lines = err.splitlines()
+        assert code == 3 and stdout == ""
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write ")
+
+
 class TestInputErrors:
     """Malformed input files end in exit 2 with one ``error:`` line and no
     traceback."""
@@ -292,6 +307,17 @@ class TestInputErrors:
         pytest.param("check-set", json.dumps({**VALID, "schema": "zz"}), id="set-schema-string"),
         pytest.param("witness", json.dumps({"kind": "four_segment", "schema": True}),
                      id="spec-schema-bool"),
+        pytest.param("witness", json.dumps({"kind": "polar_cap", "cap_latitude": True}),
+                     id="cap-latitude-bool"),
+        pytest.param("witness", json.dumps({"kind": "polar_cap", "cap_latitude": "0.5"}),
+                     id="cap-latitude-string"),
+        pytest.param("witness", '{"kind": "polar_cap", "cap_latitude": 1' + "0" * 400 + "}",
+                     id="cap-latitude-huge-int"),
+        pytest.param("witness", json.dumps({"kind": "step_meridian", "theta_star": "0.5"}),
+                     id="theta-star-string"),
+        pytest.param("witness", json.dumps({"kind": "valuation2d_rotated",
+                                            "intervals": [["0.1", 1.0]]}),
+                     id="interval-endpoint-string"),
     ]
 
     @pytest.mark.parametrize("command,payload", CASES)

@@ -23,8 +23,10 @@ from kswitness.sphere_geom import (
     from_cartesian,
     perp_of_apex,
     require_unit,
+    require_unit_rows,
     rotation_to_pole,
     to_cartesian,
+    to_cartesian_grid,
     two_step_chain,
     two_step_delta_phi,
     wrap_longitude,
@@ -85,6 +87,26 @@ class TestCartesian:
             q = from_cartesian(to_cartesian(p))
             assert q.theta == pytest.approx(p.theta, abs=1e-12)
             assert q.phi == pytest.approx(p.phi, abs=1e-12)
+
+    def test_grid_has_the_bits_of_to_cartesian(self):
+        # Poles (reached exactly and by clamping) reset the longitude, and
+        # longitudes outside [-pi, pi) are wrapped, as SphPoint does.
+        rng = np.random.default_rng(3)
+        thetas = [-HALF_PI, HALF_PI, HALF_PI + 5e-13, 0.0, -0.0, *rng.uniform(-1.5, 1.5, 20)]
+        phis = [-math.pi, math.pi, 3 * math.pi + 0.1, -7.0, 0.0, *rng.uniform(-4, 4, 20)]
+        grid = to_cartesian_grid(thetas, phis)
+        want = np.array([to_cartesian(SphPoint(t, p)) for t in thetas for p in phis])
+        assert grid.shape == want.shape
+        assert grid.tobytes() == want.tobytes()
+
+    def test_unit_rows_check_names_the_bad_row(self):
+        good = to_cartesian(SphPoint(0.3, 1.0))
+        assert require_unit_rows([good, good]).shape == (2, 3)
+        for bad in ([1.0, 1.0, 0.0], [NAN] * 3):
+            with pytest.raises(DomainError, match="not unit"):
+                require_unit_rows([good, bad])
+        with pytest.raises(DomainError):
+            require_unit_rows(good)
 
 
 class TestPerpOfApex:

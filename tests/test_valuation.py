@@ -112,6 +112,17 @@ class TestValuation2D:
         thetas = rng.uniform(-10, 10, 1000)
         assert list(v.values_at_angles(thetas)) == [v.value_at_angle(t) for t in thetas]
 
+    def test_vectorized_reduction_matches_scalar_at_quarter_turns(self):
+        # The generator is 1 only on the last float below pi/2, so a
+        # reduction that lands one ulp off a quarter turn flips the value.
+        v = Valuation2D(Generator2D(((math.nextafter(HALF_PI, 0.0), HALF_PI),)))
+        assert v.value_at_angle(-5e-324) == v.values_at_angles(np.array([-5e-324]))[0]
+        quarter_turns = [k * HALF_PI for k in range(-9, 10)] + [2 * math.pi, -2 * math.pi]
+        thetas = [x for t in quarter_turns + [0.0, -0.0, 5e-324, -5e-324]
+                  for x in (t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf))]
+        assert list(v.values_at_angles(np.array(thetas))) == [v.value_at_angle(t)
+                                                              for t in thetas]
+
 
 def _sph(theta, phi):
     return to_cartesian(SphPoint(theta, phi))
