@@ -194,47 +194,44 @@ def _valuation_grid(oracle: Valuation, lat_rows: int, lon_cols: int):
 
 
 def _write_grid_csv(grid, out_path: str) -> None:
-    """One ``theta,phi,value`` line per cell, as csv.writer would write it;
-    each latitude and longitude is formatted once."""
+    """One ``theta,phi,value`` line per cell, as csv.writer would write it,
+    written a grid row at a time; each latitude and longitude is formatted
+    once."""
     thetas, phis, values = grid
     cols = [f",{_fmt(phi)}," for phi in phis]
-    lines = ["theta,phi,value\r\n"]
-    for i, theta in enumerate(thetas):
-        row = _fmt(theta)
-        first = i * len(cols)
-        lines.extend(f"{row}{col}{value}\r\n"
-                     for col, value in zip(cols, values[first:first + len(cols)]))
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("".join(lines))
+        fh.write("theta,phi,value\r\n")
+        for i, theta in enumerate(thetas):
+            row = _fmt(theta)
+            first = i * len(cols)
+            fh.write("".join(f"{row}{col}{value}\r\n"
+                             for col, value in zip(cols, values[first:first + len(cols)])))
 
 
 def _write_grid_svg(grid, out_path: str, title: str) -> None:
-    """Equirectangular projection: one rect per grid cell, ones shaded dark."""
+    """Equirectangular projection: one rect per grid cell, ones shaded dark,
+    written a grid row at a time."""
     thetas, phis, values = grid
     lat_rows, lon_cols = len(thetas), len(phis)
     width, height, margin = 720, 360, 24
     cw = width / lon_cols
     ch = height / lat_rows
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{width + 2 * margin}" height="{height + 2 * margin + 18}">',
-        f'<text x="{margin}" y="16" font-family="monospace" font-size="13">{title}</text>',
-        f'<g transform="translate({margin},{margin + 18})">',
-    ]
     # A cell's rect is x_head[j] + y[i] + tail[value].
     x_head = [f'<rect x="{j * cw:.2f}" y="' for j in range(lon_cols)]
-    tail = [f'" width="{cw + 0.35:.2f}" height="{ch + 0.35:.2f}" fill="{color}"/>'
+    tail = [f'" width="{cw + 0.35:.2f}" height="{ch + 0.35:.2f}" fill="{color}"/>\n'
             for color in ("#e8e4da", "#24476b")]
-    for i in range(lat_rows):
-        y = f"{height - (i + 1) * ch:.2f}"
-        first = i * lon_cols
-        parts.extend(head + y + tail[value]
-                     for head, value in zip(x_head, values[first:first + lon_cols]))
-    parts.append(f'<rect x="0" y="0" width="{width}" height="{height}" '
-                 f'fill="none" stroke="#222" stroke-width="1"/>')
-    parts.append("</g></svg>")
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
+                 f'width="{width + 2 * margin}" height="{height + 2 * margin + 18}">\n'
+                 f'<text x="{margin}" y="16" font-family="monospace" font-size="13">{title}'
+                 f'</text>\n<g transform="translate({margin},{margin + 18})">\n')
+        for i in range(lat_rows):
+            y = f"{height - (i + 1) * ch:.2f}"
+            first = i * lon_cols
+            fh.write("".join(head + y + tail[value]
+                             for head, value in zip(x_head, values[first:first + lon_cols])))
+        fh.write(f'<rect x="0" y="0" width="{width}" height="{height}" '
+                 f'fill="none" stroke="#222" stroke-width="1"/>\n</g></svg>\n')
 
 
 def _descent_curve(theta_p: float, phi_p: float, samples: int):

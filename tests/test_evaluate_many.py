@@ -162,3 +162,18 @@ def test_step_meridian_rejects_non_unit_rows_as_evaluate_does():
         oracle.evaluate(points[1])
     with pytest.raises(DomainError):
         oracle.evaluate_many(points)
+
+
+@pytest.mark.parametrize("seed", (None, 0))
+@pytest.mark.parametrize("name", SPECS)
+def test_non_finite_rows_fail_or_agree_as_evaluate_does(name, seed):
+    oracle = oracle_for(name, seed)
+    for row in ([math.nan, 0.0, 0.0], [0.0, 0.0, math.nan], [math.inf, 0.0, 0.0]):
+        outcomes = []
+        for call in (lambda: oracle.evaluate(np.array(row)),
+                     lambda: int(oracle.evaluate_many(np.array([row]))[0])):
+            try:
+                outcomes.append(call())
+            except ValueError as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1], row
