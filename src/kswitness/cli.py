@@ -133,7 +133,12 @@ def cmd_check_set(args) -> int:
 
 def _load_oracle(path: str) -> Valuation:
     with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+        try:
+            spec = json.load(fh)
+        # ValueError covers bad JSON, bad UTF-8 and an integer literal longer
+        # than int() converts; RecursionError, arrays or objects nested too deep.
+        except (ValueError, RecursionError) as exc:
+            raise OracleSpecError(str(exc)) from exc
     return build_oracle(spec)
 
 
@@ -143,7 +148,7 @@ def cmd_witness(args) -> int:
         oracle = _load_oracle(args.oracle)
     except OSError as exc:
         return _fail(f"cannot read {args.oracle}: {exc}", EXIT_INPUT)
-    except (json.JSONDecodeError, UnicodeDecodeError, OracleSpecError) as exc:
+    except OracleSpecError as exc:
         return _fail(f"bad oracle spec: {exc}", EXIT_INPUT)
     config = WitnessConfig(
         meridian_samples=args.meridians,
@@ -289,7 +294,7 @@ def cmd_plot(args) -> int:
             oracle = _load_oracle(args.oracle)
         except OSError as exc:
             return _fail(f"cannot read {args.oracle}: {exc}", EXIT_INPUT)
-        except (json.JSONDecodeError, UnicodeDecodeError, OracleSpecError) as exc:
+        except OracleSpecError as exc:
             return _fail(f"bad oracle spec: {exc}", EXIT_INPUT)
         title = f"oracle grid: {args.oracle}"
     try:

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd
-from operator import mul
+from math import gcd, lcm
 from pathlib import Path
 
 
@@ -49,22 +48,6 @@ def _ent_sub(u: Entry, v: Entry) -> Entry:
     return (u[0] - v[0], u[1] - v[1])
 
 
-def exact_dot(r: tuple[Entry, ...], s: tuple[Entry, ...]) -> Entry:
-    """Exact inner product of two rays over Z[sqrt(2)]."""
-    a = b = 0
-    for u, v in zip(r, s):
-        p = _ent_mul(u, v)
-        a += p[0]
-        b += p[1]
-    return (a, b)
-
-
-def is_orthogonal(r: tuple[Entry, ...], s: tuple[Entry, ...]) -> bool:
-    """True iff the real inner product is exactly zero (sqrt(2) is irrational,
-    so a + b*sqrt(2) = 0 forces a = b = 0)."""
-    return exact_dot(r, s) == (0, 0)
-
-
 def are_parallel(r: tuple[Entry, ...], s: tuple[Entry, ...]) -> bool:
     """Exact scalar-multiple test via vanishing 2x2 minors."""
     n = len(r)
@@ -75,27 +58,41 @@ def are_parallel(r: tuple[Entry, ...], s: tuple[Entry, ...]) -> bool:
     return True
 
 
-def _parse_entry(raw) -> Entry | Fraction:
-    """One coordinate: int, integral float, 'p/q' string, or [a, b] pair."""
+# A rational coordinate string: an optional sign, digits, optional "/digits".
+# Nothing else (no exponent, decimal point, space or underscore), so the
+# cost of a string is bounded by its length.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_entry(raw) -> tuple[Entry, int]:
+    """One coordinate as an exact entry and a positive denominator: an int,
+    an integral float, a 'p/q' string, or an [a, b] pair."""
     if isinstance(raw, bool):
         raise RaySetFormatError(f"coordinate entry {raw!r} is not a number")
     if isinstance(raw, int):
-        return (raw, 0)
+        return (raw, 0), 1
     if isinstance(raw, float):
         if not raw.is_integer():
             raise RaySetFormatError(
                 f"non-integral float coordinate {raw!r}; use an exact 'p/q' string"
             )
-        return (int(raw), 0)
+        return (int(raw), 0), 1
     if isinstance(raw, str):
+        match = _RATIONAL.fullmatch(raw)
+        if match is None:
+            raise RaySetFormatError(f"bad rational coordinate {raw!r}; expected 'p' or 'p/q'")
         try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise RaySetFormatError(f"bad rational coordinate {raw!r}") from exc
+            num, den = int(match[1]), int(match[2] or 1)
+        except ValueError as exc:  # more digits than int() converts
+            raise RaySetFormatError(f"bad rational coordinate: {exc}") from exc
+        if den == 0:
+            raise RaySetFormatError(f"bad rational coordinate {raw!r}: zero denominator")
+        g = gcd(num, den)
+        return (num // g, 0), den // g
     if isinstance(raw, (list, tuple)) and len(raw) == 2:
         a, b = raw
         if isinstance(a, int) and isinstance(b, int) and not isinstance(a, bool) and not isinstance(b, bool):
-            return (a, b)
+            return (a, b), 1
         raise RaySetFormatError(f"sqrt2 pair {raw!r} must hold two integers")
     raise RaySetFormatError(f"unsupported coordinate entry {raw!r}")
 
@@ -108,20 +105,13 @@ def _parse_ray(raw_vector, dimension: int) -> tuple[Entry, ...]:
             f"vector {raw_vector!r} has length {len(raw_vector)}, expected {dimension}"
         )
     parsed = [_parse_entry(e) for e in raw_vector]
-    fracs = [e for e in parsed if isinstance(e, Fraction)]
-    if fracs:
-        # Clear rational denominators for the whole ray (rays are projective).
-        denom = 1
-        for f in fracs:
-            denom = denom * f.denominator // gcd(denom, f.denominator)
-        cleared = []
-        for e in parsed:
-            if isinstance(e, Fraction):
-                cleared.append((int(e * denom), 0))
-            else:
-                cleared.append((e[0] * denom, e[1] * denom))
-        parsed = cleared
-    ray = _canonical_ray(tuple(parsed))
+    # Clear rational denominators for the whole ray (rays are projective).
+    denom = lcm(*(den for _, den in parsed))
+    if denom == 1:
+        ray = tuple(e for e, _ in parsed)
+    else:
+        ray = tuple((a * (denom // den), b * (denom // den)) for (a, b), den in parsed)
+    ray = _canonical_ray(ray)
     if all(e == (0, 0) for e in ray):
         raise RaySetFormatError(f"zero vector {raw_vector!r} is not a ray")
     return ray
@@ -227,40 +217,83 @@ class OrthoGraph:
     rays i and j are orthogonal."""
 
     vertex_count: int
-    edges: frozenset[tuple[int, int]]
     adjacency: tuple[int, ...]
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(row.bit_count() for row in self.adjacency) // 2
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as ``(i, j)`` pairs with ``i < j``, derived on first use."""
+        return frozenset((i, j) for i, row in enumerate(self.adjacency)
+                         for j in _bits(row >> (i + 1) << (i + 1)))
+
+
+# Maps a lane's top byte, 0x00 or 0x80 after the zero test, to a binary digit.
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
 
 
 def build_ortho_graph(ray_set: RaySet) -> OrthoGraph:
     """Edges are decided by exact integer arithmetic; no tolerance exists.
 
-    A pair of rays with no sqrt(2) part takes the plain integer dot product;
-    any other pair goes through ``exact_dot``.
+    Each row of the graph is one big-int computation.  Coordinate column k
+    is packed into one int with a lane of ``8 * m`` bits per ray:
+    ``A_k = sum_j a_jk << 8*m*j`` for the integer parts and ``B_k`` likewise
+    for the sqrt(2) parts.  Then ``bias + sum_k (a_ik * A_k + 2 * b_ik * B_k)``
+    holds, in lane j, ``bias`` plus the rational part of ray i . ray j, and
+    ``bias + sum_k (a_ik * B_k + b_ik * A_k)`` the sqrt(2) part.  Both parts
+    lie in [-bound, bound], and m is chosen so that ``2 * bound + 1`` fits
+    below a lane's top bit; with ``bias = bound`` in every lane each lane
+    holds its own value in [0, 2 * bound], so the packed sum is exact.  The
+    lanes are then tested for zero all at once, with no carry between lanes
+    (Lamport, CACM 18(8), 1975), and their flags are gathered into the
+    row's bitset.
     """
     rays = ray_set.rays
     n = len(rays)
-    plain = [None if any(b for _, b in ray) else tuple(a for a, _ in ray) for ray in rays]
-    adjacency = [0] * n
-    edges = []
-    for i, (ray, p) in enumerate(zip(rays, plain)):
-        hits = [
-            j
-            for j in range(i + 1, n)
-            if (
-                not sum(map(mul, p, plain[j]))
-                if p is not None and plain[j] is not None
-                else is_orthogonal(ray, rays[j])
-            )
-        ]
-        for j in hits:
-            adjacency[i] |= 1 << j
-            adjacency[j] |= 1 << i
-        edges.extend((i, j) for j in hits)
-    return OrthoGraph(n, frozenset(edges), tuple(adjacency))
+    ma = max(abs(a) for ray in rays for a, _ in ray)
+    mb = max(abs(b) for ray in rays for _, b in ray)
+    bound = ray_set.dimension * (ma * ma + 2 * mb * mb + 2 * ma * mb)
+    m = (2 * bound + 1).bit_length() // 8 + 1  # lane bytes, top bit kept clear
+    unit = int.from_bytes(b"\x01".ljust(m, b"\x00") * n, "little")  # 1 in every lane
+    high = unit << 8 * m - 1  # the top bit of every lane
+    low = high - unit  # every other bit
+    bias = bound * unit
+
+    def pack(column, offset):
+        # Shifted by ``offset`` into [0, 2 * offset], every entry fits its lane.
+        lanes = b"".join((v + offset).to_bytes(m, "little") for v in column)
+        return int.from_bytes(lanes, "little") - offset * unit
+
+    def zero_lanes(x):
+        x ^= bias
+        return ~(((x & low) + low) | x) & high
+
+    dims = range(ray_set.dimension)
+    cols_a = [pack([ray[k][0] for ray in rays], ma) for k in dims]
+    cols_b = [pack([ray[k][1] for ray in rays], mb) for k in dims] if mb else []
+    adjacency = []
+    for ray in rays:
+        x = bias
+        for (a, _), col in zip(ray, cols_a):
+            if a:
+                x += a * col
+        if mb:
+            y = bias
+            for (a, b), col_a, col_b in zip(ray, cols_a, cols_b):
+                if b:
+                    x += 2 * b * col_b
+                    y += b * col_a
+                if a:
+                    y += a * col_b
+            zero = zero_lanes(x) & zero_lanes(y)
+        else:
+            zero = zero_lanes(x)
+        flags = zero.to_bytes(n * m, "little")[m - 1::m]
+        # Base 2 is exempt from int()'s limit on digits.
+        adjacency.append(int(flags[::-1].translate(_FLAG_DIGITS), 2))
+    return OrthoGraph(n, tuple(adjacency))
 
 
 def enumerate_bases(graph: OrthoGraph, dimension: int) -> tuple[tuple[int, ...], ...]:
@@ -272,21 +305,23 @@ def enumerate_bases(graph: OrthoGraph, dimension: int) -> tuple[tuple[int, ...],
     adjacency = graph.adjacency
     bases: list[tuple[int, ...]] = []
 
-    def extend(clique: tuple[int, ...], candidates: int, need: int):
-        # ``candidates``: the common neighbours of ``clique`` above its last
-        # member, of which ``need`` more must join it.
+    def extend(clique: tuple[int, ...], candidates: int, left: int, need: int):
+        # ``candidates``: the ``left`` common neighbours of ``clique`` above
+        # its last member, of which ``need`` more must join it.
         if need == 1:
             bases.extend(clique + (v,) for v in _bits(candidates))
             return
-        while candidates.bit_count() >= need:
+        while left >= need:
             low = candidates & -candidates
             v = low.bit_length() - 1
             candidates ^= low
+            left -= 1
             common = candidates & adjacency[v]
-            if common.bit_count() >= need - 1:
-                extend(clique + (v,), common, need - 1)
+            count = common.bit_count()
+            if count >= need - 1:
+                extend(clique + (v,), common, count, need - 1)
 
-    extend((), (1 << graph.vertex_count) - 1, dimension)
+    extend((), (1 << graph.vertex_count) - 1, graph.vertex_count, dimension)
     return tuple(bases)
 
 
@@ -333,9 +368,10 @@ def verify_assignment(graph: OrthoGraph, bases, assignment) -> bool:
         return False
     if any(v not in (0, 1) for v in assignment):
         return False
-    for i, j in graph.edges:
-        if assignment[i] == 1 and assignment[j] == 1:
-            return False
+    ones = [i for i, v in enumerate(assignment) if v == 1]
+    ones_mask = sum(1 << i for i in ones)
+    if any(graph.adjacency[i] & ones_mask for i in ones):
+        return False
     for basis in bases:
         if sum(assignment[i] for i in basis) != 1:
             return False
@@ -351,7 +387,9 @@ def find_valuation(graph: OrthoGraph, bases) -> ColoringResult:
     are all 0 is a dead end; a basis with one live member left forces it to
     1.  These rules reach the same fixpoint in any order, so propagation
     visits only the bases holding a changed ray, through per-basis counts
-    of members valued 1 and of unassigned members.
+    of members valued 1 and of unassigned members.  Each search node keeps
+    a copy of the values and counts and puts it back after a failed branch,
+    so propagation may stop at the first conflict.
     """
     n = graph.vertex_count
     bases = [tuple(b) for b in bases]
@@ -364,8 +402,9 @@ def find_valuation(graph: OrthoGraph, bases) -> ColoringResult:
             members |= 1 << i
         for i in basis:
             excluded[i] |= members
-    # ray -> the rays a 1 there forces to 0: its neighbours and basis-mates
-    exclusive = [_bits(mask & ~(1 << i)) for i, mask in enumerate(excluded)]
+    # ray -> the rays a 1 there forces to 0: its neighbours and basis-mates,
+    # listed the first time the ray is valued 1
+    exclusive: list[list[int] | None] = [None] * n
     values: list[int] = [-1] * n
     # Per basis, one count: its unassigned members plus ``full`` times its
     # members valued 1.  Below ``full`` a basis holds no 1; at ``2 * full``
@@ -374,7 +413,7 @@ def find_valuation(graph: OrthoGraph, bases) -> ColoringResult:
     score = [len(b) for b in bases]
     stats = {"nodes": 0, "backtracks": 0}
 
-    def propagate(pending: list[tuple[int, int]], trail: list[int]) -> bool:
+    def propagate(pending: list[tuple[int, int]]) -> bool:
         while pending:
             ray, val = pending.pop()
             if values[ray] != -1:
@@ -382,16 +421,20 @@ def find_valuation(graph: OrthoGraph, bases) -> ColoringResult:
                     return False
                 continue
             values[ray] = val
-            trail.append(ray)
-            # Counts are updated for every basis before any return, so that
-            # undo can take them back from the trail alone.
-            dead = False
             if val == 1:
                 for k in holding[ray]:
                     c = score[k] + full - 1
                     score[k] = c
                     if c >= 2 * full:
-                        dead = True
+                        return False
+                others = exclusive[ray]
+                if others is None:
+                    others = exclusive[ray] = _bits(excluded[ray] & ~(1 << ray))
+                for other in others:
+                    if values[other] == 1:
+                        return False
+                    if values[other] == -1:
+                        pending.append((other, 0))
             else:
                 for k in holding[ray]:
                     c = score[k] - 1
@@ -402,23 +445,8 @@ def find_valuation(graph: OrthoGraph, bases) -> ColoringResult:
                                 pending.append((i, 1))
                                 break
                     elif c == 0:
-                        dead = True
-            if dead:
-                return False
-            if val == 1:
-                for other in exclusive[ray]:
-                    if values[other] == 1:
                         return False
-                    if values[other] == -1:
-                        pending.append((other, 0))
         return True
-
-    def undo(trail: list[int]) -> None:
-        for ray in trail:
-            step = full - 1 if values[ray] == 1 else -1
-            values[ray] = -1
-            for k in holding[ray]:
-                score[k] -= step
 
     def choose_basis() -> tuple[int, ...] | None:
         best = min(score, default=full)
@@ -429,19 +457,20 @@ def find_valuation(graph: OrthoGraph, bases) -> ColoringResult:
         basis = choose_basis()
         if basis is None:
             return True
+        saved_values, saved_score = values[:], score[:]
         for candidate in basis:
             if values[candidate] != -1:
                 continue
-            trail: list[int] = []
-            if propagate([(candidate, 1)], trail) and search():
+            if propagate([(candidate, 1)]) and search():
                 return True
-            undo(trail)
+            values[:] = saved_values
+            score[:] = saved_score
             stats["backtracks"] += 1
         return False
 
     # Bases too small to leave a choice: an empty one is dead, a single
     # member is forced.
-    ok = all(bases) and propagate([(b[0], 1) for b in bases if len(b) == 1], [])
+    ok = all(bases) and propagate([(b[0], 1) for b in bases if len(b) == 1])
     if ok and search():
         assignment = tuple(v if v != -1 else 0 for v in values)
         if not verify_assignment(graph, bases, assignment):
@@ -513,7 +542,9 @@ def load_ray_set(path) -> RaySet:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and an integer literal longer
+        # than int() converts; RecursionError, arrays or objects nested too deep.
+        except (ValueError, RecursionError) as exc:
             raise RaySetFormatError(f"invalid JSON in {path}: {exc}") from exc
     return ray_set_from_dict(doc)
 

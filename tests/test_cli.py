@@ -318,13 +318,39 @@ class TestInputErrors:
         pytest.param("witness", json.dumps({"kind": "valuation2d_rotated",
                                             "intervals": [["0.1", 1.0]]}),
                      id="interval-endpoint-string"),
+        # A JSON integer past int()'s 4 300-digit limit, and nesting past the
+        # recursion limit, fail inside json.load itself.
+        pytest.param("check-set", '{"name": "x", "dimension": 3, "vectors": [[1' + "0" * 4300
+                     + ", 0, 0], [0, 1, 0], [0, 0, 1]]}", id="set-int-past-digit-limit"),
+        pytest.param("check-set", "[" * 100_000, id="set-nested-too-deep"),
+        pytest.param("witness", '{"kind": "four_segment", "rotation_seed": 1' + "0" * 4300 + "}",
+                     id="spec-int-past-digit-limit"),
+        pytest.param("witness", "[" * 100_000, id="spec-nested-too-deep"),
+        pytest.param("plot", '{"kind": "four_segment", "rotation_seed": 1' + "0" * 4300 + "}",
+                     id="plot-spec-int-past-digit-limit"),
+        pytest.param("plot", "[" * 100_000, id="plot-spec-nested-too-deep"),
+        # Coordinate strings are "p" or "p/q" only: an exponent would make
+        # the parser expand it, and decimals are not documented.
+        pytest.param("check-set", json.dumps({**VALID, "vectors": [["1e999999999", 0, 0],
+                                                                   [0, 1, 0], [0, 0, 1]]}),
+                     id="coordinate-huge-exponent"),
+        pytest.param("check-set", json.dumps({**VALID, "vectors": [["1e5", 0, 0],
+                                                                   [0, 1, 0], [0, 0, 1]]}),
+                     id="coordinate-exponent"),
+        pytest.param("check-set", json.dumps({**VALID, "vectors": [["1.5", 0, 0],
+                                                                   [0, 1, 0], [0, 0, 1]]}),
+                     id="coordinate-decimal"),
     ]
 
     @pytest.mark.parametrize("command,payload", CASES)
     def test_input_error_exits_2(self, capsys, tmp_path, command, payload):
         path = tmp_path / "input.json"
         path.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
-        code, stdout, err = run_cli(capsys, command, str(path))
+        if command == "plot":
+            argv = ["plot", "--oracle", str(path), "--out", str(tmp_path / "grid.csv")]
+        else:
+            argv = [command, str(path)]
+        code, stdout, err = run_cli(capsys, *argv)
         lines = err.splitlines()
         assert code == 2 and stdout == ""
         assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -3,14 +3,19 @@
 The production solver is cross-checked by two independent test-local
 oracles: full 2^n enumeration for small sets and a plain recursive
 enumerator with no propagation for the larger ones.  It must also match,
-node for node, a test-local copy of the original solver that rescans every
-basis, and the check-set reports are pinned by golden files.
+node for node, two test-local copies of earlier solvers: the original one
+that rescans every basis, and the indexed one that undoes its counts from a
+trail.  The packed-lane graph builder is checked bit for bit against a
+pairwise exact inner product, and the check-set reports are pinned by
+golden files.
 """
 
 import itertools
 import json
+import math
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,12 +25,11 @@ from kswitness.kssets import (
     DuplicateRay,
     RaySet,
     RaySetFormatError,
+    are_parallel,
     build_ortho_graph,
     bundled_data_dir,
     enumerate_bases,
-    exact_dot,
     find_valuation,
-    is_orthogonal,
     load_bundled,
     load_ray_set,
     ray_set_from_dict,
@@ -35,6 +39,22 @@ from kswitness.kssets import (
 
 def ints(*vals):
     return tuple((v, 0) for v in vals)
+
+
+def exact_dot(r, s):
+    """Exact inner product of two rays over Z[sqrt(2)], one pair of rays at
+    a time: the reference for the packed-lane graph builder."""
+    a = b = 0
+    for (p, q), (u, v) in zip(r, s):
+        a += p * u + 2 * q * v
+        b += p * v + q * u
+    return (a, b)
+
+
+def is_orthogonal(r, s):
+    """True iff the real inner product is exactly zero (sqrt(2) is irrational,
+    so a + b*sqrt(2) = 0 forces a = b = 0)."""
+    return exact_dot(r, s) == (0, 0)
 
 
 def neighbors(graph, i):
@@ -277,6 +297,19 @@ class TestIngestion:
         assert rs.rays[0] == ints(1, 0, 0)
         assert rs.rays[1] == ints(0, 2, 1)
 
+    def test_signed_and_unreduced_rational_strings(self):
+        rs = ray_set_from_dict({
+            "name": "signs",
+            "dimension": 3,
+            "vectors": [["-2/4", "+1", "3"], ["0", "-0/7", [1, 1]]],
+        })
+        assert rs.rays == (ints(1, -2, -6), ((0, 0), (0, 0), (1, 1)))
+
+    @pytest.mark.parametrize("raw", ["1/0", "1/-2", " 1", "1_000", "0x10", "", "/2", "1/"])
+    def test_malformed_rational_strings_rejected(self, raw):
+        with pytest.raises(RaySetFormatError, match="bad rational coordinate"):
+            ray_set_from_dict({"name": "x", "dimension": 2, "vectors": [[raw, 1]]})
+
     def test_non_integral_float_rejected(self):
         with pytest.raises(RaySetFormatError):
             ray_set_from_dict({"name": "x", "dimension": 2, "vectors": [[0.5, 1]]})
@@ -469,6 +502,96 @@ def reference_find_valuation(graph, bases):
     return (False, None, stats["nodes"], stats["backtracks"])
 
 
+def trail_find_valuation(graph, bases):
+    """The indexed solver as it stood before snapshot backtracking: it
+    expands every ray's exclusion list up front, records each assignment on
+    a trail, updates every count before any return, and undoes the counts
+    from the trail.  Kept as the reference the snapshot solver must match
+    node for node."""
+    n = graph.vertex_count
+    bases = [tuple(b) for b in bases]
+    holding = [[] for _ in range(n)]
+    excluded = list(graph.adjacency)
+    for k, basis in enumerate(bases):
+        members = 0
+        for i in basis:
+            holding[i].append(k)
+            members |= 1 << i
+        for i in basis:
+            excluded[i] |= members
+    exclusive = [[j for j in range(n) if j != i and mask >> j & 1]
+                 for i, mask in enumerate(excluded)]
+    values = [-1] * n
+    full = max(map(len, bases), default=0) + 1
+    score = [len(b) for b in bases]
+    stats = {"nodes": 0, "backtracks": 0}
+
+    def propagate(pending, trail):
+        while pending:
+            ray, val = pending.pop()
+            if values[ray] != -1:
+                if values[ray] != val:
+                    return False
+                continue
+            values[ray] = val
+            trail.append(ray)
+            dead = False
+            if val == 1:
+                for k in holding[ray]:
+                    c = score[k] + full - 1
+                    score[k] = c
+                    if c >= 2 * full:
+                        dead = True
+            else:
+                for k in holding[ray]:
+                    c = score[k] - 1
+                    score[k] = c
+                    if c == 1:
+                        for i in bases[k]:
+                            if values[i] == -1:
+                                pending.append((i, 1))
+                                break
+                    elif c == 0:
+                        dead = True
+            if dead:
+                return False
+            if val == 1:
+                for other in exclusive[ray]:
+                    if values[other] == 1:
+                        return False
+                    if values[other] == -1:
+                        pending.append((other, 0))
+        return True
+
+    def undo(trail):
+        for ray in trail:
+            step = full - 1 if values[ray] == 1 else -1
+            values[ray] = -1
+            for k in holding[ray]:
+                score[k] -= step
+
+    def search():
+        stats["nodes"] += 1
+        best = min(score, default=full)
+        if best >= full:
+            return True
+        for candidate in bases[score.index(best)]:
+            if values[candidate] != -1:
+                continue
+            trail = []
+            if propagate([(candidate, 1)], trail) and search():
+                return True
+            undo(trail)
+            stats["backtracks"] += 1
+        return False
+
+    ok = all(bases) and propagate([(b[0], 1) for b in bases if len(b) == 1], [])
+    if ok and search():
+        assignment = tuple(v if v != -1 else 0 for v in values)
+        return (True, assignment, stats["nodes"], stats["backtracks"])
+    return (False, None, stats["nodes"], stats["backtracks"])
+
+
 def as_tuple(result):
     return (result.colorable, result.assignment, result.nodes_explored, result.backtracks)
 
@@ -497,6 +620,7 @@ def test_fast_paths_match_brute_force(dimension, pool):
             result = find_valuation(g, bases)
             assert result.colorable == brute_force_colorable(n, pairs, bases)
             assert as_tuple(result) == reference_find_valuation(g, bases)
+            assert as_tuple(result) == trail_find_valuation(g, bases)
             verdicts.add(result.colorable)
     assert verdicts == {True, False}
 
@@ -511,7 +635,176 @@ def test_indexed_solver_matches_reference_on_bundled_families(name):
     rng = random.Random(f"kssets-reference:{name}")
     families = [bases] + [rng.sample(bases, len(bases) - rng.randint(1, 4)) for _ in range(10)]
     for family in families:
-        assert as_tuple(find_valuation(g, family)) == reference_find_valuation(g, family)
+        result = as_tuple(find_valuation(g, family))
+        assert result == reference_find_valuation(g, family)
+        assert result == trail_find_valuation(g, family)
+
+
+@pytest.mark.parametrize("family", ["e8", "ternary5"])
+def test_snapshot_solver_matches_trail_solver_on_large_families(family):
+    # Too many bases for the rescanning reference; the trail solver is the
+    # reference here.  Dropping bases gives colorable families.
+    rs = e8_ray_set() if family == "e8" else RaySet("ternary5", 5, tuple(ternary_rays(5)))
+    g = build_ortho_graph(rs)
+    bases = enumerate_bases(g, rs.dimension)
+    rng = random.Random(f"kssets-trail:{family}")
+    families = [bases] + [rng.sample(bases, rng.randint(4, 40)) for _ in range(8)]
+    verdicts = set()
+    for family in families:
+        result = as_tuple(find_valuation(g, family))
+        assert result == trail_find_valuation(g, family)
+        verdicts.add(result[0])
+    assert verdicts == {True, False}
+
+
+# --- packed-lane graph builder against pairwise exact inner products ----------
+
+def reference_rows(rays, rows):
+    """Adjacency rows from one exact inner product per pair of rays."""
+    return [sum(1 << j for j, s in enumerate(rays) if is_orthogonal(rays[i], s)) for i in rows]
+
+
+def ternary_rays(dimension):
+    """{0,+-1}^d, one ray per +-pair: the first nonzero entry is +1."""
+    return [v for v in ternary_pool(dimension) if next(a for a, _ in v if a) == 1]
+
+
+def e8_ray_set():
+    return RaySet("e8", 8, tuple(ints(*v) for v in e8_document()["vectors"]))
+
+
+def relabeled(rng, rays):
+    """The rays shuffled, each scaled by a random sign, under one signed
+    permutation of the coordinates: an isometry, so the edges move with the
+    rays."""
+    d = len(rays[0])
+    perm = rng.sample(range(d), d)
+    signs = [rng.choice((1, -1)) for _ in range(d)]
+    out = []
+    for ray in rng.sample(rays, len(rays)):
+        flip = rng.choice((1, -1))
+        out.append(tuple((flip * signs[k] * ray[perm[k]][0], flip * signs[k] * ray[perm[k]][1])
+                         for k in range(d)))
+    return out
+
+
+def z2_mul(u, v):
+    return (u[0] * v[0] + 2 * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def wide_ray_set(rng, dimension, size, scale, sqrt2):
+    """Up to ``size`` rays, half of them orthogonal to an earlier ray by
+    construction, so that edges occur.
+
+    A ray orthogonal to u is the sum over pairs j < k of c_jk (u_j e_k -
+    u_k e_j), in Z[sqrt2] when ``sqrt2`` is set, with each |c_jk| up to
+    ``scale``, so its entries outgrow ``scale``.  Other rays are random with
+    entries up to ``scale`` (some zero), have every entry of magnitude
+    ``scale`` (inner products near the lane bound), or, with ``sqrt2``, have
+    only a sqrt(2) part."""
+    def entry():
+        a = rng.randint(-scale, scale) if rng.random() < 0.8 else 0
+        b = rng.randint(-scale, scale) if sqrt2 and rng.random() < 0.5 else 0
+        return (a, b)
+
+    rays = []
+    for _ in range(3 * size):
+        if len(rays) == size:
+            break
+        kind = rng.random()
+        if rays and kind < 0.5:
+            u = rng.choice(rays)
+            ray = [(0, 0)] * dimension
+            for j, k in itertools.combinations(range(dimension), 2):
+                c = entry()
+                pj, pk = z2_mul(c, u[j]), z2_mul(c, u[k])
+                ray[k] = (ray[k][0] + pj[0], ray[k][1] + pj[1])
+                ray[j] = (ray[j][0] - pk[0], ray[j][1] - pk[1])
+        elif kind < 0.65:
+            ray = [(rng.choice((scale, -scale)), rng.choice((scale, -scale)) if sqrt2 else 0)
+                   for _ in range(dimension)]
+        elif sqrt2 and kind < 0.8:
+            ray = [(0, rng.randint(-scale, scale)) for _ in range(dimension)]
+        else:
+            ray = [entry() for _ in range(dimension)]
+        ray = tuple(ray)
+        if any(e != (0, 0) for e in ray) and not any(are_parallel(ray, r) for r in rays):
+            rays.append(ray)
+    return RaySet("wide", dimension, tuple(rays))
+
+
+@pytest.mark.parametrize("dimension", range(2, 9))
+@pytest.mark.parametrize("sqrt2", [False, True], ids=["integer", "sqrt2"])
+def test_lane_builder_matches_pairwise_dot(dimension, sqrt2):
+    rng = random.Random(f"kssets-lanes:{dimension}:{sqrt2}")
+    edges = 0
+    for trial in range(24):
+        scale = (1, 3, 2**31, 10**15, 10**30)[trial % 5]
+        size = 1 if trial % 8 == 0 else rng.randint(2, 24)
+        rs = wide_ray_set(rng, dimension, size, scale, sqrt2)
+        g = build_ortho_graph(rs)
+        n = len(rs)
+        assert g.vertex_count == n
+        assert list(g.adjacency) == reference_rows(rs.rays, range(n))
+        edges += g.edge_count
+    assert edges > 0
+
+
+@pytest.mark.parametrize("rays", [
+    pytest.param([ints(5, -7)], id="single-ray"),
+    pytest.param([((0, 1), (0, 0)), ((0, 0), (0, -3)), ((0, 1), (0, 1))], id="sqrt2-part-only"),
+    # 7 * 3^2 = 63, so 2 * bound + 1 = 127 just fits one-byte lanes.
+    pytest.param([ints(*(3 * s for s in signs))
+                  for signs in itertools.product((1, -1), repeat=7) if signs[0] == 1],
+                 id="one-byte-lanes-full"),
+    # 8 * 3^2 = 72 needs two-byte lanes.
+    pytest.param([ints(*(3 * s for s in signs))
+                  for signs in itertools.product((1, -1), repeat=8) if signs[0] == 1],
+                 id="two-byte-lanes"),
+])
+def test_lane_builder_edge_cases(rays):
+    g = build_ortho_graph(RaySet("edge", len(rays[0]), tuple(rays)))
+    assert list(g.adjacency) == reference_rows(rays, range(len(rays)))
+
+
+@pytest.mark.parametrize("family", ["e8", "ternary5"])
+def test_lane_builder_on_relabeled_families(family):
+    rays = e8_ray_set().rays if family == "e8" else ternary_rays(5)
+    edges = {"e8": 3780, "ternary5": None}[family]
+    rng = random.Random(f"kssets-relabel:{family}")
+    for _ in range(2):
+        rs = RaySet(family, len(rays[0]), tuple(relabeled(rng, list(rays))))
+        g = build_ortho_graph(rs)
+        assert list(g.adjacency) == reference_rows(rs.rays, range(len(rs)))
+        # An isometry keeps the edge count.
+        edges = edges or g.edge_count
+        assert g.edge_count == edges
+
+
+def test_lane_builder_past_the_digit_limit():
+    # More rays than int() converts decimal digits, so a row's bitset must
+    # never pass through a decimal string.  The rays are primitive with a
+    # positive first nonzero entry, hence pairwise non-parallel; RaySet's
+    # pairwise duplicate check would dominate the test at this size, so the
+    # builder gets a plain namespace with the two fields it reads.
+    rays = [ints(*v) for v in itertools.product(range(-11, 12), repeat=3)
+            if next((x for x in v if x), 0) > 0 and math.gcd(*v) == 1]
+    assert len(rays) > 4300
+    g = build_ortho_graph(SimpleNamespace(rays=tuple(rays), dimension=3))
+    rng = random.Random("kssets-digit-limit")
+    sample = rng.sample(range(len(rays)), 40)
+    assert [g.adjacency[i] for i in sample] == reference_rows(rays, sample)
+    # Symmetry carries the sampled rows into every other row's bits.
+    assert all(g.adjacency[j] >> i & 1 == g.adjacency[i] >> j & 1
+               for i in sample for j in range(len(rays)))
+
+
+def test_edges_derived_from_adjacency():
+    rs = load_bundled("cabello18")
+    g = build_ortho_graph(rs)
+    assert g.edges == frozenset((i, j) for i, j in itertools.combinations(range(len(rs)), 2)
+                                if is_orthogonal(rs.rays[i], rs.rays[j]))
+    assert len(g.edges) == g.edge_count == 63
 
 
 # --- golden check-set reports -------------------------------------------------
