@@ -5,7 +5,7 @@ oracles: full 2^n enumeration for small sets and a plain recursive
 enumerator with no propagation for the larger ones.  It must also match,
 node for node, two test-local copies of earlier solvers: the original one
 that rescans every basis, and the indexed one that undoes its counts from a
-trail.  The packed-lane graph builder is checked bit for bit against a
+trail.  The packed-lane graph construction is checked bit for bit against a
 pairwise exact inner product, and the check-set reports are pinned by
 golden files.
 """
@@ -43,7 +43,7 @@ def ints(*vals):
 
 def exact_dot(r, s):
     """Exact inner product of two rays over Z[sqrt(2)], one pair of rays at
-    a time: the reference for the packed-lane graph builder."""
+    a time: the reference for the packed-lane graph construction."""
     a = b = 0
     for (p, q), (u, v) in zip(r, s):
         a += p * u + 2 * q * v
@@ -657,7 +657,7 @@ def test_snapshot_solver_matches_trail_solver_on_large_families(family):
     assert verdicts == {True, False}
 
 
-# --- packed-lane graph builder against pairwise exact inner products ----------
+# --- packed-lane graphs against pairwise exact inner products ----------------
 
 def reference_rows(rays, rows):
     """Adjacency rows from one exact inner product per pair of rays."""
@@ -735,7 +735,7 @@ def wide_ray_set(rng, dimension, size, scale, sqrt2):
 
 @pytest.mark.parametrize("dimension", range(2, 9))
 @pytest.mark.parametrize("sqrt2", [False, True], ids=["integer", "sqrt2"])
-def test_lane_builder_matches_pairwise_dot(dimension, sqrt2):
+def test_packed_lanes_match_pairwise_dot(dimension, sqrt2):
     rng = random.Random(f"kssets-lanes:{dimension}:{sqrt2}")
     edges = 0
     for trial in range(24):
@@ -762,13 +762,13 @@ def test_lane_builder_matches_pairwise_dot(dimension, sqrt2):
                   for signs in itertools.product((1, -1), repeat=8) if signs[0] == 1],
                  id="two-byte-lanes"),
 ])
-def test_lane_builder_edge_cases(rays):
+def test_packed_lanes_edge_cases(rays):
     g = build_ortho_graph(RaySet("edge", len(rays[0]), tuple(rays)))
     assert list(g.adjacency) == reference_rows(rays, range(len(rays)))
 
 
 @pytest.mark.parametrize("family", ["e8", "ternary5"])
-def test_lane_builder_on_relabeled_families(family):
+def test_packed_lanes_on_relabeled_families(family):
     rays = e8_ray_set().rays if family == "e8" else ternary_rays(5)
     edges = {"e8": 3780, "ternary5": None}[family]
     rng = random.Random(f"kssets-relabel:{family}")
@@ -781,12 +781,12 @@ def test_lane_builder_on_relabeled_families(family):
         assert g.edge_count == edges
 
 
-def test_lane_builder_past_the_digit_limit():
+def test_packed_lanes_past_the_digit_limit():
     # More rays than int() converts decimal digits, so a row's bitset must
     # never pass through a decimal string.  The rays are primitive with a
     # positive first nonzero entry, hence pairwise non-parallel; RaySet's
     # pairwise duplicate check would dominate the test at this size, so the
-    # builder gets a plain namespace with the two fields it reads.
+    # graph is built from a plain namespace with the two fields it reads.
     rays = [ints(*v) for v in itertools.product(range(-11, 12), repeat=3)
             if next((x for x in v if x), 0) > 0 and math.gcd(*v) == 1]
     assert len(rays) > 4300
