@@ -4,8 +4,9 @@ Each file under ``tests/golden/witness/`` and ``tests/golden/plot/`` was
 written by the code as it stood before the refactors that these tests
 guard.  ``plot --oracle`` grids are pinned by the SHA-256 digest of their
 CSV and SVG bytes in ``tests/golden/plot/oracle_digests.json``, written by
-the scalar, one-``evaluate``-per-cell grid.  To rewrite them (only when a
-change to the output is intended):
+the scalar, one-``evaluate``-per-cell grid; ``plot --figure descent-circle``
+curves are pinned there too, as ``csv.writer`` wrote them.  To rewrite them
+(only when a change to the output is intended):
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
@@ -47,6 +48,11 @@ PLOT_ROTATION_SEED = 7
 ORACLE_PLOT_CASES = [(kind, 64, fmt) for kind in KINDS for fmt in PLOT_FORMATS]
 ORACLE_PLOT_CASES += [("four_segment", 256, fmt) for fmt in PLOT_FORMATS]
 ORACLE_DIGESTS = GOLDEN / "plot" / "oracle_digests.json"
+# plot --figure descent-circle digests, pinned in the same file: the default
+# apex and one apex off the prime meridian.
+DESCENT_PLOT_CASES = [(apex, grid, fmt) for apex, grid in (((0.7853981633974483, 0.0), 64),
+                                                           ((1.2, -2.5), 16))
+                      for fmt in PLOT_FORMATS]
 
 
 def witness_bytes(kind: str, seed: int, workdir: Path) -> bytes:
@@ -84,6 +90,19 @@ def oracle_plot_key(kind: str, grid: int, fmt: str) -> str:
     return f"{kind}_rot{PLOT_ROTATION_SEED}_grid{grid}.{fmt}"
 
 
+def descent_plot_digest(apex, grid: int, fmt: str, workdir: Path) -> str:
+    out = workdir / f"descent.{fmt}"
+    code = main(["plot", "--figure", "descent-circle", "--theta-p", repr(apex[0]),
+                 "--phi-p", repr(apex[1]), "--grid", str(grid), "--format", fmt,
+                 "--out", str(out)])
+    assert code == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def descent_plot_key(apex, grid: int, fmt: str) -> str:
+    return f"descent_circle_{apex[0]:.4f}_{apex[1]:.4f}_grid{grid}.{fmt}"
+
+
 @pytest.mark.parametrize("kind,seed", WITNESS_CASES)
 def test_witness_report_matches_golden(kind, seed, tmp_path):
     golden = GOLDEN / "witness" / f"{kind}_seed{seed}.json"
@@ -102,6 +121,12 @@ def test_oracle_plot_matches_pinned_digest(kind, grid, fmt, tmp_path):
     assert oracle_plot_digest(kind, grid, fmt, tmp_path) == pinned[oracle_plot_key(kind, grid, fmt)]
 
 
+@pytest.mark.parametrize("apex,grid,fmt", DESCENT_PLOT_CASES)
+def test_descent_circle_plot_matches_pinned_digest(apex, grid, fmt, tmp_path):
+    pinned = json.loads(ORACLE_DIGESTS.read_text())
+    assert descent_plot_digest(apex, grid, fmt, tmp_path) == pinned[descent_plot_key(apex, grid, fmt)]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -116,4 +141,6 @@ if __name__ == "__main__":
             (GOLDEN / "plot" / f"four_segment_grid16.{fmt}").write_bytes(plot_bytes(fmt, work))
         digests = {oracle_plot_key(*case): oracle_plot_digest(*case, work)
                    for case in ORACLE_PLOT_CASES}
+        digests.update((descent_plot_key(*case), descent_plot_digest(*case, work))
+                       for case in DESCENT_PLOT_CASES)
         ORACLE_DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
