@@ -13,7 +13,6 @@ Exit codes are a stable contract: 0 success/colorable, 10 uncolorable,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -249,11 +248,10 @@ def _descent_curve(theta_p: float, phi_p: float, samples: int):
 
 
 def _write_curve_csv(rows, out_path: str) -> None:
+    """One ``phi,theta`` line per sample, as csv.writer would write it."""
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phi", "theta"])
-        for phi, theta in rows:
-            writer.writerow([_fmt(phi), _fmt(theta)])
+        fh.write("phi,theta\r\n")
+        fh.write("".join(f"{_fmt(phi)},{_fmt(theta)}\r\n" for phi, theta in rows))
 
 
 def _write_curve_svg(rows, out_path: str, title: str) -> None:

@@ -44,18 +44,24 @@ def _ent_mul(u: Entry, v: Entry) -> Entry:
     return (a * c + 2 * b * d, a * d + b * c)
 
 
-def _ent_sub(u: Entry, v: Entry) -> Entry:
-    return (u[0] - v[0], u[1] - v[1])
+def _normal_form(ray: tuple[Entry, ...]) -> tuple[Entry, ...]:
+    """The ray's identity: two nonzero rays are parallel iff their normal
+    forms are equal.
 
-
-def are_parallel(r: tuple[Entry, ...], s: tuple[Entry, ...]) -> bool:
-    """Exact scalar-multiple test via vanishing 2x2 minors."""
-    n = len(r)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _ent_sub(_ent_mul(r[i], s[j]), _ent_mul(r[j], s[i])) != (0, 0):
-                return False
-    return True
+    Scaling by the conjugate a - b*sqrt(2) of the first nonzero entry
+    a + b*sqrt(2) makes that entry the integer a^2 - 2b^2, nonzero since
+    sqrt(2) is irrational.  If s = l*r for l in Q(sqrt2), the scaled rays
+    then differ by the rational l * conj(l), which dividing out the content
+    and fixing the sign of the first nonzero entry removes.
+    """
+    a, b = next(e for e in ray if e != (0, 0))
+    if b:
+        ray = tuple(_ent_mul(e, (a, -b)) for e in ray)
+        a = a * a - 2 * b * b
+    g = gcd(*(c for e in ray for c in e))
+    if a < 0:
+        g = -g
+    return tuple((x // g, y // g) for x, y in ray)
 
 
 # A rational coordinate string: an optional sign, digits, optional "/digits".
@@ -111,42 +117,20 @@ def _parse_ray(raw_vector, dimension: int) -> tuple[Entry, ...]:
         ray = tuple(e for e, _ in parsed)
     else:
         ray = tuple((a * (denom // den), b * (denom // den)) for (a, b), den in parsed)
-    ray = _canonical_ray(ray)
     if all(e == (0, 0) for e in ray):
         raise RaySetFormatError(f"zero vector {raw_vector!r} is not a ray")
-    return ray
-
-
-def _canonical_ray(ray: tuple[Entry, ...]) -> tuple[Entry, ...]:
-    """Divide out the integer content and fix the sign of the first nonzero
-    entry.  Cosmetic only; parallel detection never relies on it."""
-    coeffs = [abs(c) for e in ray for c in e if c != 0]
-    if not coeffs:
-        return ray
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
-    if g > 1:
-        ray = tuple((a // g, b // g) for a, b in ray)
-    # A ray whose entries are all pure sqrt(2) multiples divides by sqrt(2).
-    if all(a == 0 for a, _ in ray):
-        ray = tuple((b, 0) for _, b in ray)
-    for a, b in ray:
-        lead = a if a != 0 else b
-        if lead != 0:
-            if lead < 0:
-                ray = tuple((-a, -b) for a, b in ray)
-            break
     return ray
 
 
 @dataclass(frozen=True)
 class RaySet:
     """A named finite set of rays with integer (or integer + integer*sqrt2)
-    coordinates, identified up to sign and scale.
+    coordinates, identified up to scale: each ray is stored in its normal
+    form, and no two may be parallel.
 
     ``bases`` optionally carries designated bases (index tuples) supplied by
-    the source data; when absent, callers enumerate d-cliques instead.
+    the source data, each checked to be a d-clique of the graph; when
+    absent, callers enumerate d-cliques instead.
     """
 
     name: str
@@ -165,20 +149,13 @@ class RaySet:
                 raise RaySetFormatError("ray length does not match dimension")
             if all(e == (0, 0) for e in ray):
                 raise RaySetFormatError("the zero vector is not a ray")
-        # Parallel nonzero rays share their zero pattern, so only rays within
-        # one pattern are compared.  The first clashing pair is reported.
-        patterns: dict[tuple[bool, ...], list[int]] = {}
-        for i, ray in enumerate(self.rays):
-            patterns.setdefault(tuple(e == (0, 0) for e in ray), []).append(i)
-        clash = min(
-            (
-                (i, j)
-                for group in patterns.values()
-                for i, j in combinations(group, 2)
-                if are_parallel(self.rays[i], self.rays[j])
-            ),
-            default=None,
-        )
+        rays = tuple(map(_normal_form, self.rays))
+        object.__setattr__(self, "rays", rays)
+        # Each later ray pairs with the first of its class; the least such
+        # pair is the least clashing pair.
+        first: dict[tuple[Entry, ...], int] = {}
+        clash = min(((first[ray], j) for j, ray in enumerate(rays)
+                     if first.setdefault(ray, j) != j), default=None)
         if clash is not None:
             raise DuplicateRay(
                 f"rays {clash[0]} and {clash[1]} of {self.name!r} are scalar multiples"
@@ -190,6 +167,7 @@ class RaySet:
                 for idx in basis:
                     if not 0 <= idx < len(self.rays):
                         raise RaySetFormatError(f"basis index {idx} out of range")
+            validate_supplied_bases(self.graph, self.dimension, self.bases)
 
     def __len__(self) -> int:
         return len(self.rays)
@@ -222,12 +200,6 @@ class OrthoGraph:
     @property
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adjacency) // 2
-
-    @cached_property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """The edges as ``(i, j)`` pairs with ``i < j``, derived on first use."""
-        return frozenset((i, j) for i, row in enumerate(self.adjacency)
-                         for j in _bits(row >> (i + 1) << (i + 1)))
 
 
 # Maps a lane's top byte, 0x00 or 0x80 after the zero test, to a binary digit.
@@ -526,16 +498,13 @@ def ray_set_from_dict(doc: dict) -> RaySet:
                 not isinstance(i, int) or isinstance(i, bool) for i in basis
             ):
                 raise RaySetFormatError(f"basis {basis!r} must be {dimension} integer indices")
-    ray_set = RaySet(
+    return RaySet(
         name=name,
         dimension=dimension,
         rays=rays,
         provenance=doc.get("provenance", ""),
         bases=bases,
     )
-    if bases is not None:
-        validate_supplied_bases(ray_set.graph, dimension, bases)
-    return ray_set
 
 
 def load_ray_set(path) -> RaySet:

@@ -19,6 +19,7 @@ Tolerances and budgets are pinned here and nowhere else:
 7. determinism: byte-identical CLI reports for fixed seeds.
 """
 
+import itertools
 import json
 import math
 import subprocess
@@ -148,8 +149,9 @@ def _exhaustive_cabello_check(graph, bases):
     feasible = np.ones(len(masks), dtype=bool)
     for basis in bases:
         feasible &= bits[:, list(basis)].sum(axis=1) == 1
-    for i, j in graph.edges:
-        feasible &= ~((bits[:, i] == 1) & (bits[:, j] == 1))
+    for i, j in itertools.combinations(range(n), 2):
+        if graph.adjacency[i] >> j & 1:
+            feasible &= ~((bits[:, i] == 1) & (bits[:, j] == 1))
     return int(feasible.sum())
 
 

@@ -3,6 +3,7 @@ oracle family must give the scalar path's bits, point for point, on the
 plot lattices, on random unit vectors and on the boundary arcs where a
 last-bit difference would flip a value."""
 
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from kswitness.sampling import random_rotation
 from kswitness.sphere_geom import DomainError, SphPoint, to_cartesian
-from kswitness.valuation import FunctionValuation, build_oracle
+from kswitness.valuation import BOUNDARY_VARIANTS, FunctionValuation, Generator2D, build_oracle
 
 HALF_PI = math.pi / 2
 THETA_STAR = 0.7
@@ -177,3 +178,32 @@ def test_non_finite_rows_fail_or_agree_as_evaluate_does(name, seed):
             except ValueError as exc:
                 outcomes.append(type(exc))
         assert outcomes[0] == outcomes[1], row
+
+
+def seeded_specs(seed: int) -> list[dict]:
+    """One spec per kind with parameters drawn from ``seed``, and the edge
+    values pole_value 0 and theta_star 0."""
+    rng = np.random.default_rng(seed)
+    return [
+        {"kind": "four_segment", "pole_value": int(rng.integers(2))},
+        {"kind": "four_segment", "pole_value": 0},
+        {"kind": "step_meridian", "theta_star": float(rng.uniform(0.01, HALF_PI)),
+         "boundary_variant": str(rng.choice(BOUNDARY_VARIANTS))},
+        {"kind": "step_meridian", "theta_star": 0.0},
+        {"kind": "polar_cap", "cap_latitude": float(rng.uniform(0.01, HALF_PI - 0.01))},
+        {"kind": "valuation2d_rotated", **Generator2D.random(rng).to_dict()},
+    ]
+
+
+@pytest.mark.parametrize("rotation_seed", [None, 11])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_to_oracle_dict_round_trips_through_json(seed, rotation_seed):
+    points = np.concatenate([lattice(32), boundary_points()])
+    for spec in seeded_specs(seed):
+        if rotation_seed is not None:
+            spec = {**spec, "rotation_seed": rotation_seed}
+        oracle = build_oracle(spec)
+        doc = oracle.to_oracle_dict()
+        rebuilt = build_oracle(json.loads(json.dumps(doc)))
+        assert rebuilt.to_oracle_dict() == doc
+        assert np.array_equal(rebuilt.evaluate_many(points), oracle.evaluate_many(points))

@@ -6,8 +6,8 @@ enumerator with no propagation for the larger ones.  It must also match,
 node for node, two test-local copies of earlier solvers: the original one
 that rescans every basis, and the indexed one that undoes its counts from a
 trail.  The packed-lane graph construction is checked bit for bit against a
-pairwise exact inner product, and the check-set reports are pinned by
-golden files.
+pairwise exact inner product, the duplicate-ray check against pairwise 2x2
+minors, and the check-set reports are pinned by golden files.
 """
 
 import itertools
@@ -15,7 +15,6 @@ import json
 import math
 import random
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from kswitness.kssets import (
     DuplicateRay,
     RaySet,
     RaySetFormatError,
-    are_parallel,
     build_ortho_graph,
     bundled_data_dir,
     enumerate_bases,
@@ -51,6 +49,17 @@ def exact_dot(r, s):
     return (a, b)
 
 
+def z2_mul(u, v):
+    return (u[0] * v[0] + 2 * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def are_parallel(r, s):
+    """Exact scalar-multiple test via vanishing 2x2 minors, one pair of rays
+    at a time: the reference for RaySet's duplicate check."""
+    return all(z2_mul(r[i], s[j]) == z2_mul(r[j], s[i])
+               for i, j in itertools.combinations(range(len(r)), 2))
+
+
 def is_orthogonal(r, s):
     """True iff the real inner product is exactly zero (sqrt(2) is irrational,
     so a + b*sqrt(2) = 0 forces a = b = 0)."""
@@ -60,6 +69,11 @@ def is_orthogonal(r, s):
 def neighbors(graph, i):
     """Decoded bitset row: the rays orthogonal to ray ``i``."""
     return [j for j in range(graph.vertex_count) if graph.adjacency[i] >> j & 1]
+
+
+def edge_pairs(graph):
+    """Decoded bitset rows: the edges as ``(i, j)`` pairs with ``i < j``."""
+    return {(i, j) for i in range(graph.vertex_count) for j in neighbors(graph, i) if i < j}
 
 
 def brute_force_assignments(graph, bases):
@@ -134,14 +148,55 @@ class TestExactArithmetic:
             RaySet("dup", 3, (ints(1, 0, 0), ((0, 1), (0, 0), (0, 0))))
 
     def test_duplicate_unit_multiple(self):
-        # (1+sqrt2) e1 is e1 scaled by a unit of Z[sqrt2]: no integer content
-        # divides out, so the two rays keep different canonical forms.
+        # (1+sqrt2) e1 is e1 scaled by a unit of Z[sqrt2], which no integer
+        # content divides out; scaling by the lead's conjugate does.
         with pytest.raises(DuplicateRay, match="rays 0 and 1"):
             ray_set_from_dict({
                 "name": "dup",
                 "dimension": 3,
                 "vectors": [[1, 0, 0], [[1, 1], 0, 0], [0, 1, 0]],
             })
+
+    def test_least_clashing_pair_is_reported(self):
+        # Classes {0, 5} and {1, 2}: the pair found first in index order,
+        # (1, 2), is not the least.
+        rays = (ints(1, 0, 0), ints(0, 1, 0), ((0, 0), (-1, -1), (0, 0)), ints(0, 0, 1),
+                ints(1, 1, 0), ints(2, 0, 0))
+        with pytest.raises(DuplicateRay, match="rays 0 and 5 of"):
+            RaySet("classes", 3, rays)
+
+    def test_duplicates_match_pairwise_minors(self):
+        # Random Z[sqrt2] rays, some repeated under a multiplier: signs,
+        # rationals, sqrt2 multiples and units of Z[sqrt2].
+        multipliers = [(1, 0), (2, 0), (0, 1), (0, 3), (1, 1), (1, -1), (3, 2), (3, -2)]
+        rng = random.Random("kssets-normal-form")
+        verdicts = set()
+        for _ in range(400):
+            dimension = rng.randint(2, 4)
+            rays = []
+            for _ in range(rng.randint(1, 10)):
+                if rays and rng.random() < 0.3:
+                    a, b = rng.choice(multipliers)
+                    sign = rng.choice((1, -1))
+                    ray = tuple(z2_mul((sign * a, sign * b), e) for e in rng.choice(rays))
+                else:
+                    ray = tuple((rng.randint(-3, 3), rng.randint(-2, 2) if rng.random() < 0.4 else 0)
+                                if rng.random() < 0.8 else (0, 0) for _ in range(dimension))
+                if any(e != (0, 0) for e in ray):
+                    rays.append(ray)
+            if not rays:
+                continue
+            rng.shuffle(rays)
+            clash = min(((i, j) for i, j in itertools.combinations(range(len(rays)), 2)
+                         if are_parallel(rays[i], rays[j])), default=None)
+            verdicts.add(clash is None)
+            if clash is None:
+                rs = RaySet("random", dimension, tuple(rays))
+                assert all(are_parallel(r, s) for r, s in zip(rs.rays, rays))
+            else:
+                with pytest.raises(DuplicateRay, match=f"rays {clash[0]} and {clash[1]} of"):
+                    RaySet("random", dimension, tuple(rays))
+        assert verdicts == {True, False}
 
 
 class TestGraphAndBases:
@@ -154,7 +209,7 @@ class TestGraphAndBases:
     def test_single_edge(self):
         rs = RaySet("pair", 3, (ints(1, 1, 0), ints(1, -1, 0)))
         g = build_ortho_graph(rs)
-        assert g.edges == frozenset({(0, 1)})
+        assert edge_pairs(g) == {(0, 1)}
 
     def test_cabello_edge_count_against_brute_force(self):
         rs = load_bundled("cabello18")
@@ -172,10 +227,11 @@ class TestGraphAndBases:
         g = build_ortho_graph(rs)
         enumerated = enumerate_bases(g, 4)
         # independent 4-clique check over all C(18, 4) subsets
+        edges = edge_pairs(g)
         cliques = [
             combo
             for combo in itertools.combinations(range(18), 4)
-            if all(tuple(sorted(p)) in g.edges for p in itertools.combinations(combo, 2))
+            if all(p in edges for p in itertools.combinations(combo, 2))
         ]
         assert sorted(enumerated) == sorted(cliques)
         assert len(enumerated) == 9
@@ -303,7 +359,8 @@ class TestIngestion:
             "dimension": 3,
             "vectors": [["-2/4", "+1", "3"], ["0", "-0/7", [1, 1]]],
         })
-        assert rs.rays == (ints(1, -2, -6), ((0, 0), (0, 0), (1, 1)))
+        # (1 + sqrt2) e3 is e3 up to a unit, so it is stored as e3.
+        assert rs.rays == (ints(1, -2, -6), ints(0, 0, 1))
 
     @pytest.mark.parametrize("raw", ["1/0", "1/-2", " 1", "1_000", "0x10", "", "/2", "1/"])
     def test_malformed_rational_strings_rejected(self, raw):
@@ -322,6 +379,11 @@ class TestIngestion:
                 "vectors": [[1, 0, 0], [0, 1, 0], [1, 1, 0]],
                 "bases": [[0, 1, 2]],
             })
+
+    def test_supplied_bases_checked_when_built_in_code(self):
+        with pytest.raises(RaySetFormatError, match="not a mutually orthogonal 3-tuple"):
+            RaySet("oblique", 3, (ints(1, 0, 0), ints(0, 1, 0), ints(1, 1, 0)),
+                   bases=((0, 1, 2),))
 
     def test_supplied_basis_with_one_oblique_pair_rejected(self):
         # Rays 1 and 2 are the only non-orthogonal pair; every order of the
@@ -607,7 +669,6 @@ def test_fast_paths_match_brute_force(dimension, pool):
         g = build_ortho_graph(rs)
         pairs = {(i, j) for i, j in itertools.combinations(range(n), 2)
                  if exact_dot(rs.rays[i], rs.rays[j]) == (0, 0)}
-        assert g.edges == pairs
         assert all((g.adjacency[i] >> j & 1) == ((min(i, j), max(i, j)) in pairs)
                    for i in range(n) for j in range(n))
         cliques = tuple(c for c in itertools.combinations(range(n), dimension)
@@ -688,10 +749,6 @@ def relabeled(rng, rays):
     return out
 
 
-def z2_mul(u, v):
-    return (u[0] * v[0] + 2 * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
-
-
 def wide_ray_set(rng, dimension, size, scale, sqrt2):
     """Up to ``size`` rays, half of them orthogonal to an earlier ray by
     construction, so that edges occur.
@@ -750,20 +807,29 @@ def test_packed_lanes_match_pairwise_dot(dimension, sqrt2):
     assert edges > 0
 
 
+def sign_rays(dimension):
+    """The 64 rows of the Sylvester-Hadamard matrix of order 64, cut to
+    their first ``dimension`` entries, and (1, -1, ..., -1): primitive +-1
+    rays with first entry +1, so each is its own normal form.  A ray's
+    square is the lane bound; at dimension 64 the rows are a basis."""
+    rows = [ints(*((-1) ** (i & j).bit_count() for j in range(dimension))) for i in range(64)]
+    return rows + [ints(1, *[-1] * (dimension - 1))]
+
+
 @pytest.mark.parametrize("rays", [
     pytest.param([ints(5, -7)], id="single-ray"),
-    pytest.param([((0, 1), (0, 0)), ((0, 0), (0, -3)), ((0, 1), (0, 1))], id="sqrt2-part-only"),
-    # 7 * 3^2 = 63, so 2 * bound + 1 = 127 just fits one-byte lanes.
-    pytest.param([ints(*(3 * s for s in signs))
-                  for signs in itertools.product((1, -1), repeat=7) if signs[0] == 1],
-                 id="one-byte-lanes-full"),
-    # 8 * 3^2 = 72 needs two-byte lanes.
-    pytest.param([ints(*(3 * s for s in signs))
-                  for signs in itertools.product((1, -1), repeat=8) if signs[0] == 1],
-                 id="two-byte-lanes"),
+    # A normal form's lead is an integer; past it these rays have sqrt(2)
+    # parts only.
+    pytest.param([((1, 0), (0, 1)), ((2, 0), (0, -1)), ((1, 0), (0, -1))], id="sqrt2-part-only"),
+    # 63 * 1^2 = 63, so 2 * bound + 1 = 127 just fits one-byte lanes.
+    pytest.param(sign_rays(63), id="one-byte-lanes-full"),
+    # 64 * 1^2 = 64 needs two-byte lanes.
+    pytest.param(sign_rays(64), id="two-byte-lanes"),
 ])
 def test_packed_lanes_edge_cases(rays):
-    g = build_ortho_graph(RaySet("edge", len(rays[0]), tuple(rays)))
+    rs = RaySet("edge", len(rays[0]), tuple(rays))
+    assert rs.rays == tuple(rays)  # already normal forms: the lanes see them as written
+    g = build_ortho_graph(rs)
     assert list(g.adjacency) == reference_rows(rays, range(len(rays)))
 
 
@@ -784,27 +850,17 @@ def test_packed_lanes_on_relabeled_families(family):
 def test_packed_lanes_past_the_digit_limit():
     # More rays than int() converts decimal digits, so a row's bitset must
     # never pass through a decimal string.  The rays are primitive with a
-    # positive first nonzero entry, hence pairwise non-parallel; RaySet's
-    # pairwise duplicate check would dominate the test at this size, so the
-    # graph is built from a plain namespace with the two fields it reads.
+    # positive first nonzero entry, hence pairwise non-parallel.
     rays = [ints(*v) for v in itertools.product(range(-11, 12), repeat=3)
             if next((x for x in v if x), 0) > 0 and math.gcd(*v) == 1]
     assert len(rays) > 4300
-    g = build_ortho_graph(SimpleNamespace(rays=tuple(rays), dimension=3))
+    g = build_ortho_graph(RaySet("digits", 3, tuple(rays)))
     rng = random.Random("kssets-digit-limit")
     sample = rng.sample(range(len(rays)), 40)
     assert [g.adjacency[i] for i in sample] == reference_rows(rays, sample)
     # Symmetry carries the sampled rows into every other row's bits.
     assert all(g.adjacency[j] >> i & 1 == g.adjacency[i] >> j & 1
                for i in sample for j in range(len(rays)))
-
-
-def test_edges_derived_from_adjacency():
-    rs = load_bundled("cabello18")
-    g = build_ortho_graph(rs)
-    assert g.edges == frozenset((i, j) for i, j in itertools.combinations(range(len(rs)), 2)
-                                if is_orthogonal(rs.rays[i], rs.rays[j]))
-    assert len(g.edges) == g.edge_count == 63
 
 
 # --- golden check-set reports -------------------------------------------------
