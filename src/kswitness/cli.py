@@ -83,15 +83,20 @@ def _dump_json(doc: dict, out_path: str | None, code: int) -> int:
     return code
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """argparse type for counts and seeds: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _fail(message: str, code: int) -> int:
@@ -334,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_wit = sub.add_parser("witness", help="extract a contradiction certificate from an oracle")
     p_wit.add_argument("oracle", help="oracle-spec JSON file")
-    p_wit.add_argument("--seed", type=int, default=0, help="deterministic sampling seed")
+    p_wit.add_argument("--seed", type=_int_at_least(0), default=0,
+                       help="deterministic sampling seed")
     p_wit.add_argument("--budget", type=_positive_int, default=10_000, help="total oracle-call budget")
     p_wit.add_argument("--meridians", type=_positive_int, default=64, help="equator probe count")
     p_wit.add_argument("--latitudes", type=_positive_int, default=256, help="initial sample count")

@@ -165,10 +165,6 @@ class DescentCircle:
         if abs(self.apex.theta) == HALF_PI:
             raise DomainError("descent circle apex at a pole is not allowed")
 
-    @property
-    def normal(self) -> np.ndarray:
-        return perp_of_apex(self.apex)
-
 
 def descent_theta(circle: DescentCircle, phi: float) -> float:
     """Latitude of the descent circle at longitude phi:

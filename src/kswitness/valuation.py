@@ -17,8 +17,10 @@ are single-threaded; everything constructed here is immutable and pure.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -53,9 +55,8 @@ class Valuation:
         raise NotImplementedError
 
     def evaluate_many(self, points) -> np.ndarray:
-        """``evaluate`` on each row.  The built-in families override this
-        with a vector form that gives the same bits as their ``evaluate``,
-        which stays the faster path for one point."""
+        """``evaluate`` on each row.  The built-in families run their one
+        rule on whole columns instead (see ``_RuleValuation``)."""
         points = _point_rows(points, self.dimension)
         return np.fromiter(map(self.evaluate, points), np.int8, len(points))
 
@@ -68,12 +69,53 @@ def _point_rows(points, dimension: int) -> np.ndarray:
     return points
 
 
-def _libm(fn, *columns: np.ndarray) -> np.ndarray:
-    """``fn`` from ``math`` applied elementwise.  numpy's inverse trig can
-    differ from libm's in the last bit, so the vector paths call the same
-    ``math`` function the scalar paths do.  The columns are iterated, not
-    converted to lists, so no batch-sized list of floats is held."""
-    return np.fromiter(map(fn, *columns), float, len(columns[0]))
+# What a family's rule may call besides comparisons, ``& | ^``, ``abs`` and
+# ``divmod``: ``_One`` on one point's Python floats, ``_Many`` on numpy
+# columns.  Both map the ``math`` asin and atan2, which numpy's can differ
+# from in the last bit, and ``_Many`` holds no batch-sized list of floats.
+_One = SimpleNamespace(
+    map=lambda fn, *args: fn(*args),
+    where=lambda cond, a, b: a if cond else b,
+    clip=lambda z: -1.0 if z < -1.0 else 1.0 if z > 1.0 else z,
+    fmod=math.fmod,
+    minimum=min,
+    searchsorted=bisect.bisect_right,
+    all=bool,
+)
+_Many = SimpleNamespace(
+    map=lambda fn, *columns: np.fromiter(map(fn, *columns), float, len(columns[0])),
+    where=np.where,
+    clip=lambda z: np.clip(z, -1.0, 1.0),
+    fmod=np.fmod,
+    minimum=np.minimum,
+    searchsorted=lambda edges, t: np.searchsorted(edges, t, side="right"),
+    all=np.all,
+)
+
+
+class _RuleValuation(Valuation):
+    """A family written once, as ``_bits(ops, *coordinates)``.  ``evaluate``
+    runs the rule on one point's Python floats and ``evaluate_many`` on the
+    columns of a batch, so the two give the same bits by construction.
+    Either raises ``DomainError`` on a point of the wrong shape."""
+
+    def _bits(self, ops, *coordinates):
+        raise NotImplementedError
+
+    def _check(self, n) -> np.ndarray:
+        n = np.asarray(n, dtype=float)
+        if n.shape != (self.dimension,):
+            raise DomainError(f"expected a {self.dimension}-vector, got shape {n.shape}")
+        return n
+
+    def _check_rows(self, points) -> np.ndarray:
+        return _point_rows(points, self.dimension)
+
+    def evaluate(self, n) -> int:
+        return int(self._bits(_One, *self._check(n).tolist()))
+
+    def evaluate_many(self, points) -> np.ndarray:
+        return self._bits(_Many, *self._check_rows(points).T).astype(np.int8)
 
 
 class FunctionValuation(Valuation):
@@ -130,24 +172,19 @@ class Generator2D:
                 raise ValueError("intervals must be sorted and disjoint")
             last = b
         object.__setattr__(self, "intervals", ivs)
+        object.__setattr__(self, "_edges", tuple(e for iv in ivs for e in iv))
+
+    def _lookup(self, ops, t):
+        """Membership parity against the flattened endpoints."""
+        if not ops.all((t >= 0.0) & (t < HALF_PI)):
+            raise ValueError("generator argument outside [0, pi/2)")
+        return ops.searchsorted(self._edges, t) % 2
 
     def value(self, t: float) -> int:
-        if not 0.0 <= t < HALF_PI:
-            raise ValueError(f"generator argument {t} outside [0, pi/2)")
-        for a, b in self.intervals:
-            if a <= t < b:
-                return 1
-        return 0
+        return self._lookup(_One, t)
 
     def values(self, t: np.ndarray) -> np.ndarray:
-        """Vectorized lookup: membership parity against flattened endpoints."""
-        t = np.asarray(t, dtype=float)
-        if not np.all((t >= 0.0) & (t < HALF_PI)):
-            raise ValueError("generator argument outside [0, pi/2)")
-        edges = np.array([e for iv in self.intervals for e in iv])
-        if edges.size == 0:
-            return np.zeros(np.shape(t), dtype=int)
-        return (np.searchsorted(edges, t, side="right") % 2).astype(int)
+        return self._lookup(_Many, np.asarray(t, dtype=float))
 
     def to_dict(self) -> dict:
         return {"intervals": [list(iv) for iv in self.intervals]}
@@ -163,7 +200,7 @@ class Generator2D:
         return cls(tuple(zip(cuts[0::2], cuts[1::2])))
 
 
-class Valuation2D(Valuation):
+class Valuation2D(_RuleValuation):
     """The general S^1 valuation generated by g on [0, pi/2):
 
         v = g on [0, pi/2),  1 - g(. - pi/2) on [pi/2, pi),
@@ -178,30 +215,22 @@ class Valuation2D(Valuation):
     def __init__(self, generator: Generator2D):
         self.generator = generator
 
-    def value_at_angle(self, theta: float) -> int:
-        t = math.fmod(theta, 2.0 * PI)
-        if t < 0.0:
-            t += 2.0 * PI
+    def _at(self, ops, theta):
+        t = ops.fmod(theta, 2.0 * PI)
+        t = ops.where(t < 0.0, t + 2.0 * PI, t)
         branch, rem = divmod(t, HALF_PI)
-        branch = min(int(branch), 3)
-        rem = min(rem, math.nextafter(HALF_PI, 0.0))
-        g = self.generator.value(rem)
-        return g if branch % 2 == 0 else 1 - g
+        branch = ops.minimum(branch, 3.0)
+        g = self.generator._lookup(ops, ops.minimum(rem, math.nextafter(HALF_PI, 0.0)))
+        return ops.where(branch % 2.0 == 0.0, g, 1 - g)
+
+    def value_at_angle(self, theta: float) -> int:
+        return self._at(_One, theta)
 
     def values_at_angles(self, theta: np.ndarray) -> np.ndarray:
-        """``value_at_angle`` elementwise, with the same reduction steps, so
-        the bits agree."""
-        t = np.fmod(np.asarray(theta, dtype=float), 2.0 * PI)
-        t = np.where(t < 0.0, t + 2.0 * PI, t)
-        branch, rem = np.divmod(t, HALF_PI)
-        branch = np.minimum(branch, 3.0)
-        rem = np.minimum(rem, math.nextafter(HALF_PI, 0.0))
-        g = self.generator.values(rem)
-        return np.where(branch % 2.0 == 0.0, g, 1 - g)
+        return self._at(_Many, np.asarray(theta, dtype=float))
 
-    def evaluate(self, n) -> int:
-        n = np.asarray(n, dtype=float)
-        return self.value_at_angle(math.atan2(float(n[1]), float(n[0])))
+    def _bits(self, ops, x, y):
+        return self._at(ops, ops.map(math.atan2, y, x))
 
 
 # --- three-dimensional near-miss constructions ----------------------------
@@ -209,21 +238,18 @@ class Valuation2D(Valuation):
 BOUNDARY_VARIANTS = ("one_at_step", "zero_at_step")
 
 
-def step_profile(theta: float, theta_star: float, variant: str) -> int:
-    """The standardized meridian profile with transition latitude theta_star.
+def step_profile(theta, theta_star: float, variant: str):
+    """The standardized meridian profile with transition latitude theta_star,
+    as a bool, or elementwise on an array of latitudes.
 
     one_at_step:  1 on [theta_star, pi/2], 0 on [theta_star - pi/2,
     theta_star), 1 below.  zero_at_step shifts the interval closures so the
     transition latitude itself carries 0.
     """
     if variant == "one_at_step":
-        if theta >= theta_star:
-            return 1
-        return 0 if theta >= theta_star - HALF_PI else 1
+        return (theta >= theta_star) | (theta < theta_star - HALF_PI)
     if variant == "zero_at_step":
-        if theta > theta_star:
-            return 1
-        return 0 if theta > theta_star - HALF_PI else 1
+        return (theta > theta_star) | (theta <= theta_star - HALF_PI)
     raise ValueError(f"unknown boundary variant {variant!r}")
 
 
@@ -240,21 +266,14 @@ def _validate_step_params(theta_star: float, variant: str) -> None:
         raise ValueError("zero_at_step requires theta_star < pi/2")
 
 
-def _front_half(n: np.ndarray) -> bool:
+def _front_half(x, y):
     """Longitude in [-pi/2, pi/2), decided from coordinate signs so that a
     point and its antipode land on opposite sides exactly (float negation is
     exact; a wrapped atan2 is not)."""
-    if n[0] != 0.0:
-        return n[0] > 0.0
-    return n[1] < 0.0
+    return (x > 0.0) | ((x == 0.0) & (y < 0.0))
 
 
-def _front_half_rows(p: np.ndarray) -> np.ndarray:
-    """``_front_half`` of each row."""
-    return np.where(p[:, 0] != 0.0, p[:, 0] > 0.0, p[:, 1] < 0.0)
-
-
-class StepMeridianValuation(Valuation):
+class StepMeridianValuation(_RuleValuation):
     """The standardized meridian profile spread over the sphere.
 
     Points with longitude in [-pi/2, pi/2) take profile(theta); the opposite
@@ -267,6 +286,8 @@ class StepMeridianValuation(Valuation):
 
     dimension = 3
     pole_value = 1
+    _check = staticmethod(require_unit)
+    _check_rows = staticmethod(require_unit_rows)
 
     def __init__(self, theta_star: float, boundary_variant: str = "one_at_step"):
         _validate_step_params(theta_star, boundary_variant)
@@ -276,23 +297,11 @@ class StepMeridianValuation(Valuation):
     def profile(self, theta: float) -> int:
         return step_profile(theta, self.theta_star, self.boundary_variant)
 
-    def evaluate(self, n) -> int:
-        n = require_unit(n)
-        theta = math.asin(max(-1.0, min(1.0, float(n[2]))))
-        if abs(theta) == HALF_PI:
-            return self.pole_value
-        return self.profile(theta if _front_half(n) else -theta)
-
-    def evaluate_many(self, points) -> np.ndarray:
-        p = require_unit_rows(points)
-        theta = _libm(math.asin, np.clip(p[:, 2], -1.0, 1.0))
-        t = np.where(_front_half_rows(p), theta, -theta)
-        if self.boundary_variant == "one_at_step":
-            above, in_zero_band = t >= self.theta_star, t >= self.theta_star - HALF_PI
-        else:
-            above, in_zero_band = t > self.theta_star, t > self.theta_star - HALF_PI
-        value = above | ~in_zero_band
-        return np.where(np.abs(theta) == HALF_PI, self.pole_value, value).astype(np.int8)
+    def _bits(self, ops, x, y, z):
+        theta = ops.map(math.asin, ops.clip(z))
+        t = ops.where(_front_half(x, y), theta, -theta)
+        value = step_profile(t, self.theta_star, self.boundary_variant)
+        return ops.where(abs(theta) == HALF_PI, self.pole_value, value)
 
     def to_oracle_dict(self) -> dict:
         return {
@@ -324,7 +333,7 @@ class FourSegmentValuation(StepMeridianValuation):
         return {"schema": 1, "kind": "four_segment", "pole_value": self.pole_value}
 
 
-class PolarCapValuation(Valuation):
+class PolarCapValuation(_RuleValuation):
     """1 inside two antipodal polar caps (|sin(theta)| >= sin(cap_latitude)),
     0 elsewhere.  Depends on latitude alone, so antipodal symmetry is exact;
     any triad avoiding both caps sums to 0."""
@@ -336,19 +345,14 @@ class PolarCapValuation(Valuation):
             raise ValueError(f"cap_latitude={cap_latitude} outside (0, pi/2)")
         self.cap_latitude = float(cap_latitude)
 
-    def evaluate(self, n) -> int:
-        n = np.asarray(n, dtype=float)
-        return 1 if abs(float(n[2])) >= math.sin(self.cap_latitude) else 0
-
-    def evaluate_many(self, points) -> np.ndarray:
-        p = _point_rows(points, 3)
-        return (np.abs(p[:, 2]) >= math.sin(self.cap_latitude)).astype(np.int8)
+    def _bits(self, ops, x, y, z):
+        return abs(z) >= math.sin(self.cap_latitude)
 
     def to_oracle_dict(self) -> dict:
         return {"schema": 1, "kind": "polar_cap", "cap_latitude": self.cap_latitude}
 
 
-class Valuation2DRotated(Valuation):
+class Valuation2DRotated(_RuleValuation):
     """A 2D valuation spun about the polar axis: v(n) = v2(longitude of n).
 
     Antipodes flip longitude by pi, which the 2D construction is invariant
@@ -362,17 +366,10 @@ class Valuation2DRotated(Valuation):
         self.generator = generator
         self._v2 = Valuation2D(generator)
 
-    def evaluate(self, n) -> int:
-        n = np.asarray(n, dtype=float)
-        if n[2] < 0.0 or (n[2] == 0.0 and not _front_half(n)):
-            n = -n
-        return self._v2.value_at_angle(math.atan2(float(n[1]), float(n[0])))
-
-    def evaluate_many(self, points) -> np.ndarray:
-        p = _point_rows(points, 3)
-        flip = (p[:, 2] < 0.0) | ((p[:, 2] == 0.0) & ~_front_half_rows(p))
-        x, y = np.where(flip, -p[:, 0], p[:, 0]), np.where(flip, -p[:, 1], p[:, 1])
-        return self._v2.values_at_angles(_libm(math.atan2, y, x)).astype(np.int8)
+    def _bits(self, ops, x, y, z):
+        flip = (z < 0.0) | ((z == 0.0) & (_front_half(x, y) ^ True))
+        x, y = ops.where(flip, -x, x), ops.where(flip, -y, y)
+        return self._v2._bits(ops, x, y)
 
     def to_oracle_dict(self) -> dict:
         return {"schema": 1, "kind": "valuation2d_rotated", **self.generator.to_dict()}

@@ -87,6 +87,8 @@ class WitnessConfig:
         for name in ("meridian_samples", "latitude_samples", "max_descent_probes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
         if not 0.0 < self.theta_resolution < HALF_PI:
             raise ValueError("theta_resolution must be in (0, pi/2)")
 

@@ -207,8 +207,9 @@ class TestPlot:
 
 
 class TestCountFlags:
-    """Count flags take integers of at least 1; anything else is a usage
-    error (exit 2, one ``error:`` line) before any work starts."""
+    """Count flags take integers of at least 1 and ``--seed`` one of at
+    least 0; anything else is a usage error (exit 2, one ``error:`` line)
+    before any work starts."""
 
     CASES = [
         ("witness", "--budget", "0"),
@@ -216,6 +217,7 @@ class TestCountFlags:
         ("witness", "--budget", "many"),
         ("witness", "--meridians", "0"),
         ("witness", "--latitudes", "-1"),
+        ("witness", "--seed", "-1"),
         ("plot-descent", "--grid", "0"),
         ("plot-descent", "--grid", "-1"),
         ("plot-oracle", "--grid", "0"),

@@ -11,7 +11,9 @@ import pytest
 
 from kswitness.sampling import random_rotation
 from kswitness.sphere_geom import DomainError, SphPoint, to_cartesian
-from kswitness.valuation import BOUNDARY_VARIANTS, FunctionValuation, Generator2D, build_oracle
+from kswitness.valuation import (
+    BOUNDARY_VARIANTS, FunctionValuation, Generator2D, Valuation2D, build_oracle,
+)
 
 HALF_PI = math.pi / 2
 THETA_STAR = 0.7
@@ -152,8 +154,33 @@ def test_base_class_fallback_loops_over_evaluate():
 
 @pytest.mark.parametrize("name", ["four_segment-pole1", "polar_cap", "valuation2d_rotated"])
 def test_rejects_points_of_the_wrong_shape(name):
+    oracle = oracle_for(name, None)
     with pytest.raises(DomainError):
-        oracle_for(name, None).evaluate_many(np.zeros((4, 2)))
+        oracle.evaluate_many(np.zeros((4, 2)))
+    for n in ([1.0, 0.0], [0.0, 0.0, 1.0, 0.0]):
+        with pytest.raises(DomainError):
+            oracle.evaluate(np.array(n))
+
+
+def test_valuation_2d_rows_at_quarter_turns_and_signed_zeros():
+    # The one-ulp generator of the quarter-turn reduction test in
+    # test_valuation.py, and a random one.
+    generators = [Generator2D(((math.nextafter(HALF_PI, 0.0), HALF_PI),)),
+                  Generator2D.random(np.random.default_rng(6))]
+    quarter_turns = [k * HALF_PI for k in range(-9, 10)] + [2 * math.pi, -2 * math.pi]
+    thetas = [x for t in quarter_turns + [0.0, -0.0, 5e-324, -5e-324]
+              for x in (t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf))]
+    thetas += list(np.random.default_rng(7).uniform(-10.0, 10.0, 2_000))
+    points = [(math.cos(t), math.sin(t)) for t in thetas]
+    points += [(a, b) for s in (0.0, -0.0, 5e-324, -5e-324) for u in (1.0, -1.0)
+               for a, b in ((u, s), (s, u))]
+    for generator in generators:
+        oracle = Valuation2D(generator)
+        assert_same_bits(oracle, np.array(points))
+        with pytest.raises(DomainError):
+            oracle.evaluate(np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(DomainError):
+            oracle.evaluate_many(np.zeros((4, 3)))
 
 
 def test_step_meridian_rejects_non_unit_rows_as_evaluate_does():

@@ -149,6 +149,8 @@ class TestExtractWitness:
             WitnessConfig(meridian_samples=0)
         with pytest.raises(ValueError):
             WitnessConfig(theta_resolution=0.0)
+        with pytest.raises(ValueError):
+            WitnessConfig(rng_seed=-1)
 
 
 class TestWebEndgame:
