@@ -31,15 +31,6 @@ def sphere_sequence(count: int, seed: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def unit_vector(rng: np.random.Generator, dimension: int) -> np.ndarray:
-    """One uniform point on S^(d-1) from a caller-owned RNG."""
-    while True:
-        g = rng.standard_normal(dimension)
-        n = float(np.linalg.norm(g))
-        if n > 1e-8:
-            return g / n
-
-
 def random_rotation(seed: int) -> np.ndarray:
     """A seed-determined proper rotation of R^3 (QR of a Gaussian matrix)."""
     rng = np.random.default_rng(seed)

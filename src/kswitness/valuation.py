@@ -6,8 +6,11 @@ A valuation assigns each unit vector a bit, is antipodally symmetric
 dimensions such maps exist and are built here; in three dimensions they
 cannot exist, and the concrete families below (four-segment, step-meridian,
 polar-cap, spun-2D) are the natural near-misses the witness extractor is
-pointed at.  Dimension d >= 4 reduces to d = 3 by restricting to the sphere
-orthogonal to d-3 vectors where the valuation vanishes.
+pointed at.  Dimension d >= 4 reduces to d = 3 from one basis: if a
+valuation's bits on the standard basis do not sum to 1, that basis is the
+certificate; if they do, d-1 of its vectors are mutually orthogonal zeros,
+and restricting to the 2-sphere orthogonal to d-3 of them leaves a 3D
+valuation.
 
 Antipodal symmetry is a contract on implementations; it is spot-checked by
 the test harness on sampled points, since it cannot be proven for black-box
@@ -24,7 +27,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .sampling import random_rotation, unit_vector
+from .sampling import random_rotation
 from .sphere_geom import (
     EPS_NORM, EPS_ORTHO, HALF_PI, DomainError, require_unit, require_unit_rows,
 )
@@ -57,16 +60,31 @@ class Valuation:
     def evaluate_many(self, points) -> np.ndarray:
         """``evaluate`` on each row.  The built-in families run their one
         rule on whole columns instead (see ``_RuleValuation``)."""
-        points = _point_rows(points, self.dimension)
+        points = self._check_rows(points)
         return np.fromiter(map(self.evaluate, points), np.int8, len(points))
 
+    def _check(self, n) -> np.ndarray:
+        n = np.asarray(n, dtype=float)
+        if n.shape != (self.dimension,):
+            raise DomainError(f"expected a {self.dimension}-vector, got shape {n.shape}")
+        return n
 
-def _point_rows(points, dimension: int) -> np.ndarray:
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != dimension:
-        raise DomainError(f"expected an (N, {dimension}) array of points, "
-                          f"got shape {points.shape}")
-    return points
+    def _check_rows(self, points) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.dimension:
+            raise DomainError(f"expected an (N, {self.dimension}) array of points, "
+                              f"got shape {points.shape}")
+        return points
+
+
+def _bit(valuation: Valuation, n) -> int:
+    """The oracle's answer at ``n``, which must be 0 or 1.  Every answer the
+    library reasons from goes through here, so a stray value is an error
+    rather than a term in a sum."""
+    val = int(valuation.evaluate(n))
+    if val not in (0, 1):
+        raise ValueError(f"oracle returned {val!r}, expected 0 or 1")
+    return val
 
 
 # What a family's rule may call besides comparisons, ``& | ^``, ``abs`` and
@@ -101,15 +119,6 @@ class _RuleValuation(Valuation):
 
     def _bits(self, ops, *coordinates):
         raise NotImplementedError
-
-    def _check(self, n) -> np.ndarray:
-        n = np.asarray(n, dtype=float)
-        if n.shape != (self.dimension,):
-            raise DomainError(f"expected a {self.dimension}-vector, got shape {n.shape}")
-        return n
-
-    def _check_rows(self, points) -> np.ndarray:
-        return _point_rows(points, self.dimension)
 
     def evaluate(self, n) -> int:
         return int(self._bits(_One, *self._check(n).tolist()))
@@ -388,10 +397,10 @@ class RotatedValuation(Valuation):
         self.dimension = base.dimension
 
     def evaluate(self, n) -> int:
-        return self.base.evaluate(self.rotation @ np.asarray(n, dtype=float))
+        return self.base.evaluate(self.rotation @ self._check(n))
 
     def evaluate_many(self, points) -> np.ndarray:
-        p = _point_rows(points, self.dimension)
+        p = self._check_rows(points)
         # The stacked product rounds as ``rotation @ n`` does for each row;
         # ``p @ rotation.T`` and einsum can differ in the last bit.
         return self.base.evaluate_many((self.rotation[None] @ p[:, :, None])[:, :, 0])
@@ -483,7 +492,7 @@ def check_basis(valuation: Valuation, basis) -> int:
         for j in range(i + 1, d):
             if not abs(float(np.dot(vecs[i], vecs[j]))) <= EPS_ORTHO:
                 raise NotABasis(f"vectors {i} and {j} are not orthogonal")
-    return sum(valuation.evaluate(v) for v in vecs)
+    return sum(_bit(valuation, v) for v in vecs)
 
 
 def _complete_orthonormal(vectors: list[np.ndarray], dimension: int) -> list[np.ndarray]:
@@ -553,7 +562,7 @@ def reduce_dimension(valuation: Valuation, zeros) -> ReducedValuation:
             if not abs(float(np.dot(zs[i], zs[j]))) <= EPS_ORTHO:
                 raise ZeroSetInvalid(f"zero vectors {i} and {j} are not orthogonal")
     for i, z in enumerate(zs):
-        if valuation.evaluate(z) != 0:
+        if _bit(valuation, z) != 0:
             raise ZeroSetInvalid(f"valuation is 1 on zero vector {i}")
     frame = np.array(_complete_orthonormal(zs, d))
     return ReducedValuation(valuation, zs, frame)
@@ -561,75 +570,33 @@ def reduce_dimension(valuation: Valuation, zeros) -> ReducedValuation:
 
 @dataclass
 class ZeroSearchResult:
-    """Outcome of the greedy zero-set search.
-
-    Exactly one of ``zeros`` / ``violating_basis`` / neither is set; the
-    last case means NotFound and the statistics carry the evidence.
-    """
+    """Outcome of ``find_zero_orthogonal_set``: exactly one of ``zeros`` and
+    ``violating_basis`` is set, and ``basis_sum`` goes with the latter."""
 
     zeros: list[np.ndarray] | None
     violating_basis: list[np.ndarray] | None
     basis_sum: int | None
-    samples_used: int
-    ones_seen: int
 
     @property
     def found(self) -> bool:
         return self.zeros is not None
 
 
-def find_zero_orthogonal_set(valuation: Valuation, budget: int,
-                             seed: int = 0) -> ZeroSearchResult:
-    """Greedy search for d-3 mutually orthogonal unit vectors with value 0.
+def find_zero_orthogonal_set(valuation: Valuation) -> ZeroSearchResult:
+    """d-3 mutually orthogonal unit vectors with value 0, or a basis that
+    breaks the sum rule, from exactly d oracle calls.
 
-    Samples unit vectors in the orthogonal complement of what is kept,
-    keeping the zeros.  The first 1 encountered is completed to a full
-    basis: its zero-valued members are harvested too, and a sum other than
-    1 is remembered as a directly violating basis, reported if the zero
-    hunt exhausts its ``budget`` of oracle calls (for a valuation that is
-    1 everywhere, every sampled basis sums to d, so that is the report).
+    Evaluates the standard basis e_1 ... e_d once each.  If the bits do not
+    sum to 1, that basis is the certificate.  If they do, the other d-1
+    vectors are zeros, and the first d-3 of them in index order are
+    returned.  Raises ``ValueError`` when d < 4 or an answer is not 0 or 1.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
     d = valuation.dimension
     if d < 4:
         raise ValueError("zero-set search applies to dimension >= 4 only")
-    need = d - 3
-    rng = np.random.default_rng(seed)
-    kept: list[np.ndarray] = []
-    evidence: list[np.ndarray] | None = None
-    evidence_sum: int | None = None
-    calls = 0
-    ones = 0
-
-    def result():
-        if len(kept) >= need:
-            return ZeroSearchResult(kept[:need], None, None, calls, ones)
-        return ZeroSearchResult(None, evidence, evidence_sum, calls, ones)
-
-    while calls < budget and len(kept) < need:
-        g = unit_vector(rng, d)
-        g = g - sum(float(np.dot(g, k)) * k for k in kept)
-        norm = float(np.linalg.norm(g))
-        if norm < 1e-6:
-            continue
-        u = g / norm
-        calls += 1
-        if valuation.evaluate(u) == 0:
-            kept.append(u)
-            continue
-        ones += 1
-        if evidence is not None or calls + (d - 1 - len(kept)) > budget:
-            continue
-        frame = list(kept)
-        completion = _complete_orthonormal(frame + [u], d)
-        comp_vals = []
-        for c in completion:
-            calls += 1
-            comp_vals.append(valuation.evaluate(c))
-        total = 1 + sum(comp_vals)
-        if total != 1:
-            evidence = frame + [u] + completion
-            evidence_sum = total
-        kept.extend(c for c, val in zip(completion, comp_vals) if val == 0)
-    return result()
+    basis = list(np.eye(d))
+    values = [_bit(valuation, e) for e in basis]
+    if sum(values) != 1:
+        return ZeroSearchResult(None, basis, sum(values))
+    zeros = [e for e, val in zip(basis, values) if val == 0]
+    return ZeroSearchResult(zeros[:d - 3], None, None)

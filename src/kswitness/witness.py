@@ -52,7 +52,7 @@ from .sphere_geom import (
     to_cartesian,
     two_step_chain,
 )
-from .valuation import Valuation
+from .valuation import Valuation, _bit
 
 # Geometry of the competing-meridian web, relative to the standardized frame:
 # the second meridian, and the disputed point x in the overlap of the two
@@ -162,9 +162,7 @@ class _Session:
         if self.calls >= self.budget:
             raise _BudgetExhausted
         self.calls += 1
-        val = int(self.valuation.evaluate(point_orig))
-        if val not in (0, 1):
-            raise ValueError(f"oracle returned {val!r}, expected 0 or 1")
+        val = _bit(self.valuation, point_orig)
         self.cache[key] = val
         return val
 
@@ -202,7 +200,7 @@ def extract_witness(valuation: Valuation, config: WitnessConfig | None = None) -
     def finish_violating(members_work, phase: str) -> WitnessReport:
         vecs = [normalized(work_to_orig(np.asarray(v, dtype=float))) for v in members_work]
         triad = Triad(*vecs)
-        fresh = [int(valuation.evaluate(v)) for v in triad.vectors]
+        fresh = [_bit(valuation, v) for v in triad.vectors]
         total = sum(fresh)
         trace.append({
             "step": "final_triad",
@@ -219,8 +217,8 @@ def extract_witness(valuation: Valuation, config: WitnessConfig | None = None) -
                              stats=stats(phase), trace=trace, config=cfg)
 
     def finish_antipodal(point_orig: np.ndarray, phase: str) -> WitnessReport:
-        v_plus = int(valuation.evaluate(point_orig))
-        v_minus = int(valuation.evaluate(-point_orig))
+        v_plus = _bit(valuation, point_orig)
+        v_minus = _bit(valuation, -point_orig)
         trace.append({
             "step": "antipodal_pair",
             "point": list(point_orig),

@@ -154,7 +154,7 @@ class TestPlot:
         code, _, _ = run_cli(capsys, "plot", "--figure", "four-segment",
                              "--out", str(out_path), "--format", "csv", "--grid", "32")
         assert code == 0
-        rows = list(csv.DictReader(out_path.open()))
+        rows = list(csv.DictReader(out_path.read_text().splitlines()))
         assert len(rows) == 32 * 64
         zeros = sum(1 for r in rows if r["value"] == "0")
         assert zeros == len(rows) // 2  # exactly half, by the grid symmetry
@@ -165,7 +165,7 @@ class TestPlot:
         code, _, _ = run_cli(capsys, "plot", "--figure", "descent-circle",
                              "--theta-p", str(theta_p), "--out", str(out_path))
         assert code == 0
-        for row in csv.DictReader(out_path.open()):
+        for row in csv.DictReader(out_path.read_text().splitlines()):
             phi, theta = float(row["phi"]), float(row["theta"])
             expected = math.atan(math.tan(theta_p) * math.cos(phi))
             assert abs(theta - expected) < 1e-9
@@ -176,7 +176,7 @@ class TestPlot:
         code, _, _ = run_cli(capsys, "plot", "--oracle", spec, "--out", str(out_path),
                              "--grid", "16")
         assert code == 0
-        rows = list(csv.DictReader(out_path.open()))
+        rows = list(csv.DictReader(out_path.read_text().splitlines()))
         ones = sum(1 for r in rows if r["value"] == "1")
         # cap area fraction = 1 - sin(0.8)
         assert abs(ones / len(rows) - (1 - math.sin(0.8))) < 0.05

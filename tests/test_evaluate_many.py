@@ -154,12 +154,12 @@ def test_base_class_fallback_loops_over_evaluate():
 
 @pytest.mark.parametrize("name", ["four_segment-pole1", "polar_cap", "valuation2d_rotated"])
 def test_rejects_points_of_the_wrong_shape(name):
-    oracle = oracle_for(name, None)
-    with pytest.raises(DomainError):
-        oracle.evaluate_many(np.zeros((4, 2)))
-    for n in ([1.0, 0.0], [0.0, 0.0, 1.0, 0.0]):
+    for oracle in (oracle_for(name, None), oracle_for(name, 3)):
         with pytest.raises(DomainError):
-            oracle.evaluate(np.array(n))
+            oracle.evaluate_many(np.zeros((4, 2)))
+        for n in ([1.0, 0.0], [0.0, 0.0, 1.0, 0.0]):
+            with pytest.raises(DomainError):
+                oracle.evaluate(np.array(n))
 
 
 def test_valuation_2d_rows_at_quarter_turns_and_signed_zeros():

@@ -302,6 +302,15 @@ class TestCheckBasis:
                     np.array([-math.sin(theta), math.cos(theta)])]
             assert check_basis(v, dyad) == 1
 
+    def test_non_bit_answer_raises(self):
+        # Summing a 7 would read as a violation; reading it as "not 0"
+        # would misreport a zero vector as a 1.
+        seven = FunctionValuation(4, lambda n: 7)
+        with pytest.raises(ValueError, match="expected 0 or 1"):
+            check_basis(seven, list(np.eye(4)))
+        with pytest.raises(ValueError, match="expected 0 or 1"):
+            reduce_dimension(seven, [np.eye(4)[0]])
+
     def test_not_a_basis_errors(self):
         v = FourSegmentValuation()
         with pytest.raises(NotABasis):
@@ -362,29 +371,54 @@ class TestDimensionReduction:
 
 class TestZeroSearch:
     def test_sparse_ones_found_immediately(self):
-        # 1 only in a tiny region: almost any sample is a zero.
+        # 1 only in a tiny cap around e_1: e_2 ... e_4 are zeros.
         v = _coordinate_indicator(4, 0, 0.999999)
-        result = find_zero_orthogonal_set(v, budget=10, seed=1)
+        result = find_zero_orthogonal_set(v)
         assert result.found and len(result.zeros) == 1
         reduce_dimension(v, result.zeros)  # must satisfy the precondition
 
     def test_everywhere_one_reports_violating_basis(self):
         v = ConstantValuation(4, 1)
-        result = find_zero_orthogonal_set(v, budget=10, seed=1)
+        result = find_zero_orthogonal_set(v)
         assert not result.found
-        assert result.violating_basis is not None
+        np.testing.assert_array_equal(result.violating_basis, np.eye(4))
         assert result.basis_sum == 4
 
-    def test_budget_exhaustion(self):
-        v = ConstantValuation(4, 1)
-        result = find_zero_orthogonal_set(v, budget=1, seed=1)
-        assert not result.found and result.violating_basis is None
-        assert result.samples_used == 1
+    def test_everywhere_zero_reports_violating_basis(self):
+        result = find_zero_orthogonal_set(ConstantValuation(4, 0))
+        assert not result.found
+        np.testing.assert_array_equal(result.violating_basis, np.eye(4))
+        assert result.basis_sum == 0
 
     def test_d5_search(self):
         v = _coordinate_indicator(5, 4, 0.25)
-        result = find_zero_orthogonal_set(v, budget=50, seed=3)
+        result = find_zero_orthogonal_set(v)
         assert result.found and len(result.zeros) == 2
         for i in range(2):
             assert v.evaluate(result.zeros[i]) == 0
         assert abs(np.dot(result.zeros[0], result.zeros[1])) < 1e-9
+
+    @pytest.mark.parametrize("dimension", range(4, 11))
+    def test_exactly_d_calls_on_the_projection_oracle(self, dimension):
+        # Four-segment bits of the last three coordinates: the standard
+        # basis sums to 1 (only e_d, the pole, is 1), so e_1 ... e_(d-3)
+        # are the zeros.
+        base = FourSegmentValuation()
+        calls = []
+
+        def fn(n):
+            calls.append(n)
+            tail = n[dimension - 3:]
+            norm = float(np.linalg.norm(tail))
+            return 0 if norm < 1e-9 else base.evaluate(tail / norm)
+
+        oracle = FunctionValuation(dimension, fn)
+        result = find_zero_orthogonal_set(oracle)
+        assert len(calls) == dimension
+        assert result.found and result.violating_basis is None
+        np.testing.assert_array_equal(result.zeros, np.eye(dimension)[:dimension - 3])
+        reduce_dimension(oracle, result.zeros)
+
+    def test_non_bit_answer_raises(self):
+        with pytest.raises(ValueError, match="expected 0 or 1"):
+            find_zero_orthogonal_set(FunctionValuation(4, lambda n: 7))

@@ -103,6 +103,20 @@ class TestExtractWitness:
         assert report.outcome == "not_found"
         assert report.stats["oracle_calls"] == 3
 
+    def test_non_bit_answer_on_recheck_raises(self):
+        # Four-segment bits for the 27 calls the search makes at this seed,
+        # then 7: the fresh re-check must not sum 7s into a certificate.
+        base = FourSegmentValuation()
+        calls = []
+
+        def flaky(n):
+            calls.append(n)
+            return base.evaluate(n) if len(calls) <= 27 else 7
+
+        with pytest.raises(ValueError, match="expected 0 or 1"):
+            extract_witness(FunctionValuation(3, flaky), WitnessConfig(rng_seed=1))
+        assert len(calls) == 28
+
     def test_determinism(self):
         cfg = WitnessConfig(rng_seed=33)
         a = extract_witness(StepMeridianValuation(1.1), cfg).to_json_dict()
