@@ -156,7 +156,6 @@ def cmd_witness(args) -> int:
         return _fail(f"bad oracle spec: {exc}", EXIT_INPUT)
     config = WitnessConfig(
         meridian_samples=args.meridians,
-        latitude_samples=args.latitudes,
         max_descent_probes=args.budget,
         rng_seed=args.seed,
     )
@@ -340,10 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_wit = sub.add_parser("witness", help="extract a contradiction certificate from an oracle")
     p_wit.add_argument("oracle", help="oracle-spec JSON file")
     p_wit.add_argument("--seed", type=_int_at_least(0), default=0,
-                       help="deterministic sampling seed")
+                       help="seed choosing the frame of the first basis read")
     p_wit.add_argument("--budget", type=_positive_int, default=10_000, help="total oracle-call budget")
     p_wit.add_argument("--meridians", type=_positive_int, default=64, help="equator probe count")
-    p_wit.add_argument("--latitudes", type=_positive_int, default=256, help="initial sample count")
     p_wit.add_argument("--out", help="write the report here instead of stdout")
     p_wit.set_defaults(func=cmd_witness)
 

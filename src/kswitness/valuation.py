@@ -27,7 +27,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .sampling import random_rotation
 from .sphere_geom import (
     EPS_NORM, EPS_ORTHO, HALF_PI, DomainError, require_unit, require_unit_rows,
 )
@@ -80,11 +79,11 @@ class Valuation:
 def _bit(valuation: Valuation, n) -> int:
     """The oracle's answer at ``n``, which must be 0 or 1.  Every answer the
     library reasons from goes through here, so a stray value is an error
-    rather than a term in a sum."""
-    val = int(valuation.evaluate(n))
+    rather than a term in a sum; so is 0.9, which ``int`` would read as 0."""
+    val = valuation.evaluate(n)
     if val not in (0, 1):
         raise ValueError(f"oracle returned {val!r}, expected 0 or 1")
-    return val
+    return int(val)
 
 
 # What a family's rule may call besides comparisons, ``& | ^``, ``abs`` and
@@ -135,7 +134,7 @@ class FunctionValuation(Valuation):
         self._fn = fn
 
     def evaluate(self, n) -> int:
-        return int(self._fn(np.asarray(n, dtype=float)))
+        return self._fn(np.asarray(n, dtype=float))
 
 
 class ConstantValuation(Valuation):
@@ -384,6 +383,16 @@ class Valuation2DRotated(_RuleValuation):
         return {"schema": 1, "kind": "valuation2d_rotated", **self.generator.to_dict()}
 
 
+def random_rotation(seed: int) -> np.ndarray:
+    """A seed-determined proper rotation of R^3 (QR of a Gaussian matrix)."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q @ np.diag(np.sign(np.diag(r)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
 class RotatedValuation(Valuation):
     """base composed with a fixed rotation: v(n) = base(R @ n)."""
 
@@ -535,7 +544,7 @@ class ReducedValuation(Valuation):
         return [self.embed(u) for u in triad] + list(self.zeros)
 
     def evaluate(self, n) -> int:
-        return self.base.evaluate(self.embed(n))
+        return self.base.evaluate(self.embed(self._check(n)))
 
 
 def reduce_dimension(valuation: Valuation, zeros) -> ReducedValuation:

@@ -10,8 +10,9 @@ trusting the search.
 
 The search itself follows the proof skeleton:
 
-1.  sample until a point with value 1 is found (an all-zero sample completes
-    to a triad, which either violates the sum rule or contains the 1);
+1.  read one orthonormal basis, in a frame chosen by ``rng_seed``: if its
+    values do not sum to 1 it is the certificate, and if they do it names a
+    point with value 1;
 2.  rotate that point to the north pole;
 3.  probe the equator, where every value must now be 0;
 4.  bisect the prime meridian for the 1 -> 0 transition latitude;
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sampling import sphere_sequence
 from .sphere_geom import (
     EPS_ORTHO,
     HALF_PI,
@@ -43,7 +43,6 @@ from .sphere_geom import (
     DescentCircle,
     SphPoint,
     Triad,
-    complete_triad,
     equator_crossings,
     from_cartesian,
     normalized,
@@ -52,7 +51,7 @@ from .sphere_geom import (
     to_cartesian,
     two_step_chain,
 )
-from .valuation import Valuation, _bit
+from .valuation import Valuation, _bit, random_rotation
 
 # Geometry of the competing-meridian web, relative to the standardized frame:
 # the second meridian, and the disputed point x in the overlap of the two
@@ -63,28 +62,24 @@ _THETA_X = math.pi / 8.0
 _PHI_X = 5.0 * math.pi / 8.0
 _APEX_GUARD = 1.45
 
-# Number of leading samples that also get an antipodal spot-check.
-_ANTIPODAL_CHECKS = 16
-
 
 @dataclass(frozen=True)
 class WitnessConfig:
     """Budgets and determinism knobs for the extractor.
 
     ``max_descent_probes`` caps total oracle calls for the whole run;
-    ``latitude_samples`` bounds the initial hunt for a 1; the equator is
+    ``rng_seed`` chooses the frame of the first basis read; the equator is
     probed at ``meridian_samples`` longitudes; the meridian transition is
     located to within ``theta_resolution`` radians.
     """
 
     meridian_samples: int = 64
-    latitude_samples: int = 256
     max_descent_probes: int = 10_000
     rng_seed: int = 0
     theta_resolution: float = 1e-6
 
     def __post_init__(self):
-        for name in ("meridian_samples", "latitude_samples", "max_descent_probes"):
+        for name in ("meridian_samples", "max_descent_probes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.rng_seed < 0:
@@ -95,7 +90,6 @@ class WitnessConfig:
     def to_json_dict(self) -> dict:
         return {
             "meridian_samples": self.meridian_samples,
-            "latitude_samples": self.latitude_samples,
             "max_descent_probes": self.max_descent_probes,
             "rng_seed": self.rng_seed,
             "theta_resolution": self.theta_resolution,
@@ -232,29 +226,14 @@ def extract_witness(valuation: Valuation, config: WitnessConfig | None = None) -
                              stats=stats(phase), trace=trace, config=cfg)
 
     try:
-        # Phase 1: find any point with value 1.
-        samples = sphere_sequence(cfg.latitude_samples, cfg.rng_seed)
-        one_point = None
-        for i, n in enumerate(samples):
-            val = session.value(n)
-            if i < _ANTIPODAL_CHECKS and session.value(-n) != val:
-                trace.append({"step": "pole_search", "samples": i + 1, "found_one": False})
-                return finish_antipodal(n, "pole_search")
-            if val == 1:
-                one_point = n
-                trace.append({"step": "pole_search", "samples": i + 1, "found_one": True,
-                              "point": list(n), "value": 1})
-                break
-        if one_point is None:
-            # Every sample was 0: completing any of them to a triad either
-            # violates the sum rule outright or hands us the missing 1.
-            completion = complete_triad(samples[0])
-            vals = [session.value(v) for v in completion.vectors]
-            trace.append({"step": "pole_search", "samples": len(samples), "found_one": False,
-                          "completion_values": vals})
-            if sum(vals) != 1:
-                return finish_violating(completion.vectors, "pole_search")
-            one_point = completion.vectors[vals.index(1)]
+        # Phase 1: one basis either breaks the sum rule or names a 1.
+        basis = list(random_rotation(cfg.rng_seed).T)
+        vals = [session.value(v) for v in basis]
+        trace.append({"step": "pole_basis", "points": [list(v) for v in basis],
+                      "values": vals})
+        if sum(vals) != 1:
+            return finish_violating(basis, "pole_basis")
+        one_point = basis[vals.index(1)]
 
         # Phase 2: move the 1 to the north pole.
         rotation = rotation_to_pole(one_point)

@@ -35,7 +35,6 @@ from kswitness.kssets import (
     load_bundled,
     verify_assignment,
 )
-from kswitness.sampling import random_rotation
 from kswitness.sphere_geom import (
     DescentAwayFromEquator,
     DescentCircle,
@@ -58,6 +57,7 @@ from kswitness.valuation import (
     Valuation2DRotated,
     check_basis,
     find_zero_orthogonal_set,
+    random_rotation,
     reduce_dimension,
 )
 from kswitness.witness import WitnessConfig, extract_witness

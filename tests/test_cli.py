@@ -216,7 +216,6 @@ class TestCountFlags:
         ("witness", "--budget", "-5"),
         ("witness", "--budget", "many"),
         ("witness", "--meridians", "0"),
-        ("witness", "--latitudes", "-1"),
         ("witness", "--seed", "-1"),
         ("plot-descent", "--grid", "0"),
         ("plot-descent", "--grid", "-1"),

@@ -9,10 +9,10 @@ import math
 import numpy as np
 import pytest
 
-from kswitness.sampling import random_rotation
 from kswitness.sphere_geom import DomainError, SphPoint, to_cartesian
 from kswitness.valuation import (
     BOUNDARY_VARIANTS, FunctionValuation, Generator2D, Valuation2D, build_oracle,
+    random_rotation,
 )
 
 HALF_PI = math.pi / 2

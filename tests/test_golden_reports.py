@@ -1,8 +1,10 @@
 """Golden witness reports and plot output, pinned byte for byte.
 
-Each file under ``tests/golden/witness/`` and ``tests/golden/plot/`` was
-written by the code as it stood before the refactors that these tests
-guard.  ``plot --oracle`` grids are pinned by the SHA-256 digest of their
+Each file under ``tests/golden/plot/`` was written by the code as it stood
+before the refactors that these tests guard.  The reports under
+``tests/golden/witness/`` were last rewritten when the extractor's first
+phase became one basis read (trace step ``pole_basis``); each still ends
+in a certificate.  ``plot --oracle`` grids are pinned by the SHA-256 digest of their
 CSV and SVG bytes in ``tests/golden/plot/oracle_digests.json``, written by
 the scalar, one-``evaluate``-per-cell grid; ``plot --figure descent-circle``
 curves are pinned there too, as ``csv.writer`` wrote them.  To rewrite them

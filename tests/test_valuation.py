@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from kswitness.sphere_geom import SphPoint, to_cartesian
+from kswitness.sphere_geom import DomainError, SphPoint, to_cartesian
 from kswitness.valuation import (
     ConstantValuation,
     FourSegmentValuation,
@@ -24,9 +24,9 @@ from kswitness.valuation import (
     check_basis,
     find_zero_orthogonal_set,
     make_valuation_1d,
+    random_rotation,
     reduce_dimension,
 )
-from kswitness.sampling import random_rotation
 
 HALF_PI = math.pi / 2
 
@@ -311,6 +311,11 @@ class TestCheckBasis:
         with pytest.raises(ValueError, match="expected 0 or 1"):
             reduce_dimension(seven, [np.eye(4)[0]])
 
+    def test_fractional_answer_raises(self):
+        # int() would read 0.9 as 0, and the basis as one that sums to 0.
+        with pytest.raises(ValueError, match="expected 0 or 1"):
+            check_basis(FunctionValuation(3, lambda n: 0.9), list(np.eye(3)))
+
     def test_not_a_basis_errors(self):
         v = FourSegmentValuation()
         with pytest.raises(NotABasis):
@@ -356,6 +361,11 @@ class TestDimensionReduction:
             assert abs(np.linalg.norm(embedded) - 1.0) < 1e-12
             assert reduced.evaluate(u) == v.evaluate(embedded)
             assert abs(embedded[0]) < 1e-12  # orthogonal to the zero set
+
+    def test_reduced_rejects_points_of_the_wrong_shape(self):
+        reduced = reduce_dimension(_coordinate_indicator(4, 3, 0.5), [np.eye(4)[0]])
+        with pytest.raises(DomainError):
+            reduced.evaluate(np.zeros(4))
 
     def test_embedding_preserves_orthogonality(self):
         v = _coordinate_indicator(5, 4, 0.5)

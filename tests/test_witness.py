@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from kswitness.sampling import random_rotation
 from kswitness.valuation import (
     ConstantValuation,
     FourSegmentValuation,
@@ -17,6 +16,7 @@ from kswitness.valuation import (
     RotatedValuation,
     StepMeridianValuation,
     Valuation2DRotated,
+    random_rotation,
     step_profile,
 )
 from kswitness.witness import WitnessConfig, WitnessReport, extract_witness
@@ -57,6 +57,43 @@ def family_instances():
     return instances
 
 
+def _key(point) -> tuple:
+    return tuple(np.round(point, 9))
+
+
+def web_propagated_oracle(base, config: WitnessConfig) -> FunctionValuation:
+    """``base``, except on the competing-meridian web that ``base`` leads
+    the extractor to.  There it answers what "exactly one 1 per triad"
+    forces from the anchor and the web's equator points at 0, so every
+    triad of the web sums to 1 and only the disputed antipodal pair is left.
+    """
+    report = extract_witness(base, config)
+    web = next(t for t in report.trace if t["step"] == "competing_meridian")
+    triads = {t["label"]: [_key(p) for p in t["points"]] for t in web["triads"]}
+    assert len(triads) == 14
+    # Each "*_circle" triad is (apex, equator crossing, perpendicular) and
+    # the meridian dyad ends in its equator point.
+    equator = [members[1] for label, members in triads.items() if label.endswith("_circle")]
+    equator.append(triads["meridian_dyad"][2])
+    assert len(equator) == 7
+    values = dict.fromkeys([triads["anchor_circle"][0], *equator], 0)
+    changed = True
+    while changed:
+        changed = False
+        for members in triads.values():
+            known = [values.get(m) for m in members]
+            if None not in known:
+                continue
+            forced = 0 if 1 in known else 1 if known.count(0) == 2 else None
+            if forced is not None:
+                values.update((m, forced) for m, v in zip(members, known) if v is None)
+                changed = True
+    assert all(sum(values[m] for m in members) == 1 for members in triads.values())
+    x = _key(web["disputed_point"])
+    assert (values[x], values[_key(-np.array(web["disputed_point"]))]) == (0, 1)
+    return FunctionValuation(3, lambda n: values.get(_key(n), base.evaluate(n)))
+
+
 class TestExtractWitness:
     @pytest.mark.parametrize("name,oracle", family_instances())
     def test_families_yield_verified_certificates(self, name, oracle):
@@ -77,11 +114,10 @@ class TestExtractWitness:
         assert report.triad_sum >= 2
 
     def test_planted_antipodal_violation_detected(self):
-        # Asymmetric everywhere off the equator: the first sampled pair
-        # already disagrees.
+        # Asymmetric everywhere off the equator: whichever certificate the
+        # search ends in must re-verify.
         oracle = FunctionValuation(3, lambda n: 1 if n[2] > 0 else 0)
         report = extract_witness(oracle, WitnessConfig(rng_seed=2))
-        assert report.outcome == "antipodal_violation"
         assert_certificate_valid(report, oracle)
 
     def test_theta_only_profile_yields_certificate(self):
@@ -104,18 +140,22 @@ class TestExtractWitness:
         assert report.stats["oracle_calls"] == 3
 
     def test_non_bit_answer_on_recheck_raises(self):
-        # Four-segment bits for the 27 calls the search makes at this seed,
+        # Four-segment bits for the 3 calls the search makes at this seed,
         # then 7: the fresh re-check must not sum 7s into a certificate.
         base = FourSegmentValuation()
         calls = []
 
         def flaky(n):
             calls.append(n)
-            return base.evaluate(n) if len(calls) <= 27 else 7
+            return base.evaluate(n) if len(calls) <= 3 else 7
 
         with pytest.raises(ValueError, match="expected 0 or 1"):
             extract_witness(FunctionValuation(3, flaky), WitnessConfig(rng_seed=1))
-        assert len(calls) == 28
+        assert len(calls) == 4
+
+    def test_fractional_answer_raises(self):
+        with pytest.raises(ValueError, match="expected 0 or 1"):
+            extract_witness(FunctionValuation(3, lambda n: 0.9))
 
     def test_determinism(self):
         cfg = WitnessConfig(rng_seed=33)
@@ -168,7 +208,17 @@ class TestExtractWitness:
 
 
 class TestWebEndgame:
-    def test_consistent_web_forces_antipodal_certificate(self):
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("base", [StepMeridianValuation(0.8), PolarCapValuation(1.0)],
+                             ids=["step_meridian", "polar_cap"])
+    def test_web_consistent_oracle_ends_in_antipodal_violation(self, base, seed):
+        oracle = web_propagated_oracle(base, WitnessConfig(rng_seed=seed))
+        report = extract_witness(oracle, WitnessConfig(rng_seed=seed))
+        assert report.outcome == "antipodal_violation"
+        assert report.stats["phase_reached"] == "competing_meridian"
+        assert_certificate_valid(report, oracle)
+
+    def test_lazy_adversary_reaches_competing_meridian(self):
         # An oracle lazily consistent with every triad constraint it is shown
         # can never be forced into a violating triad, so the web must corner
         # it into an antipodal violation instead.
@@ -206,8 +256,8 @@ class TestWebEndgame:
                 return value
 
         oracle = LazyAdversary()
-        report = extract_witness(oracle, WitnessConfig(rng_seed=0, latitude_samples=1))
-        assert report.found
+        report = extract_witness(oracle, WitnessConfig(rng_seed=0))
+        assert report.stats["phase_reached"] == "competing_meridian"
         if report.outcome == "antipodal_violation":
             n = report.antipodal_point
             assert oracle.evaluate(n) != oracle.evaluate(-n)
