@@ -323,19 +323,14 @@ def cmd_plot(args) -> int:
 
 # --- parser ------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kswitness",
-        description="Valuations, descent-circle witnesses, and exact ray-set colorability. "
-                    "All angles are radians.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_check_set(sub) -> None:
     p_check = sub.add_parser("check-set", help="decide {0,1}-colorability of a ray-set file")
     p_check.add_argument("path", help="ray-set JSON file")
     p_check.add_argument("--out", help="write the JSON report here instead of stdout")
     p_check.set_defaults(func=cmd_check_set)
 
+
+def _add_witness(sub) -> None:
     p_wit = sub.add_parser("witness", help="extract a contradiction certificate from an oracle")
     p_wit.add_argument("oracle", help="oracle-spec JSON file")
     p_wit.add_argument("--seed", type=_int_at_least(0), default=0,
@@ -345,6 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_wit.add_argument("--out", help="write the report here instead of stdout")
     p_wit.set_defaults(func=cmd_witness)
 
+
+def _add_geom(sub) -> None:
     p_geom = sub.add_parser("geom", help="descent-circle geometry queries")
     geom_sub = p_geom.add_subparsers(dest="geom_command", required=True)
     g_desc = geom_sub.add_parser("descend", help="latitude of a descent circle at a longitude")
@@ -363,6 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     g_cross.add_argument("--phi-p", type=float, default=0.0)
     p_geom.set_defaults(func=cmd_geom)
 
+
+def _add_plot(sub) -> None:
     p_plot = sub.add_parser("plot", help="emit figure data as CSV or SVG")
     p_plot.add_argument("--figure", choices=FIGURES, help="built-in figure name")
     p_plot.add_argument("--oracle", help="oracle-spec JSON file to grid instead")
@@ -375,11 +374,45 @@ def build_parser() -> argparse.ArgumentParser:
                         help="descent-circle apex longitude")
     p_plot.set_defaults(func=cmd_plot)
 
+
+# Subcommand name -> the function adding its parser, in the order help lists them.
+_SUBCOMMANDS = {
+    "check-set": _add_check_set,
+    "witness": _add_witness,
+    "geom": _add_geom,
+    "plot": _add_plot,
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or, given a subcommand name, one holding that
+    subcommand alone.  The latter names every subcommand in its usage line,
+    so a top-level error reads the same from either."""
+    parser = argparse.ArgumentParser(
+        prog="kswitness",
+        description="Valuations, descent-circle witnesses, and exact ray-set colorability. "
+                    "All angles are radians.",
+    )
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for add in _SUBCOMMANDS.values():
+            add(sub)
+    else:
+        # Set only here: in the full parser a metavar would also stand in
+        # for the choices in the "required" and "invalid choice" messages.
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_SUBCOMMANDS) + "}")
+        _SUBCOMMANDS[command](sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # One call runs one subcommand, so only its parser is built; anything
+    # else (help, no argv, a flag or an unknown word first) gets the full
+    # parser and argparse's own message.
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
@@ -122,7 +121,6 @@ def _parse_ray(raw_vector, dimension: int) -> tuple[Entry, ...]:
     return ray
 
 
-@dataclass(frozen=True)
 class RaySet:
     """A named finite set of rays with integer (or integer + integer*sqrt2)
     coordinates, identified up to scale: each ray is stored in its normal
@@ -133,24 +131,22 @@ class RaySet:
     absent, callers enumerate d-cliques instead.
     """
 
-    name: str
-    dimension: int
-    rays: tuple[tuple[Entry, ...], ...]
-    provenance: str = ""
-    bases: tuple[tuple[int, ...], ...] | None = None
-
-    def __post_init__(self):
-        if self.dimension < 2:
+    def __init__(self, name: str, dimension: int, rays: tuple[tuple[Entry, ...], ...],
+                 provenance: str = "", bases: tuple[tuple[int, ...], ...] | None = None):
+        if dimension < 2:
             raise RaySetFormatError("dimension must be at least 2")
-        if not self.rays:
+        if not rays:
             raise RaySetFormatError("ray set is empty")
-        for ray in self.rays:
-            if len(ray) != self.dimension:
+        for ray in rays:
+            if len(ray) != dimension:
                 raise RaySetFormatError("ray length does not match dimension")
             if all(e == (0, 0) for e in ray):
                 raise RaySetFormatError("the zero vector is not a ray")
-        rays = tuple(map(_normal_form, self.rays))
-        object.__setattr__(self, "rays", rays)
+        self.name = name
+        self.dimension = dimension
+        self.rays = rays = tuple(map(_normal_form, rays))
+        self.provenance = provenance
+        self.bases = bases
         # Each later ray pairs with the first of its class; the least such
         # pair is the least clashing pair.
         first: dict[tuple[Entry, ...], int] = {}
@@ -188,14 +184,14 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
 class OrthoGraph:
     """Orthogonality graph: one vertex per ray, an edge per exactly
     orthogonal pair.  ``adjacency[i]`` is a bitset whose bit j is set iff
     rays i and j are orthogonal."""
 
-    vertex_count: int
-    adjacency: tuple[int, ...]
+    def __init__(self, vertex_count: int, adjacency: tuple[int, ...]):
+        self.vertex_count = vertex_count
+        self.adjacency = adjacency
 
     @property
     def edge_count(self) -> int:
@@ -308,18 +304,32 @@ def validate_supplied_bases(graph: OrthoGraph, dimension: int,
             )
 
 
-@dataclass(frozen=True)
 class ColoringResult:
-    """Outcome of the {0,1}-coloring search.
+    """Outcome of the {0,1}-coloring search, equal to another with the same
+    four fields.
 
     ``assignment`` maps ray index -> value for colorable sets and is always
     re-verified against both constraint families before being returned.
     """
 
-    colorable: bool
-    assignment: tuple[int, ...] | None
-    nodes_explored: int
-    backtracks: int
+    def __init__(self, colorable: bool, assignment: tuple[int, ...] | None,
+                 nodes_explored: int, backtracks: int):
+        self.colorable = colorable
+        self.assignment = assignment
+        self.nodes_explored = nodes_explored
+        self.backtracks = backtracks
+
+    def _fields(self) -> tuple:
+        return (self.colorable, self.assignment, self.nodes_explored, self.backtracks)
+
+    def __eq__(self, other):
+        if type(other) is not ColoringResult:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return (f"ColoringResult(colorable={self.colorable!r}, assignment={self.assignment!r}, "
+                f"nodes_explored={self.nodes_explored!r}, backtracks={self.backtracks!r})")
 
     def to_json_dict(self) -> dict:
         return {

@@ -57,10 +57,11 @@ class Valuation:
         raise NotImplementedError
 
     def evaluate_many(self, points) -> np.ndarray:
-        """``evaluate`` on each row.  The built-in families run their one
-        rule on whole columns instead (see ``_RuleValuation``)."""
+        """``evaluate`` on each row, through the same bit check as every
+        scalar answer.  The built-in families run their one rule on whole
+        columns instead (see ``_RuleValuation``)."""
         points = self._check_rows(points)
-        return np.fromiter(map(self.evaluate, points), np.int8, len(points))
+        return np.fromiter((_bit(self, n) for n in points), np.int8, len(points))
 
     def _check(self, n) -> np.ndarray:
         n = np.asarray(n, dtype=float)

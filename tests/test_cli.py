@@ -1,5 +1,6 @@
 """CLI contract: subcommands, JSON schemas, exit codes, determinism."""
 
+import argparse
 import csv
 import json
 import math
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from kswitness.cli import main
+from kswitness.cli import build_parser, main
 from kswitness.kssets import bundled_data_dir
 
 
@@ -355,3 +356,52 @@ class TestInputErrors:
         lines = err.splitlines()
         assert code == 2 and stdout == ""
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+class TestParserPerSubcommand:
+    """``main`` builds only the invoked subcommand's parser; every message
+    argparse prints is the one the full parser prints."""
+
+    SUBCOMMANDS = ("check-set", "witness", "geom", "plot")
+    ARGVS = [
+        [], ["-h"], ["--version"], ["bogus"], ["-x", "check-set"],
+        *([name, "-h"] for name in SUBCOMMANDS), ["geom", "chain", "-h"],
+        ["check-set", "a", "b"], ["witness", "a", "b"], ["witness", "x.json", "--seed", "-1"],
+        ["plot", "--grid", "0", "--out", "x"], ["geom"], ["geom", "descend", "--phi", "1"],
+    ]
+
+    @staticmethod
+    def full_parser_main(argv):
+        """``main`` with the parser holding every subcommand."""
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        return args.func(args)
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
+    def test_output_matches_the_full_parser(self, capsys, argv):
+        expected = (self.full_parser_main(list(argv)), *capsys.readouterr())
+        assert (main(list(argv)), *capsys.readouterr()) == expected
+        assert expected[1] or expected[2], "each case ends in argparse's own output"
+
+    def test_argv_defaults_to_sys_argv(self, monkeypatch, capsys):
+        expected = run_cli(capsys, "geom", "-h")
+        monkeypatch.setattr(sys, "argv", ["kswitness", "geom", "-h"])
+        assert (main(), *capsys.readouterr()) == expected
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
+    def test_one_parser_per_call(self, monkeypatch, capsys, argv):
+        added = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            if self.dest == "command":
+                added.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        main(list(argv))
+        capsys.readouterr()
+        named = argv[:1] if argv and argv[0] in self.SUBCOMMANDS else []
+        assert added == (named or list(self.SUBCOMMANDS))

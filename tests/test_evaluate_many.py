@@ -11,8 +11,8 @@ import pytest
 
 from kswitness.sphere_geom import DomainError, SphPoint, to_cartesian
 from kswitness.valuation import (
-    BOUNDARY_VARIANTS, FunctionValuation, Generator2D, Valuation2D, build_oracle,
-    random_rotation,
+    BOUNDARY_VARIANTS, ConstantValuation, FunctionValuation, Generator2D, Valuation2D, _bit,
+    build_oracle, random_rotation, reduce_dimension,
 )
 
 HALF_PI = math.pi / 2
@@ -150,6 +150,28 @@ def test_base_class_fallback_loops_over_evaluate():
     oracle = FunctionValuation(3, lambda n: n[0] * n[1] > n[2])
     points = np.concatenate([boundary_points(), random_units(500, 4)])
     assert_same_bits(oracle, points)
+
+
+@pytest.mark.parametrize("answer", [0.9, 7])
+def test_base_class_fallback_rejects_non_bit_answers(answer):
+    oracle = FunctionValuation(3, lambda n: answer)
+    with pytest.raises(ValueError, match="expected 0 or 1"):
+        _bit(oracle, np.eye(3)[0])
+    with pytest.raises(ValueError, match="expected 0 or 1"):
+        oracle.evaluate_many(np.eye(3))
+
+
+def test_base_class_fallback_keeps_constant_and_reduced_bits():
+    points = random_units(200, 5)
+    for value in (0, 1):
+        bits = ConstantValuation(3, value).evaluate_many(points)
+        assert bits.dtype == np.int8 and bits.tolist() == [value] * len(points)
+    base = FunctionValuation(4, lambda n: 1 if abs(n[3]) > 0.5 else 0)
+    reduced = reduce_dimension(base, [np.eye(4)[0]])
+    bits = reduced.evaluate_many(points)
+    assert bits.dtype == np.int8
+    assert bits.tolist() == [reduced.evaluate(p) for p in points]
+    assert 0 < bits.sum() < len(points)
 
 
 @pytest.mark.parametrize("name", ["four_segment-pole1", "polar_cap", "valuation2d_rotated"])

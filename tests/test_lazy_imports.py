@@ -1,6 +1,7 @@
 """The float stack (numpy, ``sphere_geom``, ``valuation``, ``witness``) loads
 on first use only: ``check-set`` and ``import kswitness`` never load it, and
-every lazily bound name is the object in its home module."""
+every lazily bound name is the object in its home module.  Nor does
+``check-set`` load ``dataclasses`` or ``inspect``."""
 
 import importlib
 import json
@@ -72,6 +73,21 @@ class TestFloatStackStaysUnloaded:
     def test_bare_package_import_loads_no_float_module(self):
         stdout = run_fresh("import kswitness\n" + LOADED.format(stack=FLOAT_STACK))
         assert json.loads(stdout) == []
+
+
+def test_check_set_loads_neither_dataclasses_nor_inspect():
+    # Measured against what was loaded before kswitness, so a site
+    # .pth file that preloads either module does not fail the test.
+    path = bundled_data_dir() / "peres33.json"
+    stdout = run_fresh(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "from kswitness import cli\n"
+        f"assert cli.main(['check-set', {str(path)!r}, '--out', {os.devnull!r}]) == 10\n"
+        "print(json.dumps([m for m in ('dataclasses', 'inspect')\n"
+        "                  if m in sys.modules and m not in before]))\n"
+    )
+    assert json.loads(stdout) == []
 
 
 @pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTS.items() for n in names])
