@@ -341,24 +341,45 @@ def _add_witness(sub) -> None:
     p_wit.set_defaults(func=cmd_witness)
 
 
-def _add_geom(sub) -> None:
+def _add_geom(sub, *path: str) -> None:
     p_geom = sub.add_parser("geom", help="descent-circle geometry queries")
-    geom_sub = p_geom.add_subparsers(dest="geom_command", required=True)
-    g_desc = geom_sub.add_parser("descend", help="latitude of a descent circle at a longitude")
+    _add_subcommands(p_geom, "geom_command", _GEOM_COMMANDS, path)
+    p_geom.set_defaults(func=cmd_geom)
+
+
+def _add_descend(sub) -> None:
+    g_desc = sub.add_parser("descend", help="latitude of a descent circle at a longitude")
     g_desc.add_argument("--theta-p", type=float, required=True, help="apex latitude")
     g_desc.add_argument("--phi-p", type=float, default=0.0, help="apex longitude")
     g_desc.add_argument("--phi", type=float, required=True, help="query longitude")
-    g_delta = geom_sub.add_parser("delta-phi", help="two-step descent azimuth offset")
+
+
+def _add_delta_phi(sub) -> None:
+    g_delta = sub.add_parser("delta-phi", help="two-step descent azimuth offset")
     g_delta.add_argument("--theta-p", type=float, required=True, help="start latitude")
     g_delta.add_argument("--theta-q", type=float, required=True, help="target latitude")
-    g_chain = geom_sub.add_parser("chain", help="two-step descent points r and q")
+
+
+def _add_chain(sub) -> None:
+    g_chain = sub.add_parser("chain", help="two-step descent points r and q")
     g_chain.add_argument("--theta-p", type=float, required=True)
     g_chain.add_argument("--phi-p", type=float, default=0.0)
     g_chain.add_argument("--theta-q", type=float, required=True)
-    g_cross = geom_sub.add_parser("crossings", help="equator crossings of a descent circle")
+
+
+def _add_crossings(sub) -> None:
+    g_cross = sub.add_parser("crossings", help="equator crossings of a descent circle")
     g_cross.add_argument("--theta-p", type=float, required=True)
     g_cross.add_argument("--phi-p", type=float, default=0.0)
-    p_geom.set_defaults(func=cmd_geom)
+
+
+# Geom subcommand name -> the function adding its parser, in help order.
+_GEOM_COMMANDS = {
+    "descend": _add_descend,
+    "delta-phi": _add_delta_phi,
+    "chain": _add_chain,
+    "crossings": _add_crossings,
+}
 
 
 def _add_plot(sub) -> None:
@@ -384,35 +405,44 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full parser, or, given a subcommand name, one holding that
-    subcommand alone.  The latter names every subcommand in its usage line,
-    so a top-level error reads the same from either."""
+def _add_subcommands(parser, dest: str, table: dict, path: tuple[str, ...]) -> None:
+    """Adds every subcommand of ``table`` to ``parser`` or, given a path,
+    only the one it names, passing it the rest of the path.  The latter
+    names every subcommand in its usage line, so an error reads the same
+    from either."""
+    if not path:
+        sub = parser.add_subparsers(dest=dest, required=True)
+        for add in table.values():
+            add(sub)
+        return
+    # Set only here: in the full parser a metavar would also stand in for
+    # the choices in the "required" and "invalid choice" messages.
+    sub = parser.add_subparsers(dest=dest, required=True, metavar="{" + ",".join(table) + "}")
+    table[path[0]](sub, *path[1:])
+
+
+def build_parser(*path: str) -> argparse.ArgumentParser:
+    """The full parser or, given a subcommand name (and after ``geom``, a
+    geom subcommand name), one holding that path alone."""
     parser = argparse.ArgumentParser(
         prog="kswitness",
         description="Valuations, descent-circle witnesses, and exact ray-set colorability. "
                     "All angles are radians.",
     )
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-        for add in _SUBCOMMANDS.values():
-            add(sub)
-    else:
-        # Set only here: in the full parser a metavar would also stand in
-        # for the choices in the "required" and "invalid choice" messages.
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{" + ",".join(_SUBCOMMANDS) + "}")
-        _SUBCOMMANDS[command](sub)
+    _add_subcommands(parser, "command", _SUBCOMMANDS, path)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # One call runs one subcommand, so only its parser is built; anything
-    # else (help, no argv, a flag or an unknown word first) gets the full
-    # parser and argparse's own message.
-    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    parser = build_parser(command)
+    # One call runs one subcommand, so only its parser is built, and for
+    # geom only the named geom subcommand's; anything else (help, no argv,
+    # a flag or an unknown word) gets the full parser at that level and
+    # argparse's own message.
+    path = argv[:1] if argv and argv[0] in _SUBCOMMANDS else []
+    if path == ["geom"] and len(argv) > 1 and argv[1] in _GEOM_COMMANDS:
+        path.append(argv[1])
+    parser = build_parser(*path)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -43,6 +43,7 @@ from .sphere_geom import (
     DescentCircle,
     SphPoint,
     Triad,
+    cross,
     equator_crossings,
     from_cartesian,
     normalized,
@@ -245,7 +246,7 @@ def extract_witness(valuation: Valuation, config: WitnessConfig | None = None) -
             e = np.array([math.cos(phi), math.sin(phi), 0.0])
             if w(e) == 1:
                 trace.append({"step": "equator_probe", "longitudes": j + 1, "ones": 1})
-                return finish_violating([Z_AXIS, e, normalized(np.cross(Z_AXIS, e))],
+                return finish_violating([Z_AXIS, e, normalized(cross(Z_AXIS, e))],
                                         "equator_probe")
         trace.append({"step": "equator_probe", "longitudes": cfg.meridian_samples, "ones": 0})
 
@@ -327,13 +328,13 @@ def _competing_meridian_web(w, work_to_orig, anchor: SphPoint,
         target_lat, emitting the triads that force its value to 0."""
         r, q = two_step_chain(anchor, target_lat)
         r_vec, q_vec = to_cartesian(r), to_cartesian(q)
-        r_in = normalized(np.cross(p_perp, r_vec))
+        r_in = normalized(cross(p_perp, r_vec))
         triads.append((f"{label}_step1", (r_vec, r_in, p_perp)))
         s_r = equator_crossings(DescentCircle(r))[0]
         equator_points.append(s_r)
         r_perp = perp_of_apex(r)
         triads.append((f"{label}_mid_circle", (r_vec, s_r, r_perp)))
-        q_in = normalized(np.cross(r_perp, q_vec))
+        q_in = normalized(cross(r_perp, q_vec))
         triads.append((f"{label}_step2", (q_vec, q_in, r_perp)))
         return q
 
@@ -344,7 +345,7 @@ def _competing_meridian_web(w, work_to_orig, anchor: SphPoint,
         s_a = equator_crossings(DescentCircle(apex))[0]
         equator_points.append(s_a)
         triads.append((f"{label}_circle", (a_vec, s_a, a_perp)))
-        t_in = normalized(np.cross(a_perp, target))
+        t_in = normalized(cross(a_perp, target))
         triads.append((f"{label}_covers", (target, t_in, a_perp)))
 
     # Chain B: force the disputed point x to 0 through the second meridian.
@@ -358,7 +359,7 @@ def _competing_meridian_web(w, work_to_orig, anchor: SphPoint,
     s_pb = equator_crossings(DescentCircle(pb))[0]
     equator_points.append(s_pb)
     triads.append(("second_circle", (pb_vec, s_pb, pb_perp)))
-    x_in = normalized(np.cross(pb_perp, x_vec))
+    x_in = normalized(cross(pb_perp, x_vec))
     triads.append(("second_covers_x", (x_vec, x_in, pb_perp)))
 
     # Chain A: force the antipode of x to 1 via its meridian dyad.
@@ -381,7 +382,7 @@ def _competing_meridian_web(w, work_to_orig, anchor: SphPoint,
     for e in equator_points:
         if w(e) == 1:
             trace.append({"step": "competing_meridian", "result": "equator_one"})
-            return finish_violating([Z_AXIS, e, normalized(np.cross(Z_AXIS, e))],
+            return finish_violating([Z_AXIS, e, normalized(cross(Z_AXIS, e))],
                                     "competing_meridian")
 
     evaluations = []

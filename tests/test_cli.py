@@ -359,15 +359,18 @@ class TestInputErrors:
 
 
 class TestParserPerSubcommand:
-    """``main`` builds only the invoked subcommand's parser; every message
-    argparse prints is the one the full parser prints."""
+    """``main`` builds only the invoked subcommand's parser, and for
+    ``geom`` only the named geom subcommand's; every message argparse
+    prints is the one the full parser prints."""
 
     SUBCOMMANDS = ("check-set", "witness", "geom", "plot")
+    GEOM_COMMANDS = ("descend", "delta-phi", "chain", "crossings")
     ARGVS = [
         [], ["-h"], ["--version"], ["bogus"], ["-x", "check-set"],
         *([name, "-h"] for name in SUBCOMMANDS), ["geom", "chain", "-h"],
         ["check-set", "a", "b"], ["witness", "a", "b"], ["witness", "x.json", "--seed", "-1"],
         ["plot", "--grid", "0", "--out", "x"], ["geom"], ["geom", "descend", "--phi", "1"],
+        ["geom", "bogus"], ["geom", "crossings", "--theta-p", "0.5", "extra"],
     ]
 
     @staticmethod
@@ -392,16 +395,24 @@ class TestParserPerSubcommand:
 
     @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
     def test_one_parser_per_call(self, monkeypatch, capsys, argv):
-        added = []
+        added = {"command": [], "geom_command": []}
         add_parser = argparse._SubParsersAction.add_parser
 
         def spy(self, name, **kwargs):
-            if self.dest == "command":
-                added.append(name)
+            added[self.dest].append(name)
             return add_parser(self, name, **kwargs)
 
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
         main(list(argv))
         capsys.readouterr()
         named = argv[:1] if argv and argv[0] in self.SUBCOMMANDS else []
-        assert added == (named or list(self.SUBCOMMANDS))
+        assert added["command"] == (named or list(self.SUBCOMMANDS))
+        # Geom builds only the geom subcommand named next, and all four
+        # when none is named; the full parser builds all four too.
+        if named == ["geom"] and argv[1:2] and argv[1] in self.GEOM_COMMANDS:
+            geom = argv[1:2]
+        elif named in ([], ["geom"]):
+            geom = list(self.GEOM_COMMANDS)
+        else:
+            geom = []
+        assert added["geom_command"] == geom

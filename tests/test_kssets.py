@@ -22,6 +22,7 @@ import pytest
 from kswitness import cli
 from kswitness.kssets import (
     DuplicateRay,
+    OrthoGraph,
     RaySet,
     RaySetFormatError,
     build_ortho_graph,
@@ -716,6 +717,90 @@ def test_snapshot_solver_matches_trail_solver_on_large_families(family):
         assert result == trail_find_valuation(g, family)
         verdicts.add(result[0])
     assert verdicts == {True, False}
+
+
+def planted(rng, graph, bases, keep):
+    """A random maximal set of mutually non-orthogonal rays, and ``keep``
+    of the bases holding exactly one of them, in their order: that set,
+    valued 1, colors those bases."""
+    chosen = []
+    for v in rng.sample(range(graph.vertex_count), graph.vertex_count):
+        if not any(graph.adjacency[v] >> c & 1 for c in chosen):
+            chosen.append(v)
+    held = [b for b in bases if len(set(b) & set(chosen)) == 1]
+    picked = set(rng.sample(range(len(held)), min(keep, len(held))))
+    return chosen, [b for k, b in enumerate(held) if k in picked]
+
+
+@pytest.mark.parametrize("kind", ["relabel-e8", "relabel-t6", "planted-e8", "planted-t6"])
+def test_packed_solver_matches_trail_solver_on_scale_kinds(kind):
+    # E8 and {0,+-1}^6 relabeled (a seeded signed coordinate permutation,
+    # ray signs and a shuffled ray order), and planted sub-families of each:
+    # both verdicts, on both the enumerated and the supplied basis path.
+    style, family = kind.split("-")
+    rays = e8_ray_set().rays if family == "e8" else ternary_rays(6)
+    rng = random.Random(f"kssets-scale:{kind}")
+    for _ in range(2):
+        if style == "relabel":
+            rs = RaySet(family, len(rays[0]), tuple(relabeled(rng, list(rays))))
+            g = build_ortho_graph(rs)
+            bases = enumerate_bases(g, rs.dimension)
+        else:
+            g = build_ortho_graph(RaySet(family, len(rays[0]), tuple(rays)))
+            _, bases = planted(rng, g, enumerate_bases(g, len(rays[0])),
+                               {"e8": 900, "t6": 360}[family])
+        result = as_tuple(find_valuation(g, bases))
+        assert result == trail_find_valuation(g, bases)
+        assert result[0] == (style == "planted")
+
+
+@pytest.mark.parametrize("size", [10, 11, 64, 200])
+def test_packed_solver_matches_trail_solver_on_wide_bases(size):
+    # A lane holds up to full * (full - 1), full being one more than the
+    # largest basis: one byte takes bases of up to 10 members, 11 and 64
+    # need two bytes and 200 needs four.  Each family is a planted sample
+    # of the {0,+-1}^6 bases plus wide bases of random rays: in odd trials
+    # each holds one planted ray, so the family stays colorable.
+    g = build_ortho_graph(RaySet("ternary6", 6, tuple(ternary_rays(6))))
+    family = enumerate_bases(g, 6)
+    rng = random.Random(f"kssets-wide:{size}")
+    verdicts = set()
+    for trial in range(8):
+        chosen, bases = planted(rng, g, family, rng.randint(20, 300))
+        others = sorted(set(range(g.vertex_count)) - set(chosen))
+        for _ in range(rng.randint(1, 3)):
+            if trial % 2:
+                wide = [rng.choice(chosen)] + rng.sample(others, size - 1)
+            else:
+                wide = rng.sample(range(g.vertex_count), size)
+            bases.append(tuple(rng.sample(wide, size)))
+        rng.shuffle(bases)
+        result = as_tuple(find_valuation(g, bases))
+        assert result == trail_find_valuation(g, bases)
+        verdicts.add(result[0])
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("bases", [
+    pytest.param([], id="no-bases"),
+    pytest.param([()], id="empty"),
+    pytest.param([(0, 1, 2), ()], id="empty-beside-a-triad"),
+    pytest.param([(0,)], id="singleton"),
+    pytest.param([(0,), (1,)], id="adjacent-singletons"),
+    pytest.param([(2,), (0, 2, 4), (1, 3, 4), (3,)], id="singletons-force-a-chain"),
+    pytest.param([(0, 0, 1)], id="repeated-member"),
+    pytest.param([(0, 0)], id="repeated-member-only"),
+    pytest.param([(0,), (0, 0, 1)], id="singleton-repeated"),
+    pytest.param([(1, 1, 1, 2), (0, 2, 3), (2, 3, 4)], id="triple-member"),
+])
+def test_packed_solver_matches_trail_solver_on_degenerate_bases(bases):
+    # Rays 0 and 1 are orthogonal; no other pair is.
+    g = OrthoGraph(5, (0b10, 0b01, 0, 0, 0))
+    result = find_valuation(g, bases)
+    assert as_tuple(result) == trail_find_valuation(g, bases)
+    # A member listed twice counts twice, as in verify_assignment.
+    assert result.colorable == any(verify_assignment(g, bases, values)
+                                   for values in itertools.product((0, 1), repeat=5))
 
 
 # --- packed-lane graphs against pairwise exact inner products ----------------

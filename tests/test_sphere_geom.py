@@ -18,6 +18,7 @@ from kswitness.sphere_geom import (
     SphPoint,
     Triad,
     complete_triad,
+    cross,
     descent_theta,
     equator_crossings,
     from_cartesian,
@@ -302,6 +303,24 @@ class TestRotations:
             b /= np.linalg.norm(b)
             rot = rotation_to_pole(a)
             assert np.dot(rot @ a, rot @ b) == pytest.approx(np.dot(a, b), abs=1e-12)
+
+
+class TestCross:
+    def test_bits_match_np_cross(self):
+        # Normal vectors, then vectors whose entries are drawn from signed
+        # zeros, subnormals, units and wide magnitudes, so that products
+        # round, underflow to either zero and cancel to either zero.
+        rng = np.random.default_rng(41)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e-160, -1e150, 3.0, 0.5])
+        pairs = [(rng.standard_normal(3), rng.standard_normal(3)) for _ in range(500)]
+        pairs += [(rng.choice(special, 3), rng.choice(special, 3)) for _ in range(2000)]
+        pairs += [(a, a) for a, _ in pairs[:50]] + [(a, -a) for a, _ in pairs[:50]]
+        for a, b in pairs:
+            assert cross(a, b).tobytes() == np.cross(a, b).tobytes(), (a, b)
+        assert any(np.signbit(c) and c == 0.0 for a, b in pairs for c in cross(a, b))
+
+    def test_accepts_sequences(self):
+        assert cross([1, 0, 0], [0, 1, 0]).tolist() == [0.0, 0.0, 1.0]
 
 
 class TestTriadCompletion:
