@@ -4,7 +4,7 @@ certificate extraction, and exact non-colorability of classic ray sets.
 The package splits along the problem's own joints:
 
 - ``sphere_geom``: latitude-convention coordinates, descent circles, the
-  two-step descent, rotations, triad completion;
+  two-step descent, rotations, orthonormal triads;
 - ``valuation``: the oracle interface plus every explicit construction
   (1D, 2D, and the 3D near-miss families), the basis sum rule, and the
   d >= 4 -> 3 reduction;
@@ -23,9 +23,9 @@ from importlib import import_module
 _EXPORTS = {
     "sphere_geom": (
         "EPS_NORM", "EPS_ORTHO", "DescentAwayFromEquator", "DescentCircle",
-        "DomainError", "NotOrthogonal", "SphPoint", "Triad", "complete_triad",
-        "descent_theta", "equator_crossings", "from_cartesian", "perp_of_apex",
-        "rotation_to_pole", "to_cartesian", "two_step_chain", "two_step_delta_phi",
+        "DomainError", "NotOrthogonal", "SphPoint", "Triad", "descent_theta",
+        "equator_crossings", "from_cartesian", "perp_of_apex", "rotation_to_pole",
+        "to_cartesian", "two_step_chain", "two_step_delta_phi",
     ),
     "valuation": (
         "FourSegmentValuation", "FunctionValuation", "Generator2D", "NotABasis",

@@ -288,19 +288,3 @@ class Triad:
     @property
     def vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.n1, self.n2, self.n3)
-
-
-def complete_triad(n1) -> Triad:
-    """Deterministically extend one unit vector to a triad.
-
-    Rule: take the coordinate axis least aligned with n1 (smallest absolute
-    component, ties broken in x < y < z order), Gram-Schmidt it against n1,
-    and close with the cross product.
-    """
-    n1 = require_unit(n1)
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(n1)))] = 1.0
-    n2 = normalized(axis - float(np.dot(axis, n1)) * n1)
-    n3 = normalized(cross(n1, n2))
-    return Triad(n1, n2, n3)
-

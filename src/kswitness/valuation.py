@@ -244,6 +244,15 @@ class Valuation2D(_RuleValuation):
 
 # --- three-dimensional near-miss constructions ----------------------------
 
+class _SphereRule(_RuleValuation):
+    """A family on S^2: both entry points take unit 3-vectors only and raise
+    ``DomainError`` on anything else, NaN and the zero vector included."""
+
+    dimension = 3
+    _check = staticmethod(require_unit)
+    _check_rows = staticmethod(require_unit_rows)
+
+
 BOUNDARY_VARIANTS = ("one_at_step", "zero_at_step")
 
 
@@ -282,7 +291,7 @@ def _front_half(x, y):
     return (x > 0.0) | ((x == 0.0) & (y < 0.0))
 
 
-class StepMeridianValuation(_RuleValuation):
+class StepMeridianValuation(_SphereRule):
     """The standardized meridian profile spread over the sphere.
 
     Points with longitude in [-pi/2, pi/2) take profile(theta); the opposite
@@ -293,18 +302,12 @@ class StepMeridianValuation(_RuleValuation):
     triads only.
     """
 
-    dimension = 3
     pole_value = 1
-    _check = staticmethod(require_unit)
-    _check_rows = staticmethod(require_unit_rows)
 
     def __init__(self, theta_star: float, boundary_variant: str = "one_at_step"):
         _validate_step_params(theta_star, boundary_variant)
         self.theta_star = float(theta_star)
         self.boundary_variant = boundary_variant
-
-    def profile(self, theta: float) -> int:
-        return step_profile(theta, self.theta_star, self.boundary_variant)
 
     def _bits(self, ops, x, y, z):
         theta = ops.map(math.asin, ops.clip(z))
@@ -342,12 +345,10 @@ class FourSegmentValuation(StepMeridianValuation):
         return {"schema": 1, "kind": "four_segment", "pole_value": self.pole_value}
 
 
-class PolarCapValuation(_RuleValuation):
+class PolarCapValuation(_SphereRule):
     """1 inside two antipodal polar caps (|sin(theta)| >= sin(cap_latitude)),
     0 elsewhere.  Depends on latitude alone, so antipodal symmetry is exact;
     any triad avoiding both caps sums to 0."""
-
-    dimension = 3
 
     def __init__(self, cap_latitude: float):
         if not 0.0 < cap_latitude < HALF_PI:
@@ -361,15 +362,13 @@ class PolarCapValuation(_RuleValuation):
         return {"schema": 1, "kind": "polar_cap", "cap_latitude": self.cap_latitude}
 
 
-class Valuation2DRotated(_RuleValuation):
+class Valuation2DRotated(_SphereRule):
     """A 2D valuation spun about the polar axis: v(n) = v2(longitude of n).
 
     Antipodes flip longitude by pi, which the 2D construction is invariant
     under; evaluating through a canonical hemisphere representative makes
     that exact in floating point too.  Equatorial dyads even satisfy the sum
     rule, leaving the violations on triads that mix latitudes."""
-
-    dimension = 3
 
     def __init__(self, generator: Generator2D):
         self.generator = generator

@@ -8,7 +8,8 @@ antipodal pair with unequal values.  Certificates are re-evaluated with
 fresh oracle calls before being returned, so a report can be trusted without
 trusting the search.
 
-The search itself follows the proof skeleton:
+The extractor is one search and one re-check; the search follows the proof
+skeleton:
 
 1.  read one orthonormal basis, in a frame chosen by ``rng_seed``: if its
     values do not sum to 1 it is the certificate, and if they do it names a
@@ -17,16 +18,20 @@ The search itself follows the proof skeleton:
 3.  probe the equator, where every value must now be 0;
 4.  bisect the prime meridian for the 1 -> 0 transition latitude;
 5.  rotate the transition to the pole, standardizing the meridian;
-6.  assemble the competing-meridian descent web: a fixed finite family of
-    triads, built from two-step descents off the prime meridian and the
-    descent circles of a second meridian, whose constraints force one
-    chosen point to be 0 and its antipode to be 1.  Evaluating the whole
-    web therefore must expose either a violating triad or an antipodal
-    violation.
+6.  evaluate the competing-meridian web: a fixed finite family of triads,
+    a pure function of the standardized anchor, built from two-step
+    descents off the prime meridian and the descent circles of a second
+    meridian, whose constraints force one chosen point to be 0 and its
+    antipode to be 1.  Evaluating the whole web therefore must expose
+    either a violating triad or an antipodal violation.
 
-Budgets bound every loop.  With the default budgets the web is always
-reached and a certificate always follows; NotFound arises only when the
-oracle-call budget is exhausted first.
+Budgets bound every loop.  The outcome is "not_found", with
+``stats["phase_reached"]`` saying why, when the oracle-call budget runs out
+("budget_exhausted"), when the standardized anchor is too far from the pole
+("standardize:resolution") or pole and anchor no longer read 1 and 0
+("standardize:anchor_drift"), or when the re-check disagrees
+("<phase>:recheck_failed", the phase being "pole_basis", "equator_probe" or
+"competing_meridian").
 """
 
 from __future__ import annotations
@@ -63,6 +68,9 @@ _THETA_X = math.pi / 8.0
 _PHI_X = 5.0 * math.pi / 8.0
 _APEX_GUARD = 1.45
 
+# The bisection locates the meridian transition to within this many radians.
+_THETA_RESOLUTION = 1e-6
+
 
 @dataclass(frozen=True)
 class WitnessConfig:
@@ -70,14 +78,12 @@ class WitnessConfig:
 
     ``max_descent_probes`` caps total oracle calls for the whole run;
     ``rng_seed`` chooses the frame of the first basis read; the equator is
-    probed at ``meridian_samples`` longitudes; the meridian transition is
-    located to within ``theta_resolution`` radians.
+    probed at ``meridian_samples`` longitudes.
     """
 
     meridian_samples: int = 64
     max_descent_probes: int = 10_000
     rng_seed: int = 0
-    theta_resolution: float = 1e-6
 
     def __post_init__(self):
         for name in ("meridian_samples", "max_descent_probes"):
@@ -85,15 +91,13 @@ class WitnessConfig:
                 raise ValueError(f"{name} must be at least 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
-        if not 0.0 < self.theta_resolution < HALF_PI:
-            raise ValueError("theta_resolution must be in (0, pi/2)")
 
     def to_json_dict(self) -> dict:
         return {
             "meridian_samples": self.meridian_samples,
             "max_descent_probes": self.max_descent_probes,
             "rng_seed": self.rng_seed,
-            "theta_resolution": self.theta_resolution,
+            "theta_resolution": _THETA_RESOLUTION,
         }
 
 
@@ -135,8 +139,8 @@ class WitnessReport:
         }
 
 
-class _BudgetExhausted(Exception):
-    pass
+class _NotFound(Exception):
+    """The search stopped without a certificate; ``args[0]`` names the phase."""
 
 
 class _Session:
@@ -155,7 +159,7 @@ class _Session:
         if hit is not None:
             return hit
         if self.calls >= self.budget:
-            raise _BudgetExhausted
+            raise _NotFound("budget_exhausted")
         self.calls += 1
         val = _bit(self.valuation, point_orig)
         self.cache[key] = val
@@ -176,132 +180,139 @@ def extract_witness(valuation: Valuation, config: WitnessConfig | None = None) -
         raise ValueError(f"witness extraction needs a 3D oracle, got d={valuation.dimension}")
     cfg = config or WitnessConfig()
     session = _Session(valuation, cfg.max_descent_probes)
-    trace: list = []
+    report = WitnessReport("not_found", config=cfg)
+    try:
+        outcome, phase, found = _search(session, cfg, report.trace)
+    except _NotFound as stop:
+        outcome, phase = "not_found", stop.args[0]
+
+    # Re-check with fresh calls: a flaky transcript certifies nothing.
+    if outcome == "violating_basis":
+        triad = Triad(*found)
+        fresh = [_bit(valuation, v) for v in triad.vectors]
+        report.trace.append({"step": "final_triad", "points": [list(v) for v in triad.vectors],
+                             "values": fresh, "sum": sum(fresh)})
+        if sum(fresh) != 1:
+            report.outcome, report.triad, report.triad_sum = outcome, triad, sum(fresh)
+    elif outcome == "antipodal_violation":
+        fresh = [_bit(valuation, found), _bit(valuation, -found)]
+        report.trace.append({"step": "antipodal_pair", "point": list(found), "values": fresh})
+        if fresh[0] != fresh[1]:
+            report.outcome, report.antipodal_point = outcome, np.asarray(found)
+            report.antipodal_values = tuple(fresh)
+    if outcome != report.outcome:
+        phase += ":recheck_failed"
+    report.stats = {"oracle_calls": session.calls, "distinct_points": len(session.cache),
+                    "phase_reached": phase}
+    return report
+
+
+def _equator_one_triad(e: np.ndarray) -> tuple:
+    """(pole, e, pole x e): a violating triad once the pole and e both read 1."""
+    return Z_AXIS, e, normalized(cross(Z_AXIS, e))
+
+
+def _search(session: _Session, cfg: WitnessConfig, trace: list) -> tuple[str, str, object]:
+    """Phases 1-6.  Returns the certificate's outcome, the phase that found
+    it, and the certificate in the original frame: the triad's three vectors
+    or the antipodal point.  Every early stop raises ``_NotFound``."""
     rotation = np.eye(3)
 
-    def work_to_orig(vec: np.ndarray) -> np.ndarray:
-        return rotation.T @ vec
+    def to_orig(vec_work: np.ndarray) -> np.ndarray:
+        return rotation.T @ vec_work
 
     def w(vec_work: np.ndarray) -> int:
-        return session.value(work_to_orig(vec_work))
+        return session.value(to_orig(vec_work))
 
-    def stats(phase: str) -> dict:
-        return {
-            "oracle_calls": session.calls,
-            "distinct_points": len(session.cache),
-            "phase_reached": phase,
-        }
+    def violating(members_work, phase: str) -> tuple[str, str, list]:
+        return "violating_basis", phase, [normalized(to_orig(np.asarray(v, dtype=float)))
+                                          for v in members_work]
 
-    def finish_violating(members_work, phase: str) -> WitnessReport:
-        vecs = [normalized(work_to_orig(np.asarray(v, dtype=float))) for v in members_work]
-        triad = Triad(*vecs)
-        fresh = [_bit(valuation, v) for v in triad.vectors]
-        total = sum(fresh)
-        trace.append({
-            "step": "final_triad",
-            "points": [list(v) for v in triad.vectors],
-            "values": fresh,
-            "sum": total,
-        })
-        if total == 1:
-            # The oracle answered differently on re-evaluation; refuse to
-            # certify from a flaky transcript.
-            return WitnessReport("not_found", stats=stats(phase + ":recheck_failed"),
-                                 trace=trace, config=cfg)
-        return WitnessReport("violating_basis", triad=triad, triad_sum=total,
-                             stats=stats(phase), trace=trace, config=cfg)
+    # Phase 1: one basis either breaks the sum rule or names a 1.
+    basis = list(random_rotation(cfg.rng_seed).T)
+    vals = [session.value(v) for v in basis]
+    trace.append({"step": "pole_basis", "points": [list(v) for v in basis], "values": vals})
+    if sum(vals) != 1:
+        return violating(basis, "pole_basis")
+    one_point = basis[vals.index(1)]
 
-    def finish_antipodal(point_orig: np.ndarray, phase: str) -> WitnessReport:
-        v_plus = _bit(valuation, point_orig)
-        v_minus = _bit(valuation, -point_orig)
-        trace.append({
-            "step": "antipodal_pair",
-            "point": list(point_orig),
-            "values": [v_plus, v_minus],
-        })
-        if v_plus == v_minus:
-            return WitnessReport("not_found", stats=stats(phase + ":recheck_failed"),
-                                 trace=trace, config=cfg)
-        return WitnessReport("antipodal_violation", antipodal_point=np.asarray(point_orig),
-                             antipodal_values=(v_plus, v_minus),
-                             stats=stats(phase), trace=trace, config=cfg)
+    # Phase 2: move the 1 to the north pole.
+    rotation = rotation_to_pole(one_point)
+    trace.append({"step": "rotate_to_pole", "pole_preimage": list(one_point)})
 
-    try:
-        # Phase 1: one basis either breaks the sum rule or names a 1.
-        basis = list(random_rotation(cfg.rng_seed).T)
-        vals = [session.value(v) for v in basis]
-        trace.append({"step": "pole_basis", "points": [list(v) for v in basis],
-                      "values": vals})
-        if sum(vals) != 1:
-            return finish_violating(basis, "pole_basis")
-        one_point = basis[vals.index(1)]
+    # Phase 3: the equator must now be identically zero.
+    for j in range(cfg.meridian_samples):
+        phi = 2.0 * math.pi * j / cfg.meridian_samples
+        e = np.array([math.cos(phi), math.sin(phi), 0.0])
+        if w(e) == 1:
+            trace.append({"step": "equator_probe", "longitudes": j + 1, "ones": 1})
+            return violating(_equator_one_triad(e), "equator_probe")
+    trace.append({"step": "equator_probe", "longitudes": cfg.meridian_samples, "ones": 0})
 
-        # Phase 2: move the 1 to the north pole.
-        rotation = rotation_to_pole(one_point)
-        trace.append({"step": "rotate_to_pole", "pole_preimage": list(one_point)})
+    # Phase 4: bisect the prime meridian for the 1 -> 0 transition.
+    # The pole carries 1 and the equator point at phi = 0 carried 0.
+    theta_one, theta_zero = HALF_PI, 0.0
+    bisection_evals = []
+    while theta_one - theta_zero > _THETA_RESOLUTION:
+        mid = 0.5 * (theta_one + theta_zero)
+        point = to_cartesian(SphPoint(mid, 0.0))
+        val = w(point)
+        bisection_evals.append({"point": list(to_orig(point)), "value": val})
+        if val == 1:
+            theta_one = mid
+        else:
+            theta_zero = mid
+    trace.append({"step": "meridian_classification", "theta_one": theta_one,
+                  "theta_zero": theta_zero, "evaluations": bisection_evals})
 
-        # Phase 3: the equator must now be identically zero.
-        for j in range(cfg.meridian_samples):
-            phi = 2.0 * math.pi * j / cfg.meridian_samples
-            e = np.array([math.cos(phi), math.sin(phi), 0.0])
-            if w(e) == 1:
-                trace.append({"step": "equator_probe", "longitudes": j + 1, "ones": 1})
-                return finish_violating([Z_AXIS, e, normalized(cross(Z_AXIS, e))],
-                                        "equator_probe")
-        trace.append({"step": "equator_probe", "longitudes": cfg.meridian_samples, "ones": 0})
+    # Phase 5: standardize; the transition point becomes the pole and the
+    # measured zero sits immediately below it on the prime meridian.
+    old_zero = to_cartesian(SphPoint(theta_zero, 0.0))
+    second = rotation_to_pole(to_cartesian(SphPoint(theta_one, 0.0)))
+    rotation = second @ rotation
+    anchor_vec = normalized(second @ old_zero)
+    anchor = from_cartesian(anchor_vec)
+    trace.append({"step": "standardize", "anchor_theta": anchor.theta,
+                  "anchor_phi": anchor.phi})
+    if anchor.theta <= _APEX_GUARD:
+        raise _NotFound("standardize:resolution")
+    if w(Z_AXIS) != 1 or w(anchor_vec) != 0:
+        raise _NotFound("standardize:anchor_drift")
 
-        # Phase 4: bisect the prime meridian for the 1 -> 0 transition.
-        # The pole carries 1 and the equator point at phi = 0 carried 0.
-        theta_one, theta_zero = HALF_PI, 0.0
-        bisection_evals = []
-        while theta_one - theta_zero > cfg.theta_resolution:
-            mid = 0.5 * (theta_one + theta_zero)
-            point = to_cartesian(SphPoint(mid, 0.0))
-            val = w(point)
-            bisection_evals.append({"point": list(work_to_orig(point)), "value": val})
-            if val == 1:
-                theta_one = mid
-            else:
-                theta_zero = mid
-        trace.append({"step": "meridian_classification", "theta_one": theta_one,
-                      "theta_zero": theta_zero, "evaluations": bisection_evals})
-
-        # Phase 5: standardize; the transition point becomes the pole and the
-        # measured zero sits immediately below it on the prime meridian.
-        old_zero = to_cartesian(SphPoint(theta_zero, 0.0))
-        second = rotation_to_pole(to_cartesian(SphPoint(theta_one, 0.0)))
-        rotation = second @ rotation
-        anchor_vec = normalized(second @ old_zero)
-        anchor = from_cartesian(anchor_vec)
-        trace.append({"step": "standardize", "anchor_theta": anchor.theta,
-                      "anchor_phi": anchor.phi})
-        if anchor.theta <= _APEX_GUARD:
-            return WitnessReport("not_found", stats=stats("standardize:resolution"),
-                                 trace=trace, config=cfg)
-        if w(Z_AXIS) != 1 or w(anchor_vec) != 0:
-            return WitnessReport("not_found", stats=stats("standardize:anchor_drift"),
-                                 trace=trace, config=cfg)
-
-        # Phase 6: the competing-meridian web.
-        return _competing_meridian_web(w, work_to_orig, anchor, anchor_vec, trace,
-                                       finish_violating, finish_antipodal)
-    except _BudgetExhausted:
-        return WitnessReport("not_found", stats=stats("budget_exhausted"),
-                             trace=trace, config=cfg)
+    # Phase 6: if the web's equator points read 0 and each triad sums to 1,
+    # then x reads 0 and -x reads 1, so one pass must end in a certificate.
+    triads, equator_points, x_vec = _competing_meridian_web(anchor_vec)
+    for e in equator_points:
+        if w(e) == 1:
+            trace.append({"step": "competing_meridian", "result": "equator_one"})
+            return violating(_equator_one_triad(e), "competing_meridian")
+    evaluations = []
+    offender = None
+    for label, members in triads:
+        values = [w(v) for v in members]
+        evaluations.append({"label": label, "points": [list(to_orig(v)) for v in members],
+                            "values": values, "sum": sum(values)})
+        if sum(values) != 1 and offender is None:
+            offender = members
+    trace.append({"step": "competing_meridian", "phi_star": _PHI_STAR,
+                  "disputed_point": list(to_orig(x_vec)), "triads": evaluations})
+    if offender is not None:
+        return violating(offender, "competing_meridian")
+    if w(x_vec) == w(-x_vec):
+        raise AssertionError("web arithmetic violated by a deterministic oracle")
+    return "antipodal_violation", "competing_meridian", to_orig(x_vec)
 
 
-def _competing_meridian_web(w, work_to_orig, anchor: SphPoint,
-                            anchor_vec: np.ndarray, trace, finish_violating,
-                            finish_antipodal) -> WitnessReport:
-    """Assemble and evaluate the finite web of triads that pits the prime
-    meridian's descent sweep against a second meridian's.
+def _competing_meridian_web(anchor_vec: np.ndarray) -> tuple[list, list, np.ndarray]:
+    """The finite web of triads that pits the prime meridian's descent sweep
+    against a second meridian's, in the standardized frame whose pole is 1
+    and whose ``anchor_vec`` just below it on the prime meridian is 0.
 
-    Writing m(.) for measured oracle bits, the web's triads chain as
-    modus ponens over the sum rule: if every triad sums to 1 (and the web's
-    equator points are all 0, the anchors being already measured), then
-    m(x) = 0 and m(-x) = 1 for the disputed point x.  A single evaluation
-    pass therefore must end in a violating triad or an antipodal violation.
+    Returns the labelled triads, the web's equator points and the disputed
+    point x.  With the anchor and the equator points at 0, "exactly one 1
+    per triad" forces x to 0 and -x to 1.  Calls no oracle.
     """
+    anchor = from_cartesian(anchor_vec)
     phi0 = anchor.phi
 
     def point(lat: float, rel_phi: float) -> np.ndarray:
@@ -315,61 +326,48 @@ def _competing_meridian_web(w, work_to_orig, anchor: SphPoint,
     yp_lat = -_THETA_X + HALF_PI
     th_pc = math.atan(math.tan(yp_lat) / math.cos(y_phi))
 
-    p_perp = perp_of_apex(anchor)
-    s_p = equator_crossings(DescentCircle(anchor))[0]
-
     triads: list[tuple[str, tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
-    equator_points: list[np.ndarray] = [s_p]
+    equator_points: list[np.ndarray] = []
 
-    triads.append(("anchor_circle", (anchor_vec, s_p, p_perp)))
+    def circle(apex: SphPoint, apex_vec: np.ndarray, label: str) -> np.ndarray:
+        """Descent circle of a zero apex: the triad (apex, equator crossing,
+        normal).  Returns the normal."""
+        perp = perp_of_apex(apex)
+        crossing = equator_crossings(DescentCircle(apex))[0]
+        equator_points.append(crossing)
+        triads.append((f"{label}_circle", (apex_vec, crossing, perp)))
+        return perp
+
+    def cover(perp: np.ndarray, target: np.ndarray, label: str) -> None:
+        """The triad through target on the circle with normal perp."""
+        triads.append((label, (target, normalized(cross(perp, target)), perp)))
 
     def descend_to(target_lat: float, label: str) -> SphPoint:
         """Two-step descent from the anchor to the prime-meridian point at
         target_lat, emitting the triads that force its value to 0."""
         r, q = two_step_chain(anchor, target_lat)
-        r_vec, q_vec = to_cartesian(r), to_cartesian(q)
-        r_in = normalized(cross(p_perp, r_vec))
-        triads.append((f"{label}_step1", (r_vec, r_in, p_perp)))
-        s_r = equator_crossings(DescentCircle(r))[0]
-        equator_points.append(s_r)
-        r_perp = perp_of_apex(r)
-        triads.append((f"{label}_mid_circle", (r_vec, s_r, r_perp)))
-        q_in = normalized(cross(r_perp, q_vec))
-        triads.append((f"{label}_step2", (q_vec, q_in, r_perp)))
+        r_vec = to_cartesian(r)
+        cover(p_perp, r_vec, f"{label}_step1")
+        cover(circle(r, r_vec, f"{label}_mid"), to_cartesian(q), f"{label}_step2")
         return q
 
-    def sweep(apex: SphPoint, target: np.ndarray, label: str) -> None:
-        """Descent circle of an already-forced-zero apex, covering target."""
-        a_vec = to_cartesian(apex)
-        a_perp = perp_of_apex(apex)
-        s_a = equator_crossings(DescentCircle(apex))[0]
-        equator_points.append(s_a)
-        triads.append((f"{label}_circle", (a_vec, s_a, a_perp)))
-        t_in = normalized(cross(a_perp, target))
-        triads.append((f"{label}_covers", (target, t_in, a_perp)))
+    p_perp = circle(anchor, anchor_vec, "anchor")
 
     # Chain B: force the disputed point x to 0 through the second meridian.
     x_vec = point(_THETA_X, _PHI_X)
     pa = descend_to(th_pa, "prime_a")
     pb = SphPoint(th_pb, phi0 + _PHI_STAR)
     pb_vec = to_cartesian(pb)
-    sweep(pa, pb_vec, "prime_to_second")
-
-    pb_perp = perp_of_apex(pb)
-    s_pb = equator_crossings(DescentCircle(pb))[0]
-    equator_points.append(s_pb)
-    triads.append(("second_circle", (pb_vec, s_pb, pb_perp)))
-    x_in = normalized(cross(pb_perp, x_vec))
-    triads.append(("second_covers_x", (x_vec, x_in, pb_perp)))
+    cover(circle(pa, to_cartesian(pa), "prime_to_second"), pb_vec, "prime_to_second_covers")
+    cover(circle(pb, pb_vec, "second"), x_vec, "second_covers_x")
 
     # Chain A: force the antipode of x to 1 via its meridian dyad.
-    y_vec = -x_vec
     yp_vec = point(yp_lat, y_phi)
     pc = descend_to(th_pc, "prime_c")
-    sweep(pc, yp_vec, "prime_to_dyad")
+    cover(circle(pc, to_cartesian(pc), "prime_to_dyad"), yp_vec, "prime_to_dyad_covers")
     m_y = point(0.0, y_phi + HALF_PI)
     equator_points.append(m_y)
-    triads.append(("meridian_dyad", (y_vec, yp_vec, m_y)))
+    triads.append(("meridian_dyad", (-x_vec, yp_vec, m_y)))
 
     # Memberships are analytic identities; fail loudly if the assembly is off.
     for label, members in triads:
@@ -378,32 +376,4 @@ def _competing_meridian_web(w, work_to_orig, anchor: SphPoint,
                 d = abs(float(np.dot(members[i], members[j])))
                 if not d <= EPS_ORTHO:
                     raise AssertionError(f"web triad {label} not orthogonal: {d}")
-
-    for e in equator_points:
-        if w(e) == 1:
-            trace.append({"step": "competing_meridian", "result": "equator_one"})
-            return finish_violating([Z_AXIS, e, normalized(cross(Z_AXIS, e))],
-                                    "competing_meridian")
-
-    evaluations = []
-    offender = None
-    for label, members in triads:
-        values = [w(v) for v in members]
-        total = sum(values)
-        evaluations.append({
-            "label": label,
-            "points": [list(work_to_orig(v)) for v in members],
-            "values": values,
-            "sum": total,
-        })
-        if total != 1 and offender is None:
-            offender = members
-    trace.append({"step": "competing_meridian", "phi_star": _PHI_STAR,
-                  "disputed_point": list(work_to_orig(x_vec)), "triads": evaluations})
-    if offender is not None:
-        return finish_violating(offender, "competing_meridian")
-
-    # Every triad passed, so arithmetic forces w(x) = 0 and w(-x) = 1.
-    if w(x_vec) == w(y_vec):
-        raise AssertionError("web arithmetic violated by a deterministic oracle")
-    return finish_antipodal(work_to_orig(x_vec), "competing_meridian")
+    return triads, equator_points, x_vec

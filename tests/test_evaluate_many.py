@@ -214,6 +214,18 @@ def test_step_meridian_rejects_non_unit_rows_as_evaluate_does():
         oracle.evaluate_many(points)
 
 
+@pytest.mark.parametrize("point", ([math.nan] * 3, [0.0, 0.0, 0.0], [0.0, 0.0, 5.0]),
+                         ids=("nan", "zero", "off_sphere"))
+@pytest.mark.parametrize("seed", (None, 0))
+@pytest.mark.parametrize("name", LARGE_SET_SPECS)
+def test_every_3d_family_rejects_points_off_the_sphere(name, seed, point):
+    oracle = oracle_for(name, seed)
+    with pytest.raises(DomainError):
+        oracle.evaluate(np.array(point))
+    with pytest.raises(DomainError):
+        oracle.evaluate_many(np.array([[0.0, 0.0, 1.0], point]))
+
+
 @pytest.mark.parametrize("seed", (None, 0))
 @pytest.mark.parametrize("name", SPECS)
 def test_non_finite_rows_fail_or_agree_as_evaluate_does(name, seed):

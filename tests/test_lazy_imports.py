@@ -24,9 +24,9 @@ FLOAT_STACK = ("numpy", "kswitness.sphere_geom", "kswitness.valuation", "kswitne
 EXPORTS = {
     "sphere_geom": (
         "EPS_NORM", "EPS_ORTHO", "DescentAwayFromEquator", "DescentCircle",
-        "DomainError", "NotOrthogonal", "SphPoint", "Triad", "complete_triad",
-        "descent_theta", "equator_crossings", "from_cartesian", "perp_of_apex",
-        "rotation_to_pole", "to_cartesian", "two_step_chain", "two_step_delta_phi",
+        "DomainError", "NotOrthogonal", "SphPoint", "Triad", "descent_theta",
+        "equator_crossings", "from_cartesian", "perp_of_apex", "rotation_to_pole",
+        "to_cartesian", "two_step_chain", "two_step_delta_phi",
     ),
     "valuation": (
         "FourSegmentValuation", "FunctionValuation", "Generator2D", "NotABasis",

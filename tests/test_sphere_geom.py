@@ -1,5 +1,5 @@
 """Geometry invariants: coordinates, descent circles, two-step descent,
-rotations, and triad completion.
+rotations, and triads.
 
 Derived expectations are checked against independent formulas (direct dot
 products, explicit trigonometry) rather than against the code under test.
@@ -17,7 +17,6 @@ from kswitness.sphere_geom import (
     NotOrthogonal,
     SphPoint,
     Triad,
-    complete_triad,
     cross,
     descent_theta,
     equator_crossings,
@@ -324,22 +323,6 @@ class TestCross:
 
 
 class TestTriadCompletion:
-    def test_canonical_completion_of_pole(self):
-        t = complete_triad([0, 0, 1])
-        assert np.allclose(t.n1, [0, 0, 1], atol=1e-15)
-        assert np.allclose(t.n2, [1, 0, 0], atol=1e-15)
-        assert np.allclose(t.n3, [0, 1, 0], atol=1e-15)
-
-    def test_random_completions_orthonormal(self):
-        rng = np.random.default_rng(37)
-        for _ in range(500):
-            v = rng.standard_normal(3)
-            v /= np.linalg.norm(v)
-            t = complete_triad(v)
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    assert abs(np.dot(t.vectors[i], t.vectors[j])) < 1e-9
-
     def test_triad_validates(self):
         with pytest.raises(NotOrthogonal):
             Triad(np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), np.array([0.0, 0, 1]))

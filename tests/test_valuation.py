@@ -26,6 +26,7 @@ from kswitness.valuation import (
     make_valuation_1d,
     random_rotation,
     reduce_dimension,
+    step_profile,
 )
 
 HALF_PI = math.pi / 2
@@ -130,18 +131,13 @@ def _sph(theta, phi):
 
 class TestStepMeridian:
     def test_profile_matches_displayed_form(self):
-        v = StepMeridianValuation(0.6, "one_at_step")
-        assert v.profile(0.6) == 1
-        assert v.profile(1.2) == 1
-        assert v.profile(0.59) == 0
-        assert v.profile(0.6 - HALF_PI) == 0
-        assert v.profile(0.6 - HALF_PI - 1e-9) == 1
+        for theta, bit in ((0.6, 1), (1.2, 1), (0.59, 0), (0.6 - HALF_PI, 0),
+                           (0.6 - HALF_PI - 1e-9, 1)):
+            assert step_profile(theta, 0.6, "one_at_step") == bit
 
     def test_zero_at_step_variant(self):
-        v = StepMeridianValuation(0.6, "zero_at_step")
-        assert v.profile(0.6) == 0
-        assert v.profile(0.6 + 1e-9) == 1
-        assert v.profile(0.6 - HALF_PI) == 1
+        for theta, bit in ((0.6, 0), (0.6 + 1e-9, 1), (0.6 - HALF_PI, 1)):
+            assert step_profile(theta, 0.6, "zero_at_step") == bit
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -154,9 +150,8 @@ class TestStepMeridian:
             StepMeridianValuation(0.3, "sideways")
 
     def test_one_transition_per_quarter_turn(self):
-        v = StepMeridianValuation(0.8)
         thetas = np.linspace(-HALF_PI, HALF_PI, 20001)
-        vals = [v.profile(t) for t in thetas]
+        vals = [step_profile(t, 0.8, "one_at_step") for t in thetas]
         flips = sum(1 for a, b in zip(vals, vals[1:]) if a != b)
         assert flips == 2  # two transitions across the full latitude range
 

@@ -19,7 +19,14 @@ from kswitness.valuation import (
     random_rotation,
     step_profile,
 )
-from kswitness.witness import WitnessConfig, WitnessReport, extract_witness
+from kswitness.sphere_geom import EPS_ORTHO, SphPoint, to_cartesian
+from kswitness.witness import (
+    _APEX_GUARD,
+    WitnessConfig,
+    WitnessReport,
+    _competing_meridian_web,
+    extract_witness,
+)
 
 HALF_PI = math.pi / 2
 
@@ -61,6 +68,24 @@ def _key(point) -> tuple:
     return tuple(np.round(point, 9))
 
 
+def propagate(triads, zeros) -> dict:
+    """Unit propagation of "exactly one 1 per triad" from ``zeros`` at 0:
+    every value it forces, keyed as the triads' members are."""
+    values = dict.fromkeys(zeros, 0)
+    changed = True
+    while changed:
+        changed = False
+        for members in triads:
+            known = [values.get(m) for m in members]
+            if None not in known:
+                continue
+            forced = 0 if 1 in known else 1 if known.count(0) == 2 else None
+            if forced is not None:
+                values.update((m, forced) for m, v in zip(members, known) if v is None)
+                changed = True
+    return values
+
+
 def web_propagated_oracle(base, config: WitnessConfig) -> FunctionValuation:
     """``base``, except on the competing-meridian web that ``base`` leads
     the extractor to.  There it answers what "exactly one 1 per triad"
@@ -76,18 +101,7 @@ def web_propagated_oracle(base, config: WitnessConfig) -> FunctionValuation:
     equator = [members[1] for label, members in triads.items() if label.endswith("_circle")]
     equator.append(triads["meridian_dyad"][2])
     assert len(equator) == 7
-    values = dict.fromkeys([triads["anchor_circle"][0], *equator], 0)
-    changed = True
-    while changed:
-        changed = False
-        for members in triads.values():
-            known = [values.get(m) for m in members]
-            if None not in known:
-                continue
-            forced = 0 if 1 in known else 1 if known.count(0) == 2 else None
-            if forced is not None:
-                values.update((m, forced) for m, v in zip(members, known) if v is None)
-                changed = True
+    values = propagate(triads.values(), [triads["anchor_circle"][0], *equator])
     assert all(sum(values[m] for m in members) == 1 for members in triads.values())
     x = _key(web["disputed_point"])
     assert (values[x], values[_key(-np.array(web["disputed_point"]))]) == (0, 1)
@@ -134,10 +148,23 @@ class TestExtractWitness:
             extract_witness(ConstantValuation(4, 0))
 
     def test_budget_exhaustion_is_not_found(self):
-        report = extract_witness(StepMeridianValuation(0.9),
-                                 WitnessConfig(rng_seed=0, max_descent_probes=3))
+        oracle = FunctionValuation(3, StepMeridianValuation(0.9).evaluate)
+        report = extract_witness(oracle, WitnessConfig(rng_seed=0, max_descent_probes=3))
         assert report.outcome == "not_found"
-        assert report.stats["oracle_calls"] == 3
+        assert report.stats == {"oracle_calls": 3, "distinct_points": 3,
+                                "phase_reached": "budget_exhausted"}
+
+    def test_pole_basis_recheck_failure_is_not_found(self):
+        # The search reads 0, 0, 0 on the first basis; the fresh re-check
+        # reads 1, 0, 0, so the transcript is flaky and certifies nothing.
+        answers = iter([0, 0, 0, 1, 0, 0])
+        report = extract_witness(FunctionValuation(3, lambda n: next(answers)),
+                                 WitnessConfig(rng_seed=1))
+        assert report.outcome == "not_found"
+        assert report.triad is None
+        assert report.stats["phase_reached"] == "pole_basis:recheck_failed"
+        assert report.trace[-1]["step"] == "final_triad"
+        assert report.trace[-1]["values"] == [1, 0, 0]
 
     def test_non_bit_answer_on_recheck_raises(self):
         # Four-segment bits for the 3 calls the search makes at this seed,
@@ -202,9 +229,42 @@ class TestExtractWitness:
         with pytest.raises(ValueError):
             WitnessConfig(meridian_samples=0)
         with pytest.raises(ValueError):
-            WitnessConfig(theta_resolution=0.0)
-        with pytest.raises(ValueError):
             WitnessConfig(rng_seed=-1)
+
+
+def web_anchors() -> list[np.ndarray]:
+    """Seeded anchors over the latitudes the extractor accepts, both ends
+    included: just above _APEX_GUARD up to pi/2 - 1e-6, and pi/2 - 5e-7,
+    beyond the anchors the bisection ends at (about pi/2 - 7.5e-7)."""
+    rng = np.random.default_rng(14)
+    lats = [math.nextafter(_APEX_GUARD, HALF_PI), HALF_PI - 1e-6, HALF_PI - 5e-7]
+    lats += list(rng.uniform(_APEX_GUARD, HALF_PI - 1e-6, 125))
+    return [to_cartesian(SphPoint(lat, rng.uniform(-math.pi, math.pi))) for lat in lats]
+
+
+class TestCompetingMeridianWeb:
+    """The web as a pure function of the anchor, called without an oracle."""
+
+    def test_fixed_shape_and_orthogonal_triads(self):
+        for anchor in web_anchors():
+            triads, equator, x = _competing_meridian_web(anchor)
+            assert len(triads) == 14 and len(equator) == 7
+            assert all(e[2] == 0.0 for e in equator)
+            for _, members in triads:
+                for i in range(3):
+                    for j in range(i + 1, 3):
+                        assert abs(np.dot(members[i], members[j])) <= EPS_ORTHO
+            points = {_key(p) for _, members in triads for p in members}
+            assert len(points) == 27
+            assert _key(x) in points and _key(-x) in points
+
+    def test_sum_rule_forces_x_zero_and_antipode_one(self):
+        for anchor in web_anchors():
+            triads, equator, x = _competing_meridian_web(anchor)
+            keyed = [[_key(p) for p in members] for _, members in triads]
+            values = propagate(keyed, [_key(anchor), *map(_key, equator)])
+            assert (values[_key(x)], values[_key(-x)]) == (0, 1)
+            assert all(sum(values[m] for m in members) == 1 for members in keyed)
 
 
 class TestWebEndgame:
@@ -217,6 +277,27 @@ class TestWebEndgame:
         assert report.outcome == "antipodal_violation"
         assert report.stats["phase_reached"] == "competing_meridian"
         assert_certificate_valid(report, oracle)
+
+    def test_antipodal_recheck_failure_is_not_found(self):
+        # The web-consistent oracle, except that every repeated read answers
+        # 0: the search still sees x = 0 and -x = 1, the fresh re-check sees
+        # them agree.
+        cfg = WitnessConfig(rng_seed=0)
+        web = web_propagated_oracle(StepMeridianValuation(0.8), cfg)
+        seen = set()
+
+        def first_reads_only(n):
+            if _key(n) in seen:
+                return 0
+            seen.add(_key(n))
+            return web.evaluate(n)
+
+        report = extract_witness(FunctionValuation(3, first_reads_only), cfg)
+        assert report.outcome == "not_found"
+        assert report.antipodal_point is None
+        assert report.stats["phase_reached"] == "competing_meridian:recheck_failed"
+        assert report.trace[-1]["step"] == "antipodal_pair"
+        assert report.trace[-1]["values"] == [0, 0]
 
     def test_lazy_adversary_reaches_competing_meridian(self):
         # An oracle lazily consistent with every triad constraint it is shown
