@@ -112,20 +112,21 @@ def from_cartesian(v) -> SphPoint:
     return SphPoint(theta, phi)
 
 
-def require_unit(v) -> np.ndarray:
+def require_unit(v, dimension: int = 3) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise DomainError(f"expected a 3-vector, got shape {v.shape}")
+    if v.shape != (dimension,):
+        raise DomainError(f"expected a {dimension}-vector, got shape {v.shape}")
     if not abs(float(np.dot(v, v)) - 1.0) <= 2.0 * EPS_NORM:
         raise DomainError(f"vector {v} is not unit within {EPS_NORM}")
     return v
 
 
-def require_unit_rows(points) -> np.ndarray:
-    """``require_unit`` for each row of an (N, 3) array."""
+def require_unit_rows(points, dimension: int = 3) -> np.ndarray:
+    """``require_unit`` for each row of an (N, dimension) array."""
     p = np.asarray(points, dtype=float)
-    if p.ndim != 2 or p.shape[1] != 3:
-        raise DomainError(f"expected an (N, 3) array of 3-vectors, got shape {p.shape}")
+    if p.ndim != 2 or p.shape[1] != dimension:
+        raise DomainError(f"expected an (N, {dimension}) array of {dimension}-vectors, "
+                          f"got shape {p.shape}")
     bad = ~(np.abs(np.einsum("ij,ij->i", p, p) - 1.0) <= 2.0 * EPS_NORM)
     if bad.any():
         raise DomainError(f"vector {p[bad.argmax()]} is not unit within {EPS_NORM}")

@@ -127,6 +127,18 @@ class _RuleValuation(Valuation):
         return self._bits(_Many, *self._check_rows(points).T).astype(np.int8)
 
 
+class _UnitDomain:
+    """Both entry points take unit ``dimension``-vectors only, checked as
+    ``require_unit`` checks, and raise ``DomainError`` on anything else,
+    NaN and the zero vector included."""
+
+    def _check(self, n) -> np.ndarray:
+        return require_unit(n, self.dimension)
+
+    def _check_rows(self, points) -> np.ndarray:
+        return require_unit_rows(points, self.dimension)
+
+
 class FunctionValuation(Valuation):
     """Adapter wrapping an arbitrary callable oracle."""
 
@@ -138,7 +150,7 @@ class FunctionValuation(Valuation):
         return self._fn(np.asarray(n, dtype=float))
 
 
-class ConstantValuation(Valuation):
+class ConstantValuation(_UnitDomain, Valuation):
     def __init__(self, dimension: int, value: int):
         if value not in (0, 1):
             raise ValueError("valuation values must be 0 or 1")
@@ -146,6 +158,7 @@ class ConstantValuation(Valuation):
         self.value = value
 
     def evaluate(self, n) -> int:
+        self._check(n)
         return self.value
 
 
@@ -209,7 +222,7 @@ class Generator2D:
         return cls(tuple(zip(cuts[0::2], cuts[1::2])))
 
 
-class Valuation2D(_RuleValuation):
+class Valuation2D(_UnitDomain, _RuleValuation):
     """The general S^1 valuation generated by g on [0, pi/2):
 
         v = g on [0, pi/2),  1 - g(. - pi/2) on [pi/2, pi),
@@ -244,13 +257,10 @@ class Valuation2D(_RuleValuation):
 
 # --- three-dimensional near-miss constructions ----------------------------
 
-class _SphereRule(_RuleValuation):
-    """A family on S^2: both entry points take unit 3-vectors only and raise
-    ``DomainError`` on anything else, NaN and the zero vector included."""
+class _SphereRule(_UnitDomain, _RuleValuation):
+    """A family on S^2: both entry points take unit 3-vectors only."""
 
     dimension = 3
-    _check = staticmethod(require_unit)
-    _check_rows = staticmethod(require_unit_rows)
 
 
 BOUNDARY_VARIANTS = ("one_at_step", "zero_at_step")

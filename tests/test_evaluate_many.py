@@ -12,7 +12,7 @@ import pytest
 from kswitness.sphere_geom import DomainError, SphPoint, to_cartesian
 from kswitness.valuation import (
     BOUNDARY_VARIANTS, ConstantValuation, FunctionValuation, Generator2D, Valuation2D, _bit,
-    build_oracle, random_rotation, reduce_dimension,
+    build_oracle, make_valuation_1d, random_rotation, reduce_dimension,
 )
 
 HALF_PI = math.pi / 2
@@ -224,6 +224,41 @@ def test_every_3d_family_rejects_points_off_the_sphere(name, seed, point):
         oracle.evaluate(np.array(point))
     with pytest.raises(DomainError):
         oracle.evaluate_many(np.array([[0.0, 0.0, 1.0], point]))
+
+
+# The families off S^2: the circle and the constant valuations, S^0 included.
+OTHER_FAMILIES = {
+    "valuation2d": lambda: Valuation2D(Generator2D(((EDGES[0], EDGES[1]),))),
+    "constant1d-1": lambda: make_valuation_1d(1),
+    "constant1d-0": lambda: make_valuation_1d(0),
+    "constant3d": lambda: ConstantValuation(3, 1),
+}
+
+
+@pytest.mark.parametrize("point", ("nan", "zero", "off_sphere"))
+@pytest.mark.parametrize("name", OTHER_FAMILIES)
+def test_every_other_family_rejects_points_off_the_sphere(name, point):
+    oracle = OTHER_FAMILIES[name]()
+    d = oracle.dimension
+    unit = [0.0] * (d - 1) + [1.0]
+    point = {"nan": [math.nan] * d, "zero": [0.0] * d, "off_sphere": [0.0] * (d - 1) + [5.0]}[point]
+    with pytest.raises(DomainError):
+        oracle.evaluate(np.array(point))
+    with pytest.raises(DomainError):
+        oracle.evaluate_many(np.array([unit, point]))
+    assert oracle.evaluate_many(np.array([unit])).tolist() == [oracle.evaluate(np.array(unit))]
+
+
+@pytest.mark.parametrize("name", OTHER_FAMILIES)
+def test_every_other_family_rejects_points_of_the_wrong_shape(name):
+    oracle = OTHER_FAMILIES[name]()
+    d = oracle.dimension
+    for point in ([5.0] * (d + 2), [[1.0] + [0.0] * (d - 1)]):
+        with pytest.raises(DomainError):
+            oracle.evaluate(np.array(point))
+    for points in (np.zeros((2, d + 1)), np.eye(d)[0]):
+        with pytest.raises(DomainError):
+            oracle.evaluate_many(points)
 
 
 @pytest.mark.parametrize("seed", (None, 0))

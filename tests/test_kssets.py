@@ -5,9 +5,11 @@ oracles: full 2^n enumeration for small sets and a plain recursive
 enumerator with no propagation for the larger ones.  It must also match,
 node for node, two test-local copies of earlier solvers: the original one
 that rescans every basis, and the indexed one that undoes its counts from a
-trail.  The packed-lane graph construction is checked bit for bit against a
-pairwise exact inner product, the duplicate-ray check against pairwise 2x2
-minors, and the check-set reports are pinned by golden files.
+trail.  Basis enumeration is checked against brute-force cliques and a
+test-local copy of the earlier ascending walk.  The packed-lane graph
+construction is checked bit for bit against a pairwise exact inner product,
+the duplicate-ray check against pairwise 2x2 minors, and the check-set
+reports are pinned by golden files.
 """
 
 import itertools
@@ -25,6 +27,7 @@ from kswitness.kssets import (
     OrthoGraph,
     RaySet,
     RaySetFormatError,
+    available_sets,
     build_ortho_graph,
     bundled_data_dir,
     enumerate_bases,
@@ -801,6 +804,121 @@ def test_packed_solver_matches_trail_solver_on_degenerate_bases(bases):
     # A member listed twice counts twice, as in verify_assignment.
     assert result.colorable == any(verify_assignment(g, bases, values)
                                    for values in itertools.product((0, 1), repeat=5))
+
+
+# --- basis enumeration against brute force and the ascending walk -------------
+
+def reference_enumerate_bases(graph, dimension):
+    """The ascending walk that ``enumerate_bases`` replaced: each clique
+    grows from its least member up, so the bases come out in lexicographic
+    order with no sort.  It needs ``dimension >= 1``."""
+    adjacency = graph.adjacency
+    bases = []
+
+    def extend(clique, candidates, left, need):
+        if need == 1:
+            bases.extend(clique + (v,) for v in range(candidates.bit_length())
+                         if candidates >> v & 1)
+            return
+        while left >= need:
+            low = candidates & -candidates
+            v = low.bit_length() - 1
+            candidates ^= low
+            left -= 1
+            common = candidates & adjacency[v]
+            count = common.bit_count()
+            if count >= need - 1:
+                extend(clique + (v,), common, count, need - 1)
+
+    extend((), (1 << graph.vertex_count) - 1, graph.vertex_count, dimension)
+    return tuple(bases)
+
+
+def brute_force_cliques(graph, size):
+    """Every ``size``-subset of the vertices whose pairs are all edges."""
+    return tuple(c for c in itertools.combinations(range(graph.vertex_count), size)
+                 if all(graph.adjacency[i] >> j & 1 for i, j in itertools.combinations(c, 2)))
+
+
+def small_graphs():
+    """Hand-made graphs, including the empty one, and small ray sets."""
+    graphs = {"empty": OrthoGraph(0, ()), "triangle": OrthoGraph(3, (0b110, 0b101, 0b011)),
+              "edgeless": OrthoGraph(3, (0, 0, 0)),
+              "k4-minus-edge": OrthoGraph(4, (0b1110, 0b0101, 0b1011, 0b0101))}
+    graphs |= {name: load_bundled(name).graph for name in ("disjoint_bases3", "single_basis3")}
+    rng = random.Random("kssets-enumerate-small")
+    graphs |= {f"random{d}": random_ray_set(rng, d, ternary_pool(d), 9).graph for d in (3, 4, 5)}
+    return [pytest.param(graph, id=name) for name, graph in graphs.items()]
+
+
+@pytest.mark.parametrize("graph", small_graphs())
+def test_enumerate_bases_matches_combinations_at_every_dimension(graph):
+    for dimension in range(graph.vertex_count + 2):
+        assert enumerate_bases(graph, dimension) == brute_force_cliques(graph, dimension)
+    with pytest.raises(ValueError, match="negative"):
+        enumerate_bases(graph, -1)
+
+
+@pytest.mark.parametrize("family", ["e8", "ternary4", "ternary5", "ternary6"])
+def test_enumerate_bases_matches_ascending_walk_on_large_families(family):
+    # Each family as generated and relabeled with two seeds: the same
+    # bases under new indices, found in another order.
+    rays = e8_ray_set().rays if family == "e8" else tuple(ternary_rays(int(family[-1])))
+    count = {"e8": 2025, "ternary4": 32, "ternary5": 136, "ternary6": 1408}[family]
+    variants = [rays] + [tuple(relabeled(random.Random(f"kssets-enumerate:{family}:{seed}"),
+                                         list(rays))) for seed in (1, 2)]
+    for rays in variants:
+        rs = RaySet(family, len(rays[0]), rays)
+        bases = enumerate_bases(rs.graph, rs.dimension)
+        assert len(bases) == count
+        assert bases == reference_enumerate_bases(rs.graph, rs.dimension)
+
+
+@pytest.mark.parametrize("name", available_sets())
+def test_enumerate_bases_matches_ascending_walk_on_bundled_sets(name):
+    rs = load_bundled(name)
+    for dimension in range(1, rs.dimension + 2):
+        assert enumerate_bases(rs.graph, dimension) == reference_enumerate_bases(
+            rs.graph, dimension)
+
+
+def test_enumerate_bases_matches_brute_force_on_random_ray_sets():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def primitive(v):
+        g = math.gcd(*v)
+        v = tuple(x // g for x in v)
+        return v if next(x for x in v if x) > 0 else tuple(-x for x in v)
+
+    @st.composite
+    def ray_sets(draw):
+        """Up to 14 rays from {0, +-1, +-2}^d, d = 2..5, one per parallel
+        class.  Up to two are planted bases, so that d-cliques occur: the
+        unit vectors, each disjoint pair of coordinates (i, j) rotated by
+        e_i -> a e_i + b e_j, e_j -> a e_j - b e_i; the rest are random."""
+        d = draw(st.integers(2, 5))
+        vectors = []
+        for _ in range(draw(st.integers(0, 2))):
+            basis = [[int(i == k) for i in range(d)] for k in range(d)]
+            order = draw(st.permutations(range(d)))
+            for i, j in zip(order[::2], order[1::2]):
+                a, b = draw(st.sampled_from(((1, 0), (1, 1), (1, 2), (2, 1))))
+                basis[i][j], basis[j][i] = b, -b
+                basis[i][i] = basis[j][j] = a
+            vectors += map(tuple, basis)
+        vectors += draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d).filter(any),
+                                 min_size=0 if vectors else 1, max_size=14 - len(vectors)))
+        rays = dict.fromkeys(map(primitive, vectors))
+        return RaySet("random", d, tuple(ints(*v) for v in rays))
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=120, database=None)
+    @hypothesis.given(ray_sets())
+    def check(rs):
+        for dimension in (rs.dimension - 1, rs.dimension, rs.dimension + 1):
+            assert enumerate_bases(rs.graph, dimension) == brute_force_cliques(rs.graph, dimension)
+
+    check()
 
 
 # --- packed-lane graphs against pairwise exact inner products ----------------
