@@ -154,12 +154,8 @@ def cmd_witness(args) -> int:
         return _fail(f"cannot read {args.oracle}: {exc}", EXIT_INPUT)
     except OracleSpecError as exc:
         return _fail(f"bad oracle spec: {exc}", EXIT_INPUT)
-    config = WitnessConfig(
-        meridian_samples=args.meridians,
-        max_descent_probes=args.budget,
-        rng_seed=args.seed,
-    )
-    report = extract_witness(oracle, config)
+    report = extract_witness(oracle, WitnessConfig(max_descent_probes=args.budget,
+                                                   rng_seed=args.seed))
     return _dump_json(report.to_json_dict(), args.out,
                       EXIT_OK if report.found else EXIT_NOT_FOUND)
 
@@ -336,7 +332,6 @@ def _add_witness(sub) -> None:
     p_wit.add_argument("--seed", type=_int_at_least(0), default=0,
                        help="seed choosing the frame of the first basis read")
     p_wit.add_argument("--budget", type=_positive_int, default=10_000, help="total oracle-call budget")
-    p_wit.add_argument("--meridians", type=_positive_int, default=64, help="equator probe count")
     p_wit.add_argument("--out", help="write the report here instead of stdout")
     p_wit.set_defaults(func=cmd_witness)
 

@@ -15,27 +15,31 @@ skeleton:
     values do not sum to 1 it is the certificate, and if they do it names a
     point with value 1;
 2.  rotate that point to the north pole;
-3.  probe the equator, where every value must now be 0;
-4.  bisect the prime meridian for the 1 -> 0 transition latitude;
-5.  rotate the transition to the pole, standardizing the meridian;
+3.  probe the equator point at longitude 0, where the value must now be 0;
+4.  halve the prime meridian between that point and the pole a fixed
+    number of times, the fewest that bring the 1 -> 0 transition within
+    reach of the web's apex guard;
+5.  rotate the transition to the pole, standardizing the meridian: the
+    measured zero then always sits at the same anchor;
 6.  evaluate the competing-meridian web: a fixed finite family of triads,
-    a pure function of the standardized anchor, built from two-step
-    descents off the prime meridian and the descent circles of a second
-    meridian, whose constraints force one chosen point to be 0 and its
-    antipode to be 1.  Evaluating the whole web therefore must expose
+    a pure function of the standardized anchor (so built once), made of
+    two-step descents off the prime meridian and the descent circles of a
+    second meridian, whose constraints force one chosen point to be 0 and
+    its antipode to be 1.  Evaluating the whole web therefore must expose
     either a violating triad or an antipodal violation.
 
-Budgets bound every loop.  The outcome is "not_found", with
-``stats["phase_reached"]`` saying why, when the oracle-call budget runs out
-("budget_exhausted"), when the standardized anchor is too far from the pole
-("standardize:resolution") or pole and anchor no longer read 1 and 0
-("standardize:anchor_drift"), or when the re-check disagrees
-("<phase>:recheck_failed", the phase being "pole_basis", "equator_probe" or
-"competing_meridian").
+A run asks at most 34 distinct points: 3 (basis) + 1 (equator) + 4
+(bisection) + the web's 26 points other than the anchor.  The outcome is
+"not_found", with ``stats["phase_reached"]`` saying why, when the
+oracle-call budget runs out ("budget_exhausted"), when pole and anchor no
+longer read 1 and 0 ("standardize:anchor_drift"), or when the re-check
+disagrees ("<phase>:recheck_failed", the phase being "pole_basis",
+"equator_probe" or "competing_meridian").
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -68,8 +72,11 @@ _THETA_X = math.pi / 8.0
 _PHI_X = 5.0 * math.pi / 8.0
 _APEX_GUARD = 1.45
 
-# The bisection locates the meridian transition to within this many radians.
-_THETA_RESOLUTION = 1e-6
+# The fewest halvings of [0, pi/2] whose final gap puts the standardized
+# anchor above _APEX_GUARD: 4, leaving a gap of pi/32.  Each halving halves
+# the gap whatever it reads, so the anchor is the same point on every run.
+_BISECTION_STEPS = next(n for n in itertools.count() if HALF_PI / 2 ** n < HALF_PI - _APEX_GUARD)
+_ANCHOR = SphPoint(HALF_PI - HALF_PI / 2 ** _BISECTION_STEPS, 0.0)
 
 
 @dataclass(frozen=True)
@@ -77,27 +84,22 @@ class WitnessConfig:
     """Budgets and determinism knobs for the extractor.
 
     ``max_descent_probes`` caps total oracle calls for the whole run;
-    ``rng_seed`` chooses the frame of the first basis read; the equator is
-    probed at ``meridian_samples`` longitudes.
+    ``rng_seed`` chooses the frame of the first basis read.
     """
 
-    meridian_samples: int = 64
     max_descent_probes: int = 10_000
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("meridian_samples", "max_descent_probes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        if self.max_descent_probes < 1:
+            raise ValueError("max_descent_probes must be at least 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
 
     def to_json_dict(self) -> dict:
         return {
-            "meridian_samples": self.meridian_samples,
             "max_descent_probes": self.max_descent_probes,
             "rng_seed": self.rng_seed,
-            "theta_resolution": _THETA_RESOLUTION,
         }
 
 
@@ -240,20 +242,19 @@ def _search(session: _Session, cfg: WitnessConfig, trace: list) -> tuple[str, st
     rotation = rotation_to_pole(one_point)
     trace.append({"step": "rotate_to_pole", "pole_preimage": list(one_point)})
 
-    # Phase 3: the equator must now be identically zero.
-    for j in range(cfg.meridian_samples):
-        phi = 2.0 * math.pi * j / cfg.meridian_samples
-        e = np.array([math.cos(phi), math.sin(phi), 0.0])
-        if w(e) == 1:
-            trace.append({"step": "equator_probe", "longitudes": j + 1, "ones": 1})
-            return violating(_equator_one_triad(e), "equator_probe")
-    trace.append({"step": "equator_probe", "longitudes": cfg.meridian_samples, "ones": 0})
+    # Phase 3: the equator must now be zero; the point at phi = 0 is the
+    # bisection's zero end.
+    e = np.array([1.0, 0.0, 0.0])
+    if w(e) == 1:
+        trace.append({"step": "equator_probe", "longitudes": 1, "ones": 1})
+        return violating(_equator_one_triad(e), "equator_probe")
+    trace.append({"step": "equator_probe", "longitudes": 1, "ones": 0})
 
     # Phase 4: bisect the prime meridian for the 1 -> 0 transition.
     # The pole carries 1 and the equator point at phi = 0 carried 0.
     theta_one, theta_zero = HALF_PI, 0.0
     bisection_evals = []
-    while theta_one - theta_zero > _THETA_RESOLUTION:
+    for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (theta_one + theta_zero)
         point = to_cartesian(SphPoint(mid, 0.0))
         val = w(point)
@@ -266,22 +267,16 @@ def _search(session: _Session, cfg: WitnessConfig, trace: list) -> tuple[str, st
                   "theta_zero": theta_zero, "evaluations": bisection_evals})
 
     # Phase 5: standardize; the transition point becomes the pole and the
-    # measured zero sits immediately below it on the prime meridian.
-    old_zero = to_cartesian(SphPoint(theta_zero, 0.0))
-    second = rotation_to_pole(to_cartesian(SphPoint(theta_one, 0.0)))
-    rotation = second @ rotation
-    anchor_vec = normalized(second @ old_zero)
-    anchor = from_cartesian(anchor_vec)
-    trace.append({"step": "standardize", "anchor_theta": anchor.theta,
-                  "anchor_phi": anchor.phi})
-    if anchor.theta <= _APEX_GUARD:
-        raise _NotFound("standardize:resolution")
-    if w(Z_AXIS) != 1 or w(anchor_vec) != 0:
+    # measured zero, the final gap below it on the prime meridian, _ANCHOR.
+    rotation = rotation_to_pole(to_cartesian(SphPoint(theta_one, 0.0))) @ rotation
+    trace.append({"step": "standardize", "anchor_theta": _ANCHOR.theta,
+                  "anchor_phi": _ANCHOR.phi})
+    if w(Z_AXIS) != 1 or w(_ANCHOR_VEC) != 0:
         raise _NotFound("standardize:anchor_drift")
 
     # Phase 6: if the web's equator points read 0 and each triad sums to 1,
     # then x reads 0 and -x reads 1, so one pass must end in a certificate.
-    triads, equator_points, x_vec = _competing_meridian_web(anchor_vec)
+    triads, equator_points, x_vec = _WEB
     for e in equator_points:
         if w(e) == 1:
             trace.append({"step": "competing_meridian", "result": "equator_one"})
@@ -303,14 +298,16 @@ def _search(session: _Session, cfg: WitnessConfig, trace: list) -> tuple[str, st
     return "antipodal_violation", "competing_meridian", to_orig(x_vec)
 
 
-def _competing_meridian_web(anchor_vec: np.ndarray) -> tuple[list, list, np.ndarray]:
+def _competing_meridian_web(anchor_vec: np.ndarray) -> tuple[tuple, tuple, np.ndarray]:
     """The finite web of triads that pits the prime meridian's descent sweep
     against a second meridian's, in the standardized frame whose pole is 1
     and whose ``anchor_vec`` just below it on the prime meridian is 0.
 
     Returns the labelled triads, the web's equator points and the disputed
     point x.  With the anchor and the equator points at 0, "exactly one 1
-    per triad" forces x to 0 and -x to 1.  Calls no oracle.
+    per triad" forces x to 0 and -x to 1.  Calls no oracle.  Every point it
+    returns, ``anchor_vec`` included, is made read-only, so one web can be
+    shared by many runs.
     """
     anchor = from_cartesian(anchor_vec)
     phi0 = anchor.phi
@@ -376,4 +373,10 @@ def _competing_meridian_web(anchor_vec: np.ndarray) -> tuple[list, list, np.ndar
                 d = abs(float(np.dot(members[i], members[j])))
                 if not d <= EPS_ORTHO:
                     raise AssertionError(f"web triad {label} not orthogonal: {d}")
-    return triads, equator_points, x_vec
+            members[i].flags.writeable = False
+    return tuple(triads), tuple(equator_points), x_vec
+
+
+# Phase 5 leaves the anchor at _ANCHOR on every run, so the web is built once.
+_ANCHOR_VEC = to_cartesian(_ANCHOR)
+_WEB = _competing_meridian_web(_ANCHOR_VEC)

@@ -210,13 +210,15 @@ class TestPlot:
 class TestCountFlags:
     """Count flags take integers of at least 1 and ``--seed`` one of at
     least 0; anything else is a usage error (exit 2, one ``error:`` line)
-    before any work starts."""
+    before any work starts.  ``witness --meridians`` is no longer a flag, so
+    it is rejected whatever its value."""
 
     CASES = [
         ("witness", "--budget", "0"),
         ("witness", "--budget", "-5"),
         ("witness", "--budget", "many"),
         ("witness", "--meridians", "0"),
+        ("witness", "--meridians", "8"),
         ("witness", "--seed", "-1"),
         ("plot-descent", "--grid", "0"),
         ("plot-descent", "--grid", "-1"),

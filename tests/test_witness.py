@@ -16,12 +16,15 @@ from kswitness.valuation import (
     RotatedValuation,
     StepMeridianValuation,
     Valuation2DRotated,
+    build_oracle,
     random_rotation,
     step_profile,
 )
 from kswitness.sphere_geom import EPS_ORTHO, SphPoint, to_cartesian
 from kswitness.witness import (
+    _ANCHOR,
     _APEX_GUARD,
+    _BISECTION_STEPS,
     WitnessConfig,
     WitnessReport,
     _competing_meridian_web,
@@ -29,6 +32,9 @@ from kswitness.witness import (
 )
 
 HALF_PI = math.pi / 2
+# The most distinct points a run asks: the basis, one equator point, the
+# bisection, and the competing-meridian web's 27 points but the anchor.
+MAX_CALLS = 3 + 1 + _BISECTION_STEPS + 26
 
 
 def assert_certificate_valid(report: WitnessReport, oracle) -> None:
@@ -62,6 +68,18 @@ def family_instances():
                 PolarCapValuation(0.35 + 0.15 * seed)][seed % 3]
         instances.append((f"perturbed_{seed}", RotatedValuation(base, random_rotation(seed), seed=seed)))
     return instances
+
+
+# Six families, each rotated by seeds 0-60, read at rng_seed 0-2: 1 098 runs.
+SWEEP_SPECS = {
+    "four_segment": {"kind": "four_segment"},
+    "step_meridian": {"kind": "step_meridian", "theta_star": 0.7},
+    "step_meridian_zero_at_step": {"kind": "step_meridian", "theta_star": 0.3,
+                                   "boundary_variant": "zero_at_step"},
+    "polar_cap_0.9": {"kind": "polar_cap", "cap_latitude": 0.9},
+    "polar_cap_1.3": {"kind": "polar_cap", "cap_latitude": 1.3},
+    "valuation2d_rotated": {"kind": "valuation2d_rotated", "intervals": [[0.2, 0.9], [1.1, 1.4]]},
+}
 
 
 def _key(point) -> tuple:
@@ -114,6 +132,15 @@ class TestExtractWitness:
         report = extract_witness(oracle, WitnessConfig(rng_seed=2))
         assert report.outcome == "violating_basis", name
         assert_certificate_valid(report, oracle)
+
+    @pytest.mark.parametrize("spec", SWEEP_SPECS.values(), ids=SWEEP_SPECS)
+    def test_rotated_families_certified_within_the_call_bound(self, spec):
+        for rotation_seed in range(61):
+            oracle = build_oracle({**spec, "rotation_seed": rotation_seed})
+            for rng_seed in range(3):
+                report = extract_witness(oracle, WitnessConfig(rng_seed=rng_seed))
+                assert report.outcome == "violating_basis", (rotation_seed, rng_seed)
+                assert report.stats["oracle_calls"] <= MAX_CALLS, (rotation_seed, rng_seed)
 
     def test_trivial_zero_oracle(self):
         oracle = ConstantValuation(3, 0)
@@ -224,22 +251,29 @@ class TestExtractWitness:
         steps = [t["step"] for t in report.trace]
         assert "meridian_classification" in steps
         assert "competing_meridian" in steps
+        # The bisection takes the fewest halvings that leave the anchor,
+        # the final gap below the transition, above the web's apex guard.
+        bisection = report.trace[steps.index("meridian_classification")]
+        gap = bisection["theta_one"] - bisection["theta_zero"]
+        assert len(bisection["evaluations"]) == _BISECTION_STEPS
+        assert HALF_PI - 2 * gap <= _APEX_GUARD < HALF_PI - gap == _ANCHOR.theta
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            WitnessConfig(meridian_samples=0)
+            WitnessConfig(max_descent_probes=0)
         with pytest.raises(ValueError):
             WitnessConfig(rng_seed=-1)
 
 
 def web_anchors() -> list[np.ndarray]:
-    """Seeded anchors over the latitudes the extractor accepts, both ends
-    included: just above _APEX_GUARD up to pi/2 - 1e-6, and pi/2 - 5e-7,
-    beyond the anchors the bisection ends at (about pi/2 - 7.5e-7)."""
+    """The extractor's fixed anchor, and seeded anchors over the latitudes
+    the web is built for, both ends included: just above _APEX_GUARD up to
+    pi/2 - 1e-6, and pi/2 - 5e-7."""
     rng = np.random.default_rng(14)
     lats = [math.nextafter(_APEX_GUARD, HALF_PI), HALF_PI - 1e-6, HALF_PI - 5e-7]
     lats += list(rng.uniform(_APEX_GUARD, HALF_PI - 1e-6, 125))
-    return [to_cartesian(SphPoint(lat, rng.uniform(-math.pi, math.pi))) for lat in lats]
+    anchors = [to_cartesian(SphPoint(lat, rng.uniform(-math.pi, math.pi))) for lat in lats]
+    return [to_cartesian(_ANCHOR), *anchors]
 
 
 class TestCompetingMeridianWeb:
@@ -276,6 +310,7 @@ class TestWebEndgame:
         report = extract_witness(oracle, WitnessConfig(rng_seed=seed))
         assert report.outcome == "antipodal_violation"
         assert report.stats["phase_reached"] == "competing_meridian"
+        assert report.stats["oracle_calls"] == MAX_CALLS == 34
         assert_certificate_valid(report, oracle)
 
     def test_antipodal_recheck_failure_is_not_found(self):
