@@ -2,9 +2,10 @@
 
 Each file under ``tests/golden/plot/`` was written by the code as it stood
 before the refactors that these tests guard.  The reports under
-``tests/golden/witness/`` were last rewritten when the extractor's first
-phase became one basis read (trace step ``pole_basis``); each still ends
-in a certificate.  ``plot --oracle`` grids are pinned by the SHA-256 digest of their
+``tests/golden/witness/`` were last rewritten when the extractor came to
+probe one equator point and bisect a fixed four times (no
+``meridian_samples`` or ``theta_resolution`` in ``config``); each still
+ends in a certificate.  ``plot --oracle`` grids are pinned by the SHA-256 digest of their
 CSV and SVG bytes in ``tests/golden/plot/oracle_digests.json``, written by
 the scalar, one-``evaluate``-per-cell grid; ``plot --figure descent-circle``
 curves are pinned there too, as ``csv.writer`` wrote them.  To rewrite them
