@@ -29,7 +29,10 @@ skeleton:
     either a violating triad or an antipodal violation.
 
 A run asks at most 34 distinct points: 3 (basis) + 1 (equator) + 4
-(bisection) + the web's 26 points other than the anchor.  The outcome is
+(bisection) + the web's 26 points other than the anchor.  The pole and the
+anchor, read again after phase 5, are points already asked; they cost an
+oracle call only if their rotated coordinates round to another cache key.
+The outcome is
 "not_found", with ``stats["phase_reached"]`` saying why, when the
 oracle-call budget runs out ("budget_exhausted"), when pole and anchor no
 longer read 1 and 0 ("standardize:anchor_drift"), or when the re-check
@@ -153,12 +156,14 @@ class _Session:
         self.valuation = valuation
         self.budget = budget
         self.calls = 0
+        self.hits = 0
         self.cache: dict[tuple, int] = {}
 
     def value(self, point_orig: np.ndarray) -> int:
         key = tuple(np.round(point_orig, 12))
         hit = self.cache.get(key)
         if hit is not None:
+            self.hits += 1
             return hit
         if self.calls >= self.budget:
             raise _NotFound("budget_exhausted")
@@ -204,7 +209,7 @@ def extract_witness(valuation: Valuation, config: WitnessConfig | None = None) -
             report.antipodal_values = tuple(fresh)
     if outcome != report.outcome:
         phase += ":recheck_failed"
-    report.stats = {"oracle_calls": session.calls, "distinct_points": len(session.cache),
+    report.stats = {"oracle_calls": session.calls, "cache_hits": session.hits,
                     "phase_reached": phase}
     return report
 

@@ -178,7 +178,7 @@ class TestExtractWitness:
         oracle = FunctionValuation(3, StepMeridianValuation(0.9).evaluate)
         report = extract_witness(oracle, WitnessConfig(rng_seed=0, max_descent_probes=3))
         assert report.outcome == "not_found"
-        assert report.stats == {"oracle_calls": 3, "distinct_points": 3,
+        assert report.stats == {"oracle_calls": 3, "cache_hits": 0,
                                 "phase_reached": "budget_exhausted"}
 
     def test_pole_basis_recheck_failure_is_not_found(self):
@@ -309,8 +309,11 @@ class TestWebEndgame:
         oracle = web_propagated_oracle(base, WitnessConfig(rng_seed=seed))
         report = extract_witness(oracle, WitnessConfig(rng_seed=seed))
         assert report.outcome == "antipodal_violation"
-        assert report.stats["phase_reached"] == "competing_meridian"
-        assert report.stats["oracle_calls"] == MAX_CALLS == 34
+        # 61 reads: 3 + 1 + 4 before phase 5, the pole and the anchor, the
+        # 7 equator points, 14 triads of 3, then x and -x; 34 of them are new.
+        assert MAX_CALLS == 34
+        assert report.stats == {"oracle_calls": 34, "cache_hits": 27,
+                                "phase_reached": "competing_meridian"}
         assert_certificate_valid(report, oracle)
 
     def test_antipodal_recheck_failure_is_not_found(self):
