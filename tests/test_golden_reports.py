@@ -2,9 +2,9 @@
 
 Each file under ``tests/golden/plot/`` was written by the code as it stood
 before the refactors that these tests guard.  The reports under
-``tests/golden/witness/`` were last rewritten when the extractor came to
-probe one equator point and bisect a fixed four times (no
-``meridian_samples`` or ``theta_resolution`` in ``config``); each still
+``tests/golden/witness/`` were last rewritten when ``stats`` came to
+count ``cache_hits`` in place of ``distinct_points``, after the extractor
+came to probe one equator point and bisect a fixed four times; each still
 ends in a certificate.  ``plot --oracle`` grids are pinned by the SHA-256 digest of their
 CSV and SVG bytes in ``tests/golden/plot/oracle_digests.json``, written by
 the scalar, one-``evaluate``-per-cell grid; ``plot --figure descent-circle``
