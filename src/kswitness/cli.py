@@ -307,7 +307,11 @@ def cmd_plot(args) -> int:
                 _write_curve_svg(rows, args.out,
                                  f"descent circle, apex ({args.theta_p:.4f}, {args.phi_p:.4f})")
         else:
-            grid = _valuation_grid(oracle, lat_rows, lon_cols)
+            try:
+                grid = _valuation_grid(oracle, lat_rows, lon_cols)
+            except MemoryError:
+                return _fail(f"--grid {args.grid}: a {lat_rows} x {lon_cols} grid does not "
+                             "fit in memory", EXIT_INPUT)
             if args.format == "csv":
                 _write_grid_csv(grid, args.out)
             else:

@@ -190,6 +190,21 @@ class TestPlot:
         text = out_path.read_text()
         assert text.startswith("<svg") and "<rect" in text
 
+    def test_grid_out_of_memory_exits_2(self, capsys, monkeypatch, tmp_path):
+        # numpy raises MemoryError for a grid it cannot allocate; stand in
+        # for it rather than ask for one.
+        from kswitness import sphere_geom
+
+        def out_of_memory(thetas, phis):
+            raise MemoryError
+        monkeypatch.setattr(sphere_geom, "to_cartesian_grid", out_of_memory)
+        out_path = tmp_path / "grid.csv"
+        code, out, err = run_cli(capsys, "plot", "--figure", "four-segment",
+                                 "--grid", "100000", "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: --grid 100000") and len(err.splitlines()) == 1
+        assert not out_path.exists()
+
     def test_unwritable_path_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, "plot", "--figure", "four-segment",
                              "--out", "/nonexistent-dir/x.csv")
