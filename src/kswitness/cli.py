@@ -310,8 +310,7 @@ def cmd_plot(args) -> int:
             try:
                 grid = _valuation_grid(oracle, lat_rows, lon_cols)
             except MemoryError:
-                return _fail(f"--grid {args.grid}: a {lat_rows} x {lon_cols} grid does not "
-                             "fit in memory", EXIT_INPUT)
+                return _fail(f"--grid {args.grid}: the grid does not fit in memory", EXIT_INPUT)
             if args.format == "csv":
                 _write_grid_csv(grid, args.out)
             else:

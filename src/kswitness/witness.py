@@ -15,34 +15,29 @@ skeleton:
     values do not sum to 1 it is the certificate, and if they do it names a
     point with value 1;
 2.  rotate that point to the north pole;
-3.  probe the equator point at longitude 0, where the value must now be 0;
-4.  halve the prime meridian between that point and the pole a fixed
-    number of times, the fewest that bring the 1 -> 0 transition within
-    reach of the web's apex guard;
-5.  rotate the transition to the pole, standardizing the meridian: the
-    measured zero then always sits at the same anchor;
+3.  probe the equator at longitude 0, where the value must now be 0;
+4.  bisect the prime meridian for the 1 -> 0 transition, a fixed number
+    of halvings that leave the standardized anchor above the apex guard;
+5.  rotate the transition to the pole, standardizing the meridian; the
+    measured zero then always lands on the same anchor;
 6.  evaluate the competing-meridian web: a fixed finite family of triads,
-    a pure function of the standardized anchor (so built once), made of
-    two-step descents off the prime meridian and the descent circles of a
-    second meridian, whose constraints force one chosen point to be 0 and
-    its antipode to be 1.  Evaluating the whole web therefore must expose
+    a pure function of the standardized anchor, built from two-step
+    descents off the prime meridian and the descent circles of a second
+    meridian, whose constraints force one chosen point to be 0 and its
+    antipode to be 1.  Evaluating the whole web therefore must expose
     either a violating triad or an antipodal violation.
 
-A run asks at most 34 distinct points: 3 (basis) + 1 (equator) + 4
-(bisection) + the web's 26 points other than the anchor.  The pole and the
-anchor, read again after phase 5, are points already asked; they cost an
-oracle call only if their rotated coordinates round to another cache key.
-The outcome is
-"not_found", with ``stats["phase_reached"]`` saying why, when the
-oracle-call budget runs out ("budget_exhausted"), when pole and anchor no
-longer read 1 and 0 ("standardize:anchor_drift"), or when the re-check
-disagrees ("<phase>:recheck_failed", the phase being "pole_basis",
-"equator_probe" or "competing_meridian").
+A run asks at most 34 distinct points: 3 + 1 + 4 before phase 5 and the
+web's 26 other than the anchor.  The outcome is "not_found", with
+``stats["phase_reached"]`` saying why, when the oracle-call budget runs out
+("budget_exhausted"), when pole and anchor no longer read 1 and 0
+("standardize:anchor_drift"), or when the re-check disagrees
+("<phase>:recheck_failed", the phase being "pole_basis", "equator_probe" or
+"competing_meridian").
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -78,7 +73,7 @@ _APEX_GUARD = 1.45
 # The fewest halvings of [0, pi/2] whose final gap puts the standardized
 # anchor above _APEX_GUARD: 4, leaving a gap of pi/32.  Each halving halves
 # the gap whatever it reads, so the anchor is the same point on every run.
-_BISECTION_STEPS = next(n for n in itertools.count() if HALF_PI / 2 ** n < HALF_PI - _APEX_GUARD)
+_BISECTION_STEPS = math.floor(math.log2(HALF_PI / (HALF_PI - _APEX_GUARD))) + 1
 _ANCHOR = SphPoint(HALF_PI - HALF_PI / 2 ** _BISECTION_STEPS, 0.0)
 
 
@@ -232,8 +227,7 @@ def _search(session: _Session, cfg: WitnessConfig, trace: list) -> tuple[str, st
         return session.value(to_orig(vec_work))
 
     def violating(members_work, phase: str) -> tuple[str, str, list]:
-        return "violating_basis", phase, [normalized(to_orig(np.asarray(v, dtype=float)))
-                                          for v in members_work]
+        return "violating_basis", phase, [normalized(to_orig(v)) for v in members_work]
 
     # Phase 1: one basis either breaks the sum rule or names a 1.
     basis = list(random_rotation(cfg.rng_seed).T)
@@ -247,8 +241,7 @@ def _search(session: _Session, cfg: WitnessConfig, trace: list) -> tuple[str, st
     rotation = rotation_to_pole(one_point)
     trace.append({"step": "rotate_to_pole", "pole_preimage": list(one_point)})
 
-    # Phase 3: the equator must now be zero; the point at phi = 0 is the
-    # bisection's zero end.
+    # Phase 3: the equator must now read 0; phi = 0 is the bisection's zero end.
     e = np.array([1.0, 0.0, 0.0])
     if w(e) == 1:
         trace.append({"step": "equator_probe", "longitudes": 1, "ones": 1})
@@ -273,6 +266,7 @@ def _search(session: _Session, cfg: WitnessConfig, trace: list) -> tuple[str, st
 
     # Phase 5: standardize; the transition point becomes the pole and the
     # measured zero, the final gap below it on the prime meridian, _ANCHOR.
+    # Both were asked already; re-reading them checks the new frame.
     rotation = rotation_to_pole(to_cartesian(SphPoint(theta_one, 0.0))) @ rotation
     trace.append({"step": "standardize", "anchor_theta": _ANCHOR.theta,
                   "anchor_phi": _ANCHOR.phi})
@@ -310,9 +304,8 @@ def _competing_meridian_web(anchor_vec: np.ndarray) -> tuple[tuple, tuple, np.nd
 
     Returns the labelled triads, the web's equator points and the disputed
     point x.  With the anchor and the equator points at 0, "exactly one 1
-    per triad" forces x to 0 and -x to 1.  Calls no oracle.  Every point it
-    returns, ``anchor_vec`` included, is made read-only, so one web can be
-    shared by many runs.
+    per triad" forces x to 0 and -x to 1.  Calls no oracle.  Its points,
+    ``anchor_vec`` included, are made read-only, so runs can share one web.
     """
     anchor = from_cartesian(anchor_vec)
     phi0 = anchor.phi
