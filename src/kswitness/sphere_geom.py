@@ -14,6 +14,12 @@ theta(phi) = arctan(tan(theta_p) cos(phi - phi_p)), and descending from p to
 a target latitude on the same meridian always takes exactly two descent-arc
 steps with azimuth offset arccos(sqrt(tan(theta_q)/tan(theta_p))).
 
+A vector is a tuple of Python floats and a 3 x 3 matrix a tuple of three
+row tuples.  Every product of them is plain float arithmetic summed left to
+right, so results do not depend on numpy or on the BLAS it calls; only the
+batch helpers (``to_cartesian_grid``, ``require_unit_rows``) take arrays,
+and they sum the same products on columns.
+
 All types are immutable values and every function is pure, so everything
 here is safe to share and call across threads.
 """
@@ -35,7 +41,7 @@ EPS_ORTHO = 1e-9
 HALF_PI = math.pi / 2.0
 TWO_PI = 2.0 * math.pi
 
-Z_AXIS = np.array([0.0, 0.0, 1.0])
+Z_AXIS = (0.0, 0.0, 1.0)
 
 
 class DomainError(ValueError):
@@ -82,10 +88,10 @@ class SphPoint:
         object.__setattr__(self, "phi", phi)
 
 
-def to_cartesian(p: SphPoint) -> np.ndarray:
+def to_cartesian(p: SphPoint) -> tuple[float, float, float]:
     """(cos(theta) cos(phi), cos(theta) sin(phi), sin(theta))."""
     ct = math.cos(p.theta)
-    return np.array([ct * math.cos(p.phi), ct * math.sin(p.phi), math.sin(p.theta)])
+    return (ct * math.cos(p.phi), ct * math.sin(p.phi), math.sin(p.theta))
 
 
 def to_cartesian_grid(thetas, phis) -> np.ndarray:
@@ -106,18 +112,40 @@ def to_cartesian_grid(thetas, phis) -> np.ndarray:
 
 def from_cartesian(v) -> SphPoint:
     """Inverse of to_cartesian, up to phi canonicalization at the poles."""
-    v = require_unit(v)
-    theta = math.asin(max(-1.0, min(1.0, float(v[2]))))
-    phi = math.atan2(float(v[1]), float(v[0]))
-    return SphPoint(theta, phi)
+    x, y, z = require_unit(v)
+    return SphPoint(math.asin(max(-1.0, min(1.0, z))), math.atan2(y, x))
 
 
-def require_unit(v, dimension: int = 3) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (dimension,):
-        raise DomainError(f"expected a {dimension}-vector, got shape {v.shape}")
-    if not abs(float(np.dot(v, v)) - 1.0) <= 2.0 * EPS_NORM:
-        raise DomainError(f"vector {v} is not unit within {EPS_NORM}")
+def as_vector(v, dimension: int = 3) -> tuple[float, ...]:
+    """``v`` as a tuple of ``dimension`` Python floats.  Raises DomainError
+    on anything else: a scalar, a nested sequence, another length."""
+    if isinstance(v, np.ndarray):
+        v = v.tolist()  # nested lists for ndim > 1, which float() rejects
+    try:
+        v = tuple(map(float, v))
+    except (TypeError, ValueError):
+        raise DomainError(f"expected a {dimension}-vector, got {v!r}") from None
+    if len(v) != dimension:
+        raise DomainError(f"expected a {dimension}-vector, got {len(v)} coordinates")
+    return v
+
+
+def _square_norm(v) -> float:
+    """Sum of the squared coordinates, left to right, as
+    ``require_unit_rows`` sums its columns.  (``sum`` is compensated
+    from Python 3.12 on, so it would not give these bits.)"""
+    sq = 0.0
+    for c in v:
+        sq += c * c
+    return sq
+
+
+def require_unit(v, dimension: int = 3) -> tuple[float, ...]:
+    """``as_vector(v, dimension)``, if its squared norm is within
+    ``2 * EPS_NORM`` of 1; DomainError otherwise, NaN included."""
+    v = as_vector(v, dimension)
+    if not abs(_square_norm(v) - 1.0) <= 2.0 * EPS_NORM:
+        raise DomainError(f"vector {list(v)} is not unit within {EPS_NORM}")
     return v
 
 
@@ -127,35 +155,51 @@ def require_unit_rows(points, dimension: int = 3) -> np.ndarray:
     if p.ndim != 2 or p.shape[1] != dimension:
         raise DomainError(f"expected an (N, {dimension}) array of {dimension}-vectors, "
                           f"got shape {p.shape}")
-    bad = ~(np.abs(np.einsum("ij,ij->i", p, p) - 1.0) <= 2.0 * EPS_NORM)
+    sq = p[:, 0] * p[:, 0]
+    for j in range(1, dimension):
+        sq += p[:, j] * p[:, j]
+    bad = ~(np.abs(sq - 1.0) <= 2.0 * EPS_NORM)
     if bad.any():
         raise DomainError(f"vector {p[bad.argmax()]} is not unit within {EPS_NORM}")
     return p
 
 
-def cross(a, b) -> np.ndarray:
-    """``np.cross`` of two float 3-vectors, with its bits: each component
-    is one rounded product minus another, as numpy computes it, without
-    the array set-up that makes a numpy call about ten times dearer."""
-    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
-    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+def dot(a, b) -> float:
+    """The dot product of two float 3-vectors, summed left to right."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def normalized(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
+def rotate(rows, v) -> tuple[float, float, float]:
+    """``rows @ v`` for a 3 x 3 matrix given as three row tuples: each
+    component is ``dot(row, v)``."""
+    x, y, z = v
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+    return (a0 * x + a1 * y + a2 * z, b0 * x + b1 * y + b2 * z, c0 * x + c1 * y + c2 * z)
+
+
+def cross(a, b) -> tuple[float, float, float]:
+    """The cross product of two 3-vectors, with ``np.cross``'s bits: each
+    component is one rounded product minus another."""
+    a0, a1, a2 = as_vector(a)
+    b0, b1, b2 = as_vector(b)
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def normalized(v) -> tuple[float, float, float]:
+    """The 3-vector ``v`` divided by its norm."""
+    v = as_vector(v)
+    n = math.sqrt(_square_norm(v))
     if n == 0.0:
         raise DomainError("cannot normalize the zero vector")
-    return v / n
+    return (v[0] / n, v[1] / n, v[2] / n)
 
 
-def perp_of_apex(p: SphPoint) -> np.ndarray:
+def perp_of_apex(p: SphPoint) -> tuple[float, float, float]:
     """Unit normal of the descent circle through p:
     p_perp = (sin(theta_p) cos(phi_p), sin(theta_p) sin(phi_p), -cos(theta_p)).
     """
     st = math.sin(p.theta)
-    return np.array([st * math.cos(p.phi), st * math.sin(p.phi), -math.cos(p.theta)])
+    return (st * math.cos(p.phi), st * math.sin(p.phi), -math.cos(p.theta))
 
 
 @dataclass(frozen=True)
@@ -186,12 +230,12 @@ def descent_theta(circle: DescentCircle, phi: float) -> float:
     return math.atan(math.tan(apex.theta) * math.cos(phi - apex.phi))
 
 
-def equator_crossings(circle: DescentCircle) -> tuple[np.ndarray, np.ndarray]:
+def equator_crossings(circle: DescentCircle) -> tuple[tuple, tuple]:
     """The two equator points of the circle, +-(-sin(phi_p), cos(phi_p), 0),
     reached at longitudes phi_p +- pi/2."""
     phi_p = circle.apex.phi
-    s = np.array([-math.sin(phi_p), math.cos(phi_p), 0.0])
-    return s, -s
+    s, c = math.sin(phi_p), math.cos(phi_p)
+    return (-s, c, 0.0), (s, -c, -0.0)
 
 
 def two_step_delta_phi(theta_p: float, theta_q: float) -> float:
@@ -233,34 +277,37 @@ def two_step_chain(p: SphPoint, theta_q: float) -> tuple[SphPoint, SphPoint]:
     r = SphPoint(theta_r, p.phi + delta)
     q = SphPoint(theta_q, p.phi)
     for point, circle_apex in ((r, p), (q, r)):
-        err = abs(float(np.dot(to_cartesian(point), perp_of_apex(circle_apex))))
+        err = abs(dot(to_cartesian(point), perp_of_apex(circle_apex)))
         if not err <= EPS_ORTHO:
             raise AssertionError(f"two-step membership residual {err} exceeds {EPS_ORTHO}")
     return r, q
 
 
-def _rodrigues(axis: np.ndarray, angle: float) -> np.ndarray:
+def _rodrigues(axis, angle: float) -> tuple:
+    """cos(angle) I + sin(angle) [axis]_x + (1 - cos(angle)) axis axis^T."""
     c, s = math.cos(angle), math.sin(angle)
-    ax = np.array([
-        [0.0, -axis[2], axis[1]],
-        [axis[2], 0.0, -axis[0]],
-        [-axis[1], axis[0], 0.0],
-    ])
-    return c * np.eye(3) + s * ax + (1.0 - c) * np.outer(axis, axis)
+    t = 1.0 - c
+    x, y, z = axis
+    return ((c + t * (x * x), t * (x * y) - s * z, t * (x * z) + s * y),
+            (t * (y * x) + s * z, c + t * (y * y), t * (y * z) - s * x),
+            (t * (z * x) - s * y, t * (z * y) + s * x, c + t * (z * z)))
 
 
-def rotation_to_pole(p) -> np.ndarray:
-    """Proper rotation R with R @ p = (0, 0, 1).
+IDENTITY = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def rotation_to_pole(p) -> tuple:
+    """Proper rotation R, as three row tuples, with R @ p = (0, 0, 1).
 
     The south pole maps via a fixed half-turn about the x-axis; everything
     else rotates about the axis p x z by the angle between them.
     """
     p = require_unit(p)
-    z = float(p[2])
+    z = p[2]
     if z >= 1.0 - EPS_NORM:
-        return np.eye(3)
+        return IDENTITY
     if z <= -1.0 + EPS_NORM:
-        return np.diag([1.0, -1.0, -1.0])
+        return ((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0))
     axis = normalized(cross(p, Z_AXIS))
     return _rodrigues(axis, math.acos(max(-1.0, min(1.0, z))))
 
@@ -269,15 +316,15 @@ def rotation_to_pole(p) -> np.ndarray:
 class Triad:
     """Three mutually orthogonal unit vectors (an orthonormal basis of R^3)."""
 
-    n1: np.ndarray
-    n2: np.ndarray
-    n3: np.ndarray
+    n1: tuple[float, float, float]
+    n2: tuple[float, float, float]
+    n3: tuple[float, float, float]
 
     def __post_init__(self):
         vs = [require_unit(v) for v in (self.n1, self.n2, self.n3)]
         for i in range(3):
             for j in range(i + 1, 3):
-                d = abs(float(np.dot(vs[i], vs[j])))
+                d = abs(dot(vs[i], vs[j]))
                 if not d <= EPS_ORTHO:
                     raise NotOrthogonal(
                         f"triad members {i} and {j} have |dot| = {d} > {EPS_ORTHO}"
@@ -287,5 +334,5 @@ class Triad:
         object.__setattr__(self, "n3", vs[2])
 
     @property
-    def vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def vectors(self) -> tuple[tuple, tuple, tuple]:
         return (self.n1, self.n2, self.n3)

@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import bisect
 import math
+import random
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from .sphere_geom import (
-    EPS_NORM, EPS_ORTHO, HALF_PI, DomainError, require_unit, require_unit_rows,
+    EPS_NORM, EPS_ORTHO, HALF_PI, DomainError, as_vector, require_unit, require_unit_rows,
+    rotate,
 )
 
 PI = math.pi
@@ -63,11 +65,8 @@ class Valuation:
         points = self._check_rows(points)
         return np.fromiter((_bit(self, n) for n in points), np.int8, len(points))
 
-    def _check(self, n) -> np.ndarray:
-        n = np.asarray(n, dtype=float)
-        if n.shape != (self.dimension,):
-            raise DomainError(f"expected a {self.dimension}-vector, got shape {n.shape}")
-        return n
+    def _check(self, n) -> tuple[float, ...]:
+        return as_vector(n, self.dimension)
 
     def _check_rows(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -121,7 +120,7 @@ class _RuleValuation(Valuation):
         raise NotImplementedError
 
     def evaluate(self, n) -> int:
-        return int(self._bits(_One, *self._check(n).tolist()))
+        return int(self._bits(_One, *self._check(n)))
 
     def evaluate_many(self, points) -> np.ndarray:
         return self._bits(_Many, *self._check_rows(points).T).astype(np.int8)
@@ -132,7 +131,7 @@ class _UnitDomain:
     ``require_unit`` checks, and raise ``DomainError`` on anything else,
     NaN and the zero vector included."""
 
-    def _check(self, n) -> np.ndarray:
+    def _check(self, n) -> tuple[float, ...]:
         return require_unit(n, self.dimension)
 
     def _check_rows(self, points) -> np.ndarray:
@@ -393,36 +392,44 @@ class Valuation2DRotated(_SphereRule):
         return {"schema": 1, "kind": "valuation2d_rotated", **self.generator.to_dict()}
 
 
-def random_rotation(seed: int) -> np.ndarray:
-    """A seed-determined proper rotation of R^3 (QR of a Gaussian matrix)."""
-    rng = np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = q @ np.diag(np.sign(np.diag(r)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
+def random_rotation(seed: int) -> tuple:
+    """A seed-determined proper rotation of R^3, as three row tuples: the
+    rotation of a Haar-uniform unit quaternion drawn from
+    ``random.Random(seed)`` (Shoemake, "Uniform random rotations",
+    Graphics Gems III, 1992)."""
+    rng = random.Random(seed)
+    u1, u2, u3 = rng.random(), rng.random(), rng.random()
+    a, b = math.sqrt(1.0 - u1), math.sqrt(u1)
+    w, x = a * math.sin(2.0 * PI * u2), a * math.cos(2.0 * PI * u2)
+    y, z = b * math.sin(2.0 * PI * u3), b * math.cos(2.0 * PI * u3)
+    # Scaling by 2 / |q|^2 keeps the rows orthonormal whatever |q| rounded to.
+    s = 2.0 / (w * w + x * x + y * y + z * z)
+    return ((1.0 - s * (y * y + z * z), s * (x * y - w * z), s * (x * z + w * y)),
+            (s * (x * y + w * z), 1.0 - s * (x * x + z * z), s * (y * z - w * x)),
+            (s * (x * z - w * y), s * (y * z + w * x), 1.0 - s * (x * x + y * y)))
 
 
 class RotatedValuation(Valuation):
-    """base composed with a fixed rotation: v(n) = base(R @ n)."""
+    """A 3-D base composed with a fixed rotation: v(n) = base(R @ n).
+    ``evaluate`` sums each row's products left to right on Python floats
+    and ``evaluate_many`` sums the same products on columns, so the two
+    give the same bits."""
 
-    def __init__(self, base: Valuation, rotation: np.ndarray, seed: int | None = None):
+    def __init__(self, base: Valuation, rotation, seed: int | None = None):
         rotation = np.asarray(rotation, dtype=float)
-        if rotation.shape != (base.dimension, base.dimension):
+        if base.dimension != 3 or rotation.shape != (3, 3):
             raise ValueError("rotation shape does not match oracle dimension")
         self.base = base
-        self.rotation = rotation
+        self.rotation = tuple(map(tuple, rotation.tolist()))
         self.seed = seed
-        self.dimension = base.dimension
 
     def evaluate(self, n) -> int:
-        return self.base.evaluate(self.rotation @ self._check(n))
+        return self.base.evaluate(rotate(self.rotation, self._check(n)))
 
     def evaluate_many(self, points) -> np.ndarray:
-        p = self._check_rows(points)
-        # The stacked product rounds as ``rotation @ n`` does for each row;
-        # ``p @ rotation.T`` and einsum can differ in the last bit.
-        return self.base.evaluate_many((self.rotation[None] @ p[:, :, None])[:, :, 0])
+        x, y, z = self._check_rows(points).T
+        return self.base.evaluate_many(np.column_stack(
+            [a * x + b * y + c * z for a, b, c in self.rotation]))
 
     def to_oracle_dict(self) -> dict:
         if self.seed is None:

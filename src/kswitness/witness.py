@@ -41,20 +41,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .sphere_geom import (
     EPS_ORTHO,
     HALF_PI,
+    IDENTITY,
     Z_AXIS,
     DescentCircle,
     SphPoint,
     Triad,
     cross,
+    dot,
     equator_crossings,
     from_cartesian,
     normalized,
     perp_of_apex,
+    rotate,
     rotation_to_pole,
     to_cartesian,
     two_step_chain,
@@ -113,7 +114,7 @@ class WitnessReport:
     outcome: str
     triad: Triad | None = None
     triad_sum: int | None = None
-    antipodal_point: np.ndarray | None = None
+    antipodal_point: tuple[float, float, float] | None = None
     antipodal_values: tuple[int, int] | None = None
     stats: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)
@@ -154,8 +155,10 @@ class _Session:
         self.hits = 0
         self.cache: dict[tuple, int] = {}
 
-    def value(self, point_orig: np.ndarray) -> int:
-        key = tuple(np.round(point_orig, 12))
+    def value(self, point_orig: tuple) -> int:
+        # Each coordinate rounded to 12 decimals with np.round's bits, the
+        # sign of a zero included: rint(c * 1e12) / 1e12.
+        key = tuple([math.copysign(round(c * 1e12), c) / 1e12 for c in point_orig])
         hit = self.cache.get(key)
         if hit is not None:
             self.hits += 1
@@ -197,10 +200,10 @@ def extract_witness(valuation: Valuation, config: WitnessConfig | None = None) -
         if sum(fresh) != 1:
             report.outcome, report.triad, report.triad_sum = outcome, triad, sum(fresh)
     elif outcome == "antipodal_violation":
-        fresh = [_bit(valuation, found), _bit(valuation, -found)]
+        fresh = [_bit(valuation, found), _bit(valuation, _antipode(found))]
         report.trace.append({"step": "antipodal_pair", "point": list(found), "values": fresh})
         if fresh[0] != fresh[1]:
-            report.outcome, report.antipodal_point = outcome, np.asarray(found)
+            report.outcome, report.antipodal_point = outcome, found
             report.antipodal_values = tuple(fresh)
     if outcome != report.outcome:
         phase += ":recheck_failed"
@@ -209,7 +212,11 @@ def extract_witness(valuation: Valuation, config: WitnessConfig | None = None) -
     return report
 
 
-def _equator_one_triad(e: np.ndarray) -> tuple:
+def _antipode(v: tuple) -> tuple:
+    return (-v[0], -v[1], -v[2])
+
+
+def _equator_one_triad(e: tuple) -> tuple:
     """(pole, e, pole x e): a violating triad once the pole and e both read 1."""
     return Z_AXIS, e, normalized(cross(Z_AXIS, e))
 
@@ -218,19 +225,19 @@ def _search(session: _Session, cfg: WitnessConfig, trace: list) -> tuple[str, st
     """Phases 1-6.  Returns the certificate's outcome, the phase that found
     it, and the certificate in the original frame: the triad's three vectors
     or the antipodal point.  Every early stop raises ``_NotFound``."""
-    rotation = np.eye(3)
+    back = IDENTITY  # rows of R^T, for the rotation R from the original frame
 
-    def to_orig(vec_work: np.ndarray) -> np.ndarray:
-        return rotation.T @ vec_work
+    def to_orig(vec_work: tuple) -> tuple:
+        return rotate(back, vec_work)
 
-    def w(vec_work: np.ndarray) -> int:
+    def w(vec_work: tuple) -> int:
         return session.value(to_orig(vec_work))
 
     def violating(members_work, phase: str) -> tuple[str, str, list]:
         return "violating_basis", phase, [normalized(to_orig(v)) for v in members_work]
 
     # Phase 1: one basis either breaks the sum rule or names a 1.
-    basis = list(random_rotation(cfg.rng_seed).T)
+    basis = list(zip(*random_rotation(cfg.rng_seed)))
     vals = [session.value(v) for v in basis]
     trace.append({"step": "pole_basis", "points": [list(v) for v in basis], "values": vals})
     if sum(vals) != 1:
@@ -238,11 +245,11 @@ def _search(session: _Session, cfg: WitnessConfig, trace: list) -> tuple[str, st
     one_point = basis[vals.index(1)]
 
     # Phase 2: move the 1 to the north pole.
-    rotation = rotation_to_pole(one_point)
+    back = tuple(zip(*rotation_to_pole(one_point)))
     trace.append({"step": "rotate_to_pole", "pole_preimage": list(one_point)})
 
     # Phase 3: the equator must now read 0; phi = 0 is the bisection's zero end.
-    e = np.array([1.0, 0.0, 0.0])
+    e = (1.0, 0.0, 0.0)
     if w(e) == 1:
         trace.append({"step": "equator_probe", "longitudes": 1, "ones": 1})
         return violating(_equator_one_triad(e), "equator_probe")
@@ -267,7 +274,9 @@ def _search(session: _Session, cfg: WitnessConfig, trace: list) -> tuple[str, st
     # Phase 5: standardize; the transition point becomes the pole and the
     # measured zero, the final gap below it on the prime meridian, _ANCHOR.
     # Both were asked already; re-reading them checks the new frame.
-    rotation = rotation_to_pole(to_cartesian(SphPoint(theta_one, 0.0))) @ rotation
+    # R becomes P @ R, so R^T becomes R^T @ P^T, whose row i is P @ (row i).
+    pole = rotation_to_pole(to_cartesian(SphPoint(theta_one, 0.0)))
+    back = tuple(rotate(pole, row) for row in back)
     trace.append({"step": "standardize", "anchor_theta": _ANCHOR.theta,
                   "anchor_phi": _ANCHOR.phi})
     if w(Z_AXIS) != 1 or w(_ANCHOR_VEC) != 0:
@@ -292,25 +301,25 @@ def _search(session: _Session, cfg: WitnessConfig, trace: list) -> tuple[str, st
                   "disputed_point": list(to_orig(x_vec)), "triads": evaluations})
     if offender is not None:
         return violating(offender, "competing_meridian")
-    if w(x_vec) == w(-x_vec):
+    if w(x_vec) == w(_antipode(x_vec)):
         raise AssertionError("web arithmetic violated by a deterministic oracle")
     return "antipodal_violation", "competing_meridian", to_orig(x_vec)
 
 
-def _competing_meridian_web(anchor_vec: np.ndarray) -> tuple[tuple, tuple, np.ndarray]:
+def _competing_meridian_web(anchor_vec: tuple) -> tuple[tuple, tuple, tuple]:
     """The finite web of triads that pits the prime meridian's descent sweep
     against a second meridian's, in the standardized frame whose pole is 1
     and whose ``anchor_vec`` just below it on the prime meridian is 0.
 
     Returns the labelled triads, the web's equator points and the disputed
     point x.  With the anchor and the equator points at 0, "exactly one 1
-    per triad" forces x to 0 and -x to 1.  Calls no oracle.  Its points,
-    ``anchor_vec`` included, are made read-only, so runs can share one web.
+    per triad" forces x to 0 and -x to 1.  Calls no oracle.  Its points
+    are tuples, so runs can share one web.
     """
     anchor = from_cartesian(anchor_vec)
     phi0 = anchor.phi
 
-    def point(lat: float, rel_phi: float) -> np.ndarray:
+    def point(lat: float, rel_phi: float) -> tuple:
         return to_cartesian(SphPoint(lat, phi0 + rel_phi))
 
     # Apex latitudes: x's apex on the second meridian, that apex's own apex
@@ -321,10 +330,10 @@ def _competing_meridian_web(anchor_vec: np.ndarray) -> tuple[tuple, tuple, np.nd
     yp_lat = -_THETA_X + HALF_PI
     th_pc = math.atan(math.tan(yp_lat) / math.cos(y_phi))
 
-    triads: list[tuple[str, tuple[np.ndarray, np.ndarray, np.ndarray]]] = []
-    equator_points: list[np.ndarray] = []
+    triads: list[tuple[str, tuple[tuple, tuple, tuple]]] = []
+    equator_points: list[tuple] = []
 
-    def circle(apex: SphPoint, apex_vec: np.ndarray, label: str) -> np.ndarray:
+    def circle(apex: SphPoint, apex_vec: tuple, label: str) -> tuple:
         """Descent circle of a zero apex: the triad (apex, equator crossing,
         normal).  Returns the normal."""
         perp = perp_of_apex(apex)
@@ -333,7 +342,7 @@ def _competing_meridian_web(anchor_vec: np.ndarray) -> tuple[tuple, tuple, np.nd
         triads.append((f"{label}_circle", (apex_vec, crossing, perp)))
         return perp
 
-    def cover(perp: np.ndarray, target: np.ndarray, label: str) -> None:
+    def cover(perp: tuple, target: tuple, label: str) -> None:
         """The triad through target on the circle with normal perp."""
         triads.append((label, (target, normalized(cross(perp, target)), perp)))
 
@@ -362,16 +371,15 @@ def _competing_meridian_web(anchor_vec: np.ndarray) -> tuple[tuple, tuple, np.nd
     cover(circle(pc, to_cartesian(pc), "prime_to_dyad"), yp_vec, "prime_to_dyad_covers")
     m_y = point(0.0, y_phi + HALF_PI)
     equator_points.append(m_y)
-    triads.append(("meridian_dyad", (-x_vec, yp_vec, m_y)))
+    triads.append(("meridian_dyad", (_antipode(x_vec), yp_vec, m_y)))
 
     # Memberships are analytic identities; fail loudly if the assembly is off.
     for label, members in triads:
         for i in range(3):
             for j in range(i + 1, 3):
-                d = abs(float(np.dot(members[i], members[j])))
+                d = abs(dot(members[i], members[j]))
                 if not d <= EPS_ORTHO:
                     raise AssertionError(f"web triad {label} not orthogonal: {d}")
-            members[i].flags.writeable = False
     return tuple(triads), tuple(equator_points), x_vec
 
 

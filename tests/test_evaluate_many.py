@@ -95,12 +95,38 @@ def boundary_points() -> np.ndarray:
     return np.array(pts, dtype=float)
 
 
+# np.dot put this point's squared norm at 1 + 1.99996e-12, inside the unit
+# tolerance, and einsum at 1 + 2.00018e-12, outside it.
+POLAR_CAP_EDGE = [0.42377988440877196, 0.16181524643149575, -0.8911938260528975]
+
+
+def unit_edge_points(count: int = 500, seed: int = 8) -> np.ndarray:
+    """POLAR_CAP_EDGE, and seeded points whose squared norm is 1 +- 2e-12
+    give or take a few ulps, where the unit check's verdict turns on how
+    the squares are summed."""
+    rng = np.random.default_rng(seed)
+    delta = rng.choice([-2e-12, 2e-12], count) + rng.integers(-4, 5, count) * 2.0 ** -52
+    return np.concatenate([[POLAR_CAP_EDGE],
+                           random_units(count, seed) * np.sqrt(1.0 + delta)[:, None]])
+
+
 def assert_same_bits(oracle, points: np.ndarray) -> None:
-    vector = oracle.evaluate_many(points)
-    assert vector.dtype == np.int8 and vector.shape == (len(points),)
-    scalar = np.fromiter(map(oracle.evaluate, points), np.int8, len(points))
-    mismatch = np.flatnonzero(vector != scalar)
-    assert mismatch.size == 0, f"{mismatch.size} points differ, first {points[mismatch[0]]!r}"
+    """``evaluate_many`` gives ``evaluate``'s bit on the rows ``evaluate``
+    accepts, and raises ``DomainError`` on each row it rejects."""
+    scalar = []
+    for point in points:
+        try:
+            scalar.append(oracle.evaluate(point))
+        except DomainError:
+            scalar.append(None)
+    accepted = np.array([bit is not None for bit in scalar], dtype=bool)
+    vector = oracle.evaluate_many(points[accepted])
+    assert vector.dtype == np.int8 and vector.shape == (accepted.sum(),)
+    mismatch = np.flatnonzero(vector != np.array([b for b in scalar if b is not None], np.int8))
+    assert mismatch.size == 0, f"{mismatch.size} points differ, first {points[accepted][mismatch[0]]!r}"
+    for point in points[~accepted]:
+        with pytest.raises(DomainError):
+            oracle.evaluate_many(point[None])
 
 
 def oracle_for(name: str, seed):
@@ -110,8 +136,10 @@ def oracle_for(name: str, seed):
 
 @pytest.fixture(scope="module")
 def small_points():
-    """grid-64, the boundary arcs and a few random points."""
-    return np.concatenate([lattice(64), boundary_points(), random_units(2_000, 1)])
+    """grid-64, the boundary arcs, a few random points and the unit
+    tolerance's edge."""
+    return np.concatenate([lattice(64), boundary_points(), random_units(2_000, 1),
+                           unit_edge_points()])
 
 
 @pytest.mark.parametrize("seed", ROTATION_SEEDS)

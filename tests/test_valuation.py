@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from kswitness.sphere_geom import DomainError, SphPoint, to_cartesian
+from kswitness.sphere_geom import DomainError, SphPoint, cross, dot, to_cartesian
 from kswitness.valuation import (
     ConstantValuation,
     FourSegmentValuation,
@@ -213,7 +213,7 @@ class TestFourSegment:
         # including the boundary meridians
         for theta in (0.5, -0.5):
             for phi in (HALF_PI, -HALF_PI):
-                n = _sph(theta, phi)
+                n = np.array(_sph(theta, phi))
                 assert v.evaluate(n) == v.evaluate(-n)
 
     def test_image_is_half_ones_by_area(self):
@@ -256,6 +256,25 @@ class TestOtherFamilies:
             n = rng.standard_normal(3)
             n /= np.linalg.norm(n)
             assert v.evaluate(n) == base.evaluate(rot @ n)
+
+    def test_random_rotation_is_a_seeded_uniform_rotation(self):
+        # Seed 0's rows, as exact floats: they rest on random.Random's
+        # documented stream and Python float arithmetic, not on numpy.
+        assert random_rotation(0) == (
+            (-0.6888437030500962, -0.6183659880696694, -0.37830920893741476),
+            (0.6530314095461728, -0.3027716200476849, -0.6941752835126294),
+            (0.3147130930138907, -0.7252260688173875, 0.6123747367366719),
+        )
+        rotations = [random_rotation(seed) for seed in range(2000)]
+        assert rotations[:20] == [random_rotation(seed) for seed in range(20)]
+        for rows in rotations[:1000]:
+            for i in range(3):
+                for j in range(3):
+                    assert abs(dot(rows[i], rows[j]) - (i == j)) <= 1e-15
+            assert abs(dot(rows[0], cross(rows[1], rows[2])) - 1.0) <= 1e-15
+        # A formula that collapsed onto a few rotations, or one axis, would
+        # leave some entry's mean far from the Haar mean 0.
+        assert np.abs(np.mean(rotations, axis=0)).max() <= 0.05
 
     def test_build_oracle_validation(self):
         with pytest.raises(OracleSpecError):
