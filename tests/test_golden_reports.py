@@ -2,12 +2,13 @@
 
 Each file under ``tests/golden/plot/`` was written by the code as it stood
 before the refactors that these tests guard.  The reports under
-``tests/golden/witness/`` were last rewritten when ``stats`` came to
-count ``cache_hits`` in place of ``distinct_points``, after the extractor
-came to probe one equator point and bisect a fixed four times; each still
-ends in a certificate.  ``plot --oracle`` grids are pinned by the SHA-256 digest of their
-CSV and SVG bytes in ``tests/golden/plot/oracle_digests.json``, written by
-the scalar, one-``evaluate``-per-cell grid; ``plot --figure descent-circle``
+``tests/golden/witness/``, and the digests of the rotated ``plot --oracle``
+grids, were last rewritten when ``random_rotation`` came to draw a
+quaternion from ``random.Random`` and the scalar path came to compute on
+Python floats, so their bytes no longer depend on numpy or the BLAS
+kernel; each report still ends in a certificate.  ``plot --oracle`` grids
+are pinned by the SHA-256 digest of their CSV and SVG bytes in
+``tests/golden/plot/oracle_digests.json``; ``plot --figure descent-circle``
 curves are pinned there too, as ``csv.writer`` wrote them.  To rewrite them
 (only when a change to the output is intended):
 
