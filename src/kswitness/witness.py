@@ -277,8 +277,6 @@ def _search(session: _Session, cfg: WitnessConfig, trace: list) -> tuple[str, st
     # R becomes P @ R, so R^T becomes R^T @ P^T, whose row i is P @ (row i).
     pole = rotation_to_pole(to_cartesian(SphPoint(theta_one, 0.0)))
     back = tuple(rotate(pole, row) for row in back)
-    trace.append({"step": "standardize", "anchor_theta": _ANCHOR.theta,
-                  "anchor_phi": _ANCHOR.phi})
     if w(Z_AXIS) != 1 or w(_ANCHOR_VEC) != 0:
         raise _NotFound("standardize:anchor_drift")
 
