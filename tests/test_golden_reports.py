@@ -6,7 +6,8 @@ before the refactors that these tests guard.  The reports under
 grids, were last rewritten when ``random_rotation`` came to draw a
 quaternion from ``random.Random`` and the scalar path came to compute on
 Python floats, so their bytes no longer depend on numpy or the BLAS
-kernel; each report still ends in a certificate.  ``plot --oracle`` grids
+kernel, and the reports again when the constant ``standardize`` trace step
+was dropped; each report still ends in a certificate.  ``plot --oracle`` grids
 are pinned by the SHA-256 digest of their CSV and SVG bytes in
 ``tests/golden/plot/oracle_digests.json``; ``plot --figure descent-circle``
 curves are pinned there too, as ``csv.writer`` wrote them.  To rewrite them
