@@ -21,7 +21,6 @@ import os
 import re
 import sys
 from functools import cached_property
-from itertools import combinations
 from math import gcd, lcm
 from pathlib import Path
 
@@ -308,10 +307,16 @@ def enumerate_bases(graph: OrthoGraph, dimension: int) -> tuple[tuple[int, ...],
 
 def validate_supplied_bases(graph: OrthoGraph, dimension: int,
                             supplied: tuple[tuple[int, ...], ...]) -> None:
-    """Supplied bases must be d-cliques: every pair in each is an edge."""
+    """Supplied bases must be d-cliques of distinct rays: every pair in each
+    is an edge.  One mask of a basis's members, tested against each
+    member's row with its own bit added, checks all pairs in d tests."""
     adjacency = graph.adjacency
     for basis in supplied:
-        if not all(adjacency[i] >> j & 1 for i, j in combinations(basis, 2)):
+        mask = 0
+        for i in basis:
+            mask |= 1 << i
+        if mask.bit_count() != len(basis) or any(
+                (adjacency[i] | 1 << i) & mask != mask for i in basis):
             raise RaySetFormatError(
                 f"supplied basis {basis!r} is not a mutually orthogonal {dimension}-tuple"
             )

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from kswitness.kssets import (
     load_bundled,
     load_ray_set,
     ray_set_from_dict,
+    validate_supplied_bases,
     verify_assignment,
 )
 
@@ -383,6 +385,11 @@ class TestIngestion:
                 "vectors": [[1, 0, 0], [0, 1, 0], [1, 1, 0]],
                 "bases": [[0, 1, 2]],
             })
+        # A repeated ray is no edge of the graph, so no clique member.
+        graph = ray_set_from_dict({"name": "axes", "dimension": 3,
+                                   "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}).graph
+        with pytest.raises(RaySetFormatError, match="not a mutually orthogonal 3-tuple"):
+            validate_supplied_bases(graph, 3, ((0, 0, 1),))
 
     def test_supplied_bases_checked_when_built_in_code(self):
         with pytest.raises(RaySetFormatError, match="not a mutually orthogonal 3-tuple"):
@@ -391,15 +398,19 @@ class TestIngestion:
 
     def test_supplied_basis_with_one_oblique_pair_rejected(self):
         # Rays 1 and 2 are the only non-orthogonal pair; every order of the
-        # basis puts that pair at a different place among its pairs.
-        for basis in itertools.permutations(range(3)):
-            with pytest.raises(RaySetFormatError, match="not a mutually orthogonal 3-tuple"):
-                ray_set_from_dict({
-                    "name": "oblique",
-                    "dimension": 3,
-                    "vectors": [[1, 0, 0], [0, 1, 0], [0, 1, 1]],
-                    "bases": [list(basis)],
-                })
+        # basis puts that pair at a different place among its pairs.  In the
+        # 4-D set, rays 2 and 3 are, the last pair of the basis; the first
+        # basis is a valid one, so the second is the one rejected.
+        cases = [([[1, 0, 0], [0, 1, 0], [0, 1, 1]], [list(basis)])
+                 for basis in itertools.permutations(range(3))]
+        cases.append(([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]],
+                      [[0, 1, 2, 4], [0, 1, 2, 3]]))
+        for vectors, bases in cases:
+            d = len(vectors[0])
+            with pytest.raises(RaySetFormatError, match=re.escape(
+                    f"supplied basis {tuple(bases[-1])!r} is not a mutually orthogonal {d}-tuple")):
+                ray_set_from_dict({"name": "oblique", "dimension": d, "vectors": vectors,
+                                   "bases": bases})
 
     def test_missing_fields_rejected(self):
         with pytest.raises(RaySetFormatError):
