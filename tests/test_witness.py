@@ -329,8 +329,8 @@ class TestCompetingMeridianWeb:
 
 
 class TestWebEndgame:
-    @pytest.mark.parametrize("seed", [4, 5])
-    @pytest.mark.parametrize("base", [StepMeridianValuation(0.8), PolarCapValuation(1.0)],
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("base", [StepMeridianValuation(0.8), PolarCapValuation(0.8)],
                              ids=["step_meridian", "polar_cap"])
     def test_web_consistent_oracle_ends_in_antipodal_violation(self, base, seed):
         oracle = web_propagated_oracle(base, WitnessConfig(rng_seed=seed))
