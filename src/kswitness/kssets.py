@@ -315,8 +315,12 @@ def validate_supplied_bases(graph: OrthoGraph, dimension: int,
         mask = 0
         for i in basis:
             mask |= 1 << i
-        if mask.bit_count() != len(basis) or any(
-                (adjacency[i] | 1 << i) & mask != mask for i in basis):
+        clique = mask.bit_count() == len(basis)
+        for i in basis:
+            if (adjacency[i] | 1 << i) & mask != mask:
+                clique = False
+                break
+        if not clique:
             raise RaySetFormatError(
                 f"supplied basis {basis!r} is not a mutually orthogonal {dimension}-tuple"
             )

@@ -15,10 +15,11 @@ a target latitude on the same meridian always takes exactly two descent-arc
 steps with azimuth offset arccos(sqrt(tan(theta_q)/tan(theta_p))).
 
 A vector is a tuple of Python floats and a 3 x 3 matrix a tuple of three
-row tuples.  Every product of them is plain float arithmetic summed left to
-right, so results do not depend on numpy or on the BLAS it calls; only the
-batch helpers (``to_cartesian_grid``, ``require_unit_rows``) take arrays,
-and they sum the same products on columns.
+row tuples; functions taking a vector also accept any sequence or array of
+numbers.  Every product is plain float arithmetic summed left to right, so
+results do not depend on numpy or on the BLAS it calls.  Only the batch
+helpers (``to_cartesian_grid``, ``require_unit_rows``) compute on numpy
+arrays, and they sum the same products on columns.
 
 All types are immutable values and every function is pure, so everything
 here is safe to share and call across threads.
