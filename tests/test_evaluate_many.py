@@ -123,7 +123,8 @@ def assert_same_bits(oracle, points: np.ndarray) -> None:
     vector = oracle.evaluate_many(points[accepted])
     assert vector.dtype == np.int8 and vector.shape == (accepted.sum(),)
     mismatch = np.flatnonzero(vector != np.array([b for b in scalar if b is not None], np.int8))
-    assert mismatch.size == 0, f"{mismatch.size} points differ, first {points[accepted][mismatch[0]]!r}"
+    assert mismatch.size == 0, \
+        f"{mismatch.size} points differ, first {points[accepted][mismatch[0]]!r}"
     for point in points[~accepted]:
         with pytest.raises(DomainError):
             oracle.evaluate_many(point[None])

@@ -6,11 +6,12 @@ before the refactors that these tests guard.  The reports under
 grids, were last rewritten when ``random_rotation`` came to draw a
 quaternion from ``random.Random`` and the scalar path came to compute on
 Python floats, so their bytes no longer depend on numpy or the BLAS
-kernel, and the reports again when the constant ``standardize`` trace step
-was dropped; each report still ends in a certificate.  ``plot --oracle`` grids
-are pinned by the SHA-256 digest of their CSV and SVG bytes in
-``tests/golden/plot/oracle_digests.json``; ``plot --figure descent-circle``
-curves are pinned there too, as ``csv.writer`` wrote them.  To rewrite them
+kernel; the reports were rewritten once more when the constant
+``standardize`` trace step was dropped.  Each report still ends in a
+certificate.  ``plot --oracle`` grids are pinned by the SHA-256 digest of
+their CSV and SVG bytes in ``tests/golden/plot/oracle_digests.json``;
+``plot --figure descent-circle`` curves are pinned there too, as
+``csv.writer`` wrote them.  To rewrite them
 (only when a change to the output is intended):
 
     PYTHONPATH=src python tests/test_golden_reports.py
