@@ -308,19 +308,15 @@ def enumerate_bases(graph: OrthoGraph, dimension: int) -> tuple[tuple[int, ...],
 def validate_supplied_bases(graph: OrthoGraph, dimension: int,
                             supplied: tuple[tuple[int, ...], ...]) -> None:
     """Supplied bases must be d-cliques of distinct rays: every pair in each
-    is an edge.  One mask of a basis's members, tested against each
-    member's row with its own bit added, checks all pairs in d tests."""
+    is an edge.  The members' mask must lie inside every member's row with
+    its own bit added, so one AND of those rows checks all pairs in d steps."""
     adjacency = graph.adjacency
     for basis in supplied:
-        mask = 0
+        mask, common = 0, -1
         for i in basis:
             mask |= 1 << i
-        clique = mask.bit_count() == len(basis)
-        for i in basis:
-            if (adjacency[i] | 1 << i) & mask != mask:
-                clique = False
-                break
-        if not clique:
+            common &= adjacency[i] | 1 << i
+        if mask.bit_count() != len(basis) or common & mask != mask:
             raise RaySetFormatError(
                 f"supplied basis {basis!r} is not a mutually orthogonal {dimension}-tuple"
             )

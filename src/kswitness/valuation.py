@@ -29,8 +29,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .sphere_geom import (
-    EPS_NORM, EPS_ORTHO, HALF_PI, DomainError, as_vector, require_unit, require_unit_rows,
-    rotate,
+    EPS_ORTHO, HALF_PI, DomainError, as_vector, require_unit, require_unit_rows, rotate,
 )
 
 PI = math.pi
@@ -512,8 +511,10 @@ def check_basis(valuation: Valuation, basis) -> int:
     for i, v in enumerate(vecs):
         if v.shape != (d,):
             raise NotABasis(f"vector {i} has shape {v.shape}, expected ({d},)")
-        if not abs(float(np.dot(v, v)) - 1.0) <= 2.0 * EPS_NORM:
-            raise NotABasis(f"vector {i} is not unit")
+        try:
+            require_unit(v, d)  # the oracles' own unit check, so _bit accepts v
+        except DomainError:
+            raise NotABasis(f"vector {i} is not unit") from None
     for i in range(d):
         for j in range(i + 1, d):
             if not abs(float(np.dot(vecs[i], vecs[j]))) <= EPS_ORTHO:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from kswitness.sphere_geom import DomainError, SphPoint, cross, dot, to_cartesian
+from kswitness.sphere_geom import DomainError, SphPoint, cross, dot, normalized, to_cartesian
 from kswitness.valuation import (
     ConstantValuation,
     FourSegmentValuation,
@@ -289,6 +289,19 @@ class TestOtherFamilies:
         assert isinstance(v, RotatedValuation)
 
 
+# Squared norms 1 + 1.99996e-12, just inside the unit tolerance when summed
+# left to right, and 1 - 2.00007e-12, just outside it (np.dot can put the
+# latter at 1 - 1.99996e-12, inside).
+POLAR_CAP_EDGE = (0.42377988440877196, 0.16181524643149575, -0.8911938260528975)
+DOT_EDGE = (0.8481095574533203, -0.5011784478104265, 0.17184394666285085)
+
+
+def _completed(a):
+    """``a`` and two unit vectors that complete it to an orthonormal basis."""
+    b = normalized(cross(a, (0.0, 0.0, 1.0)))
+    return [a, b, normalized(cross(a, b))]
+
+
 class TestCheckBasis:
     def test_nan_basis_is_not_a_basis(self):
         # A non-finite "basis" must not read as one that violates the sum rule.
@@ -305,8 +318,8 @@ class TestCheckBasis:
 
     def test_trivial_valuation_exposes_sum_zero(self):
         v = ConstantValuation(3, 0)
-        basis = [np.eye(3)[i] for i in range(3)]
-        assert check_basis(v, basis) == 0
+        for basis in ([np.eye(3)[i] for i in range(3)], _completed(POLAR_CAP_EDGE)):
+            assert check_basis(v, basis) == 0
 
     def test_dyads_always_sum_to_one(self):
         rng = np.random.default_rng(25)
@@ -338,6 +351,9 @@ class TestCheckBasis:
             check_basis(v, [np.eye(3)[0], np.eye(3)[0], np.eye(3)[2]])
         with pytest.raises(NotABasis):
             check_basis(v, [2.0 * np.eye(3)[0], np.eye(3)[1], np.eye(3)[2]])
+        # Not unit by the oracles' own check, whatever np.dot says.
+        with pytest.raises(NotABasis):
+            check_basis(v, _completed(DOT_EDGE))
 
 
 def _coordinate_indicator(dim, coord, threshold):
