@@ -17,7 +17,6 @@ may proceed concurrently, a single search is sequential.
 from __future__ import annotations
 
 import json
-import os
 import re
 import sys
 from functools import cached_property
@@ -473,13 +472,7 @@ def find_valuation(graph: OrthoGraph, bases) -> ColoringResult:
 
 # --- JSON ingestion and bundled data -------------------------------------
 
-DATA_DIR_ENV = "KS_DATA_DIR"
-
-
 def bundled_data_dir() -> Path:
-    override = os.environ.get(DATA_DIR_ENV)
-    if override:
-        return Path(override)
     return Path(__file__).parent / "data"
 
 

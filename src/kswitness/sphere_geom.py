@@ -134,7 +134,9 @@ def as_vector(v, dimension: int = 3) -> tuple[float, ...]:
 def _square_norm(v) -> float:
     """Sum of the squared coordinates, left to right, as
     ``require_unit_rows`` sums its columns.  (``sum`` is compensated
-    from Python 3.12 on, so it would not give these bits.)"""
+    from Python 3.12 on, so it would not give these bits.)  The bits of
+    ``dot(v, v)``, kept apart because every oracle call makes this check
+    and a loop over one sequence is faster than a zip of two."""
     sq = 0.0
     for c in v:
         sq += c * c
@@ -165,9 +167,28 @@ def require_unit_rows(points, dimension: int = 3) -> np.ndarray:
     return p
 
 
+def require_orthonormal(vectors, dimension: int = 3) -> list[tuple[float, ...]]:
+    """``require_unit(v, dimension)`` for each of ``vectors``, if every pair
+    has ``|dot| <= EPS_ORTHO``.  Raises DomainError on a vector that is not
+    unit and NotOrthogonal on a pair that is not orthogonal, NaN included.
+    The one orthonormality check behind Triad, ``check_basis``, dimension
+    reduction and the witness web."""
+    vs = [require_unit(v, dimension) for v in vectors]
+    for i in range(len(vs)):
+        for j in range(i + 1, len(vs)):
+            d = abs(dot(vs[i], vs[j]))
+            if not d <= EPS_ORTHO:
+                raise NotOrthogonal(f"vectors {i} and {j} have |dot| = {d} > {EPS_ORTHO}")
+    return vs
+
+
 def dot(a, b) -> float:
-    """The dot product of two float 3-vectors, summed left to right."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    """The dot product of two float vectors of one length, summed left to
+    right as ``_square_norm`` sums."""
+    s = 0.0
+    for x, y in zip(a, b):
+        s += x * y
+    return s
 
 
 def rotate(rows, v) -> tuple[float, float, float]:
@@ -322,17 +343,8 @@ class Triad:
     n3: tuple[float, float, float]
 
     def __post_init__(self):
-        vs = [require_unit(v) for v in (self.n1, self.n2, self.n3)]
-        for i in range(3):
-            for j in range(i + 1, 3):
-                d = abs(dot(vs[i], vs[j]))
-                if not d <= EPS_ORTHO:
-                    raise NotOrthogonal(
-                        f"triad members {i} and {j} have |dot| = {d} > {EPS_ORTHO}"
-                    )
-        object.__setattr__(self, "n1", vs[0])
-        object.__setattr__(self, "n2", vs[1])
-        object.__setattr__(self, "n3", vs[2])
+        for name, v in zip(("n1", "n2", "n3"), require_orthonormal(self.vectors)):
+            object.__setattr__(self, name, v)
 
     @property
     def vectors(self) -> tuple[tuple, tuple, tuple]:

@@ -29,7 +29,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .sphere_geom import (
-    EPS_ORTHO, HALF_PI, DomainError, as_vector, require_unit, require_unit_rows, rotate,
+    HALF_PI, DomainError, NotOrthogonal, as_vector, dot, require_orthonormal, require_unit,
+    require_unit_rows, rotate,
 )
 
 PI = math.pi
@@ -215,8 +216,9 @@ class Generator2D:
                          for a, b in doc.get("intervals", [])))
 
     @classmethod
-    def random(cls, rng: np.random.Generator, max_intervals: int = 4) -> "Generator2D":
-        cuts = np.sort(rng.uniform(0.0, HALF_PI, size=2 * rng.integers(1, max_intervals + 1)))
+    def random(cls, rng: np.random.Generator) -> "Generator2D":
+        """One to four intervals with uniform endpoints."""
+        cuts = np.sort(rng.uniform(0.0, HALF_PI, size=2 * rng.integers(1, 5)))
         return cls(tuple(zip(cuts[0::2], cuts[1::2])))
 
 
@@ -415,11 +417,11 @@ class RotatedValuation(Valuation):
     give the same bits."""
 
     def __init__(self, base: Valuation, rotation, seed: int | None = None):
-        rotation = np.asarray(rotation, dtype=float)
-        if base.dimension != 3 or rotation.shape != (3, 3):
+        rotation = tuple(map(as_vector, rotation))  # DomainError on a row of another shape
+        if base.dimension != 3 or len(rotation) != 3:
             raise ValueError("rotation shape does not match oracle dimension")
         self.base = base
-        self.rotation = tuple(map(tuple, rotation.tolist()))
+        self.rotation = rotation
         self.seed = seed
 
     def evaluate(self, n) -> int:
@@ -502,62 +504,58 @@ def check_basis(valuation: Valuation, basis) -> int:
 
     The defining condition holds iff the return value is 1; callers hunting
     for violations just compare.  Raises NotABasis when the vectors are not
-    an orthonormal d-tuple.
+    an orthonormal d-tuple by ``require_orthonormal``, the oracles' own unit
+    check, so every vector it accepts is one ``_bit`` accepts.
     """
     d = valuation.dimension
-    vecs = [np.asarray(v, dtype=float) for v in basis]
+    try:
+        vecs = require_orthonormal(basis, d)
+    except (DomainError, NotOrthogonal) as exc:
+        raise NotABasis(str(exc)) from None
     if len(vecs) != d:
         raise NotABasis(f"expected {d} vectors, got {len(vecs)}")
-    for i, v in enumerate(vecs):
-        if v.shape != (d,):
-            raise NotABasis(f"vector {i} has shape {v.shape}, expected ({d},)")
-        try:
-            require_unit(v, d)  # the oracles' own unit check, so _bit accepts v
-        except DomainError:
-            raise NotABasis(f"vector {i} is not unit") from None
-    for i in range(d):
-        for j in range(i + 1, d):
-            if not abs(float(np.dot(vecs[i], vecs[j]))) <= EPS_ORTHO:
-                raise NotABasis(f"vectors {i} and {j} are not orthogonal")
     return sum(_bit(valuation, v) for v in vecs)
 
 
-def _complete_orthonormal(vectors: list[np.ndarray], dimension: int) -> list[np.ndarray]:
+def _complete_orthonormal(vectors: list[tuple], dimension: int) -> list[tuple]:
     """Deterministic Gram-Schmidt completion against the standard basis."""
-    basis = [np.asarray(v, dtype=float) for v in vectors]
-    extra: list[np.ndarray] = []
+    basis = list(vectors)
     for i in range(dimension):
         if len(basis) == dimension:
             break
-        e = np.zeros(dimension)
-        e[i] = 1.0
-        r = e - sum(float(np.dot(e, b)) * b for b in basis)
-        norm = float(np.linalg.norm(r))
+        r = [float(k == i) for k in range(dimension)]
+        for b in basis:
+            c = dot(r, b)
+            r = [rk - c * bk for rk, bk in zip(r, b)]
+        norm = math.sqrt(dot(r, r))
         if norm > 1e-6:
-            r = r / norm
-            basis.append(r)
-            extra.append(r)
+            basis.append(tuple(rk / norm for rk in r))
     if len(basis) != dimension:
         raise AssertionError("orthonormal completion failed")
-    return extra
+    return basis[len(vectors):]
 
 
-class ReducedValuation(Valuation):
+class ReducedValuation(_UnitDomain, Valuation):
     """A d-dimensional valuation restricted to the 2-sphere orthogonal to a
-    zero set, expressed in a fixed 3-frame of that orthogonal complement."""
+    zero set, expressed in a fixed 3-frame of that orthogonal complement.
+    Takes unit 3-vectors only, as every built-in family does.  ``zeros``
+    and ``frame`` (three rows) are tuples of orthonormal d-vectors."""
 
     dimension = 3
 
-    def __init__(self, base: Valuation, zeros: list[np.ndarray], frame: np.ndarray):
+    def __init__(self, base: Valuation, zeros: list[tuple], frame: list[tuple]):
         self.base = base
-        self.zeros = [np.asarray(z, dtype=float) for z in zeros]
-        self.frame = np.asarray(frame, dtype=float)  # rows: 3 orthonormal d-vectors
+        self.zeros = tuple(zeros)
+        self.frame = tuple(frame)
+        self._columns = tuple(zip(*self.frame))
 
-    def embed(self, u) -> np.ndarray:
-        """Map a reduced unit 3-vector back to the ambient d-space."""
-        return np.asarray(u, dtype=float) @ self.frame
+    def embed(self, u) -> tuple[float, ...]:
+        """Map a reduced 3-vector back to the ambient d-space: ``u @ frame``,
+        each coordinate's three products summed left to right."""
+        x, y, z = as_vector(u)
+        return tuple(a * x + b * y + c * z for a, b, c in self._columns)
 
-    def embed_basis(self, triad) -> list[np.ndarray]:
+    def embed_basis(self, triad) -> list[tuple[float, ...]]:
         """Ambient d-basis: the embedded triad padded with the zero set."""
         return [self.embed(u) for u in triad] + list(self.zeros)
 
@@ -570,29 +568,25 @@ def reduce_dimension(valuation: Valuation, zeros) -> ReducedValuation:
     mutually orthogonal unit vectors on which it vanishes.
 
     Raises ZeroSetInvalid when the zero set is the wrong size, not
-    orthonormal, or contains a vector with value 1 (such a failure is itself
-    progress toward the d-dimensional statement, so the caller learns it
-    loudly).  A violating triad found in the reduced valuation maps back to
-    a violating d-basis via ``embed_basis``.
+    orthonormal by ``require_orthonormal``, or contains a vector with value
+    1 (such a failure is itself progress toward the d-dimensional
+    statement, so the caller learns it loudly).  A violating triad found in
+    the reduced valuation maps back to a violating d-basis via
+    ``embed_basis``.
     """
     d = valuation.dimension
     if d < 4:
         raise ZeroSetInvalid(f"reduction needs dimension >= 4, oracle claims {d}")
-    zs = [np.asarray(z, dtype=float) for z in zeros]
+    try:
+        zs = require_orthonormal(zeros, d)
+    except (DomainError, NotOrthogonal) as exc:
+        raise ZeroSetInvalid(f"zero set: {exc}") from None
     if len(zs) != d - 3:
         raise ZeroSetInvalid(f"need exactly {d - 3} zero vectors, got {len(zs)}")
     for i, z in enumerate(zs):
-        if z.shape != (d,) or not abs(float(np.dot(z, z)) - 1.0) <= 1e-9:
-            raise ZeroSetInvalid(f"zero vector {i} is not a unit {d}-vector")
-    for i in range(len(zs)):
-        for j in range(i + 1, len(zs)):
-            if not abs(float(np.dot(zs[i], zs[j]))) <= EPS_ORTHO:
-                raise ZeroSetInvalid(f"zero vectors {i} and {j} are not orthogonal")
-    for i, z in enumerate(zs):
         if _bit(valuation, z) != 0:
             raise ZeroSetInvalid(f"valuation is 1 on zero vector {i}")
-    frame = np.array(_complete_orthonormal(zs, d))
-    return ReducedValuation(valuation, zs, frame)
+    return ReducedValuation(valuation, zs, _complete_orthonormal(zs, d))
 
 
 @dataclass
@@ -600,8 +594,8 @@ class ZeroSearchResult:
     """Outcome of ``find_zero_orthogonal_set``: exactly one of ``zeros`` and
     ``violating_basis`` is set, and ``basis_sum`` goes with the latter."""
 
-    zeros: list[np.ndarray] | None
-    violating_basis: list[np.ndarray] | None
+    zeros: list[tuple[float, ...]] | None
+    violating_basis: list[tuple[float, ...]] | None
     basis_sum: int | None
 
     @property
@@ -621,7 +615,7 @@ def find_zero_orthogonal_set(valuation: Valuation) -> ZeroSearchResult:
     d = valuation.dimension
     if d < 4:
         raise ValueError("zero-set search applies to dimension >= 4 only")
-    basis = list(np.eye(d))
+    basis = [tuple(float(k == i) for k in range(d)) for i in range(d)]
     values = [_bit(valuation, e) for e in basis]
     if sum(values) != 1:
         return ZeroSearchResult(None, basis, sum(values))

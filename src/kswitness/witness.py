@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass, field
 
 from .sphere_geom import (
-    EPS_ORTHO,
     HALF_PI,
     IDENTITY,
     Z_AXIS,
@@ -50,7 +49,6 @@ from .sphere_geom import (
     SphPoint,
     Triad,
     cross,
-    dot,
     equator_crossings,
     from_cartesian,
     normalized,
@@ -372,12 +370,8 @@ def _competing_meridian_web(anchor_vec: tuple) -> tuple[tuple, tuple, tuple]:
     triads.append(("meridian_dyad", (_antipode(x_vec), yp_vec, m_y)))
 
     # Memberships are analytic identities; fail loudly if the assembly is off.
-    for label, members in triads:
-        for i in range(3):
-            for j in range(i + 1, 3):
-                d = abs(dot(members[i], members[j]))
-                if not d <= EPS_ORTHO:
-                    raise AssertionError(f"web triad {label} not orthogonal: {d}")
+    for _, members in triads:
+        Triad(*members)
     return tuple(triads), tuple(equator_points), x_vec
 
 

@@ -430,13 +430,6 @@ class TestIngestion:
         with pytest.raises(RaySetFormatError):
             load_ray_set(path)
 
-    def test_data_dir_override(self, tmp_path, monkeypatch):
-        doc = {"name": "tiny", "dimension": 2, "vectors": [[1, 0], [0, 1]]}
-        (tmp_path / "tiny.json").write_text(json.dumps(doc))
-        monkeypatch.setenv("KS_DATA_DIR", str(tmp_path))
-        rs = load_bundled("tiny")
-        assert rs.name == "tiny"
-
     def test_provenance_is_carried(self):
         for name in ("cabello18", "peres33", "peres24", "kernaghan20"):
             assert load_bundled(name).provenance

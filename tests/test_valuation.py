@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from kswitness.sphere_geom import DomainError, SphPoint, cross, dot, normalized, to_cartesian
+from kswitness.sphere_geom import (
+    EPS_ORTHO, DomainError, NotOrthogonal, SphPoint, Triad, cross, dot, normalized,
+    to_cartesian,
+)
 from kswitness.valuation import (
     ConstantValuation,
     FourSegmentValuation,
@@ -256,6 +259,10 @@ class TestOtherFamilies:
             n = rng.standard_normal(3)
             n /= np.linalg.norm(n)
             assert v.evaluate(n) == base.evaluate(rot @ n)
+        with pytest.raises(ValueError, match="rotation shape"):
+            RotatedValuation(base, rot[:2])
+        with pytest.raises(ValueError):
+            RotatedValuation(base, [row[:2] for row in rot])
 
     def test_random_rotation_is_a_seeded_uniform_rotation(self):
         # Seed 0's rows, as exact floats: they rest on random.Random's
@@ -356,6 +363,34 @@ class TestCheckBasis:
             check_basis(v, _completed(DOT_EDGE))
 
 
+def _tilted(s):
+    """The standard basis with its second vector tilted to dot product s
+    with the first; unit to the last bit."""
+    return [(1.0, 0.0, 0.0), (s, math.sqrt(1.0 - s * s), 0.0), (0.0, 0.0, 1.0)]
+
+
+@pytest.mark.parametrize("basis, accepted", [
+    (_completed(POLAR_CAP_EDGE), True),
+    (_completed(DOT_EDGE), False),
+    (_tilted(EPS_ORTHO), True),
+    (_tilted(math.nextafter(EPS_ORTHO, 1.0)), False),
+], ids=["unit_within", "unit_beyond", "orthogonal_within", "orthogonal_beyond"])
+def test_one_orthonormality_check(basis, accepted):
+    """Triad, check_basis and reduce_dimension accept and reject the same
+    vectors at the edges of the unit and orthogonality tolerances.  The
+    zero set is the basis's first two vectors, padded to d = 5."""
+    zeros = [(*v, 0.0, 0.0) for v in basis[:2]]
+    checks = [(lambda: Triad(*basis), (DomainError, NotOrthogonal)),
+              (lambda: check_basis(ConstantValuation(3, 0), basis), NotABasis),
+              (lambda: reduce_dimension(ConstantValuation(5, 0), zeros), ZeroSetInvalid)]
+    for check, rejection in checks:
+        if accepted:
+            check()
+        else:
+            with pytest.raises(rejection):
+                check()
+
+
 def _coordinate_indicator(dim, coord, threshold):
     """v(n) = 1 iff n[coord]^2 > threshold; antipodal by construction."""
     return FunctionValuation(dim, lambda n: 1 if n[coord] ** 2 > threshold else 0)
@@ -388,6 +423,7 @@ class TestDimensionReduction:
             u = rng.standard_normal(3)
             u /= np.linalg.norm(u)
             embedded = reduced.embed(u)
+            np.testing.assert_allclose(embedded, u @ np.array(reduced.frame), rtol=0, atol=1e-15)
             assert abs(np.linalg.norm(embedded) - 1.0) < 1e-12
             assert reduced.evaluate(u) == v.evaluate(embedded)
             assert abs(embedded[0]) < 1e-12  # orthogonal to the zero set
@@ -396,6 +432,22 @@ class TestDimensionReduction:
         reduced = reduce_dimension(_coordinate_indicator(4, 3, 0.5), [np.eye(4)[0]])
         with pytest.raises(DomainError):
             reduced.evaluate(np.zeros(4))
+        # Off the sphere too, as every built-in family: the base would
+        # answer these, 1 at [0, 0, 5] and 0 at NaN.
+        for point in ([math.nan] * 3, [0.0] * 3, [0.0, 0.0, 5.0]):
+            with pytest.raises(DomainError):
+                reduced.evaluate(point)
+            with pytest.raises(DomainError):
+                reduced.evaluate_many(np.array([[0.0, 0.0, 1.0], point]))
+        assert reduced.evaluate_many(np.array([[0.0, 0.0, 1.0]])).tolist() == [1]
+
+    @pytest.mark.parametrize("zero", [(1.0 + 1e-10, 0.0, 0.0, 0.0), (*DOT_EDGE, 0.0)],
+                             ids=["long_axis", "dot_edge"])
+    def test_zero_set_not_unit_by_the_oracles_check_rejected(self, zero):
+        # Unit within 1e-9 but not within the oracles' 2 * EPS_NORM: the
+        # zero set must fail as one, so no DomainError escapes the oracle.
+        with pytest.raises(ZeroSetInvalid):
+            reduce_dimension(ConstantValuation(4, 0), [zero])
 
     def test_embedding_preserves_orthogonality(self):
         v = _coordinate_indicator(5, 4, 0.5)
