@@ -30,8 +30,7 @@ print(f"outcome: {report.outcome}")
 print("proof steps taken:")
 for entry in report.trace:
     keys = {k: v for k, v in entry.items()
-            if k in ("samples", "found_one", "longitudes", "ones",
-                     "theta_one", "theta_zero", "sum")}
+            if k in ("values", "longitudes", "ones", "theta_one", "theta_zero", "sum")}
     print(f"  {entry['step']:24s} {keys}")
 
 triad = report.triad.vectors

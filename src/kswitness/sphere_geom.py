@@ -152,12 +152,19 @@ def require_unit(v, dimension: int = 3) -> tuple[float, ...]:
     return v
 
 
-def require_unit_rows(points, dimension: int = 3) -> np.ndarray:
-    """``require_unit`` for each row of an (N, dimension) array."""
+def as_rows(points, dimension: int = 3) -> np.ndarray:
+    """``points`` as an (N, dimension) float array, ``as_vector`` for a
+    batch: DomainError on any other shape."""
     p = np.asarray(points, dtype=float)
     if p.ndim != 2 or p.shape[1] != dimension:
         raise DomainError(f"expected an (N, {dimension}) array of {dimension}-vectors, "
                           f"got shape {p.shape}")
+    return p
+
+
+def require_unit_rows(points, dimension: int = 3) -> np.ndarray:
+    """``require_unit`` for each row of an (N, dimension) array."""
+    p = as_rows(points, dimension)
     sq = p[:, 0] * p[:, 0]
     for j in range(1, dimension):
         sq += p[:, j] * p[:, j]

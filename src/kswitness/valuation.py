@@ -29,8 +29,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .sphere_geom import (
-    HALF_PI, DomainError, NotOrthogonal, as_vector, dot, require_orthonormal, require_unit,
-    require_unit_rows, rotate,
+    HALF_PI, DomainError, NotOrthogonal, as_rows, as_vector, dot, require_orthonormal,
+    require_unit, require_unit_rows, rotate,
 )
 
 PI = math.pi
@@ -51,7 +51,10 @@ class OracleSpecError(ValueError):
 class Valuation:
     """Base oracle interface: ``evaluate`` maps a unit d-vector to 0 or 1,
     and ``evaluate_many`` maps an (N, d) array of them to an int8[N] array
-    of the same bits."""
+    of the same bits.  Unit d-vectors are the whole domain: ``_check`` and
+    ``_check_rows`` are ``require_unit`` and ``require_unit_rows``, and
+    raise ``DomainError`` on anything else, NaN and the zero vector
+    included."""
 
     dimension: int = 3
 
@@ -66,14 +69,10 @@ class Valuation:
         return np.fromiter((_bit(self, n) for n in points), np.int8, len(points))
 
     def _check(self, n) -> tuple[float, ...]:
-        return as_vector(n, self.dimension)
+        return require_unit(n, self.dimension)
 
     def _check_rows(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.dimension:
-            raise DomainError(f"expected an (N, {self.dimension}) array of points, "
-                              f"got shape {points.shape}")
-        return points
+        return require_unit_rows(points, self.dimension)
 
 
 def _bit(valuation: Valuation, n) -> int:
@@ -114,7 +113,7 @@ class _RuleValuation(Valuation):
     """A family written once, as ``_bits(ops, *coordinates)``.  ``evaluate``
     runs the rule on one point's Python floats and ``evaluate_many`` on the
     columns of a batch, so the two give the same bits by construction.
-    Either raises ``DomainError`` on a point of the wrong shape."""
+    Either raises ``DomainError`` on a point off the unit sphere."""
 
     def _bits(self, ops, *coordinates):
         raise NotImplementedError
@@ -126,30 +125,20 @@ class _RuleValuation(Valuation):
         return self._bits(_Many, *self._check_rows(points).T).astype(np.int8)
 
 
-class _UnitDomain:
-    """Both entry points take unit ``dimension``-vectors only, checked as
-    ``require_unit`` checks, and raise ``DomainError`` on anything else,
-    NaN and the zero vector included."""
-
-    def _check(self, n) -> tuple[float, ...]:
-        return require_unit(n, self.dimension)
-
-    def _check_rows(self, points) -> np.ndarray:
-        return require_unit_rows(points, self.dimension)
-
-
 class FunctionValuation(Valuation):
-    """Adapter wrapping an arbitrary callable oracle."""
+    """Adapter wrapping an arbitrary callable oracle.  The callable sees
+    only unit ``dimension``-vectors, as float arrays: every other point
+    raises ``DomainError`` before it is called."""
 
     def __init__(self, dimension: int, fn):
         self.dimension = dimension
         self._fn = fn
 
     def evaluate(self, n) -> int:
-        return self._fn(np.asarray(n, dtype=float))
+        return self._fn(np.asarray(self._check(n)))
 
 
-class ConstantValuation(_UnitDomain, Valuation):
+class ConstantValuation(Valuation):
     def __init__(self, dimension: int, value: int):
         if value not in (0, 1):
             raise ValueError("valuation values must be 0 or 1")
@@ -222,7 +211,7 @@ class Generator2D:
         return cls(tuple(zip(cuts[0::2], cuts[1::2])))
 
 
-class Valuation2D(_UnitDomain, _RuleValuation):
+class Valuation2D(_RuleValuation):
     """The general S^1 valuation generated by g on [0, pi/2):
 
         v = g on [0, pi/2),  1 - g(. - pi/2) on [pi/2, pi),
@@ -256,12 +245,6 @@ class Valuation2D(_UnitDomain, _RuleValuation):
 
 
 # --- three-dimensional near-miss constructions ----------------------------
-
-class _SphereRule(_UnitDomain, _RuleValuation):
-    """A family on S^2: both entry points take unit 3-vectors only."""
-
-    dimension = 3
-
 
 BOUNDARY_VARIANTS = ("one_at_step", "zero_at_step")
 
@@ -301,7 +284,7 @@ def _front_half(x, y):
     return (x > 0.0) | ((x == 0.0) & (y < 0.0))
 
 
-class StepMeridianValuation(_SphereRule):
+class StepMeridianValuation(_RuleValuation):
     """The standardized meridian profile spread over the sphere.
 
     Points with longitude in [-pi/2, pi/2) take profile(theta); the opposite
@@ -355,7 +338,7 @@ class FourSegmentValuation(StepMeridianValuation):
         return {"schema": 1, "kind": "four_segment", "pole_value": self.pole_value}
 
 
-class PolarCapValuation(_SphereRule):
+class PolarCapValuation(_RuleValuation):
     """1 inside two antipodal polar caps (|sin(theta)| >= sin(cap_latitude)),
     0 elsewhere.  Depends on latitude alone, so antipodal symmetry is exact;
     any triad avoiding both caps sums to 0."""
@@ -372,7 +355,7 @@ class PolarCapValuation(_SphereRule):
         return {"schema": 1, "kind": "polar_cap", "cap_latitude": self.cap_latitude}
 
 
-class Valuation2DRotated(_SphereRule):
+class Valuation2DRotated(_RuleValuation):
     """A 2D valuation spun about the polar axis: v(n) = v2(longitude of n).
 
     Antipodes flip longitude by pi, which the 2D construction is invariant
@@ -414,10 +397,12 @@ class RotatedValuation(Valuation):
     """A 3-D base composed with a fixed rotation: v(n) = base(R @ n).
     ``evaluate`` sums each row's products left to right on Python floats
     and ``evaluate_many`` sums the same products on columns, so the two
-    give the same bits."""
+    give the same bits.  The rows must pass ``require_orthonormal``, so R
+    maps the sphere onto itself, and the unit check is left to the base:
+    a point is rejected exactly when ``R @ n`` is."""
 
     def __init__(self, base: Valuation, rotation, seed: int | None = None):
-        rotation = tuple(map(as_vector, rotation))  # DomainError on a row of another shape
+        rotation = tuple(require_orthonormal(rotation))
         if base.dimension != 3 or len(rotation) != 3:
             raise ValueError("rotation shape does not match oracle dimension")
         self.base = base
@@ -425,10 +410,10 @@ class RotatedValuation(Valuation):
         self.seed = seed
 
     def evaluate(self, n) -> int:
-        return self.base.evaluate(rotate(self.rotation, self._check(n)))
+        return self.base.evaluate(rotate(self.rotation, as_vector(n)))
 
     def evaluate_many(self, points) -> np.ndarray:
-        x, y, z = self._check_rows(points).T
+        x, y, z = as_rows(points).T
         return self.base.evaluate_many(np.column_stack(
             [a * x + b * y + c * z for a, b, c in self.rotation]))
 
@@ -535,13 +520,12 @@ def _complete_orthonormal(vectors: list[tuple], dimension: int) -> list[tuple]:
     return basis[len(vectors):]
 
 
-class ReducedValuation(_UnitDomain, Valuation):
+class ReducedValuation(Valuation):
     """A d-dimensional valuation restricted to the 2-sphere orthogonal to a
     zero set, expressed in a fixed 3-frame of that orthogonal complement.
-    Takes unit 3-vectors only, as every built-in family does.  ``zeros``
-    and ``frame`` (three rows) are tuples of orthonormal d-vectors."""
-
-    dimension = 3
+    Takes unit 3-vectors only, as every ``Valuation`` does, and checks
+    them before embedding.  ``zeros`` and ``frame`` (three rows) are
+    tuples of orthonormal d-vectors."""
 
     def __init__(self, base: Valuation, zeros: list[tuple], frame: list[tuple]):
         self.base = base

@@ -1,5 +1,6 @@
 """Every demo script runs to completion against the library."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -11,10 +12,21 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_exits_0(demo, tmp_path):
+def run_demo(demo: Path, cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                            capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, str(demo)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_exits_0(demo, tmp_path):
+    result = run_demo(demo, tmp_path)
     assert result.returncode == 0, result.stderr
+
+
+def test_walkthrough_shows_the_pole_basis_bits(tmp_path):
+    result = run_demo(ROOT / "demos" / "witness_walkthrough.py", tmp_path)
+    line = next(s for s in result.stdout.splitlines() if s.split()[:1] == ["pole_basis"])
+    values = ast.literal_eval(line.split(None, 1)[1])["values"]
+    assert len(values) == 3 and set(values) <= {0, 1}, line

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from kswitness.sphere_geom import DomainError, SphPoint, to_cartesian
+from kswitness.sphere_geom import DomainError, SphPoint, require_unit, rotate, to_cartesian
 from kswitness.valuation import (
     BOUNDARY_VARIANTS, ConstantValuation, FunctionValuation, Generator2D, Valuation2D, _bit,
     build_oracle, make_valuation_1d, random_rotation, reduce_dimension,
@@ -259,12 +259,22 @@ def test_every_3d_family_rejects_points_off_the_sphere(name, seed, point):
         oracle.evaluate_many(np.array([[0.0, 0.0, 1.0], point]))
 
 
-# The families off S^2: the circle and the constant valuations, S^0 included.
+def _unit_only(n):
+    """A user oracle's callable that fails the test if it is ever handed a
+    point off the sphere."""
+    assert n.shape == (3,) and abs(float(n @ n) - 1.0) <= 1e-9, n
+    return int(n[2] > 0.0)
+
+
+# The families off S^2: the circle and the constant valuations, S^0
+# included; and a user oracle on S^2, whose callable must never see a
+# point off the sphere.
 OTHER_FAMILIES = {
     "valuation2d": lambda: Valuation2D(Generator2D(((EDGES[0], EDGES[1]),))),
     "constant1d-1": lambda: make_valuation_1d(1),
     "constant1d-0": lambda: make_valuation_1d(0),
     "constant3d": lambda: ConstantValuation(3, 1),
+    "function3d": lambda: FunctionValuation(3, _unit_only),
 }
 
 
@@ -336,3 +346,69 @@ def test_to_oracle_dict_round_trips_through_json(seed, rotation_seed):
         rebuilt = build_oracle(json.loads(json.dumps(doc)))
         assert rebuilt.to_oracle_dict() == doc
         assert np.array_equal(rebuilt.evaluate_many(points), oracle.evaluate_many(points))
+
+
+# --- one domain contract for every valuation -------------------------------
+
+def contract_oracles() -> dict[int, list]:
+    """Every built-in kind, plain and rotated, and the families off S^2 with
+    a user oracle, by dimension."""
+    oracles = {d: [] for d in (1, 2, 3)}
+    for seed in ROTATION_SEEDS[:2]:
+        oracles[3] += [oracle_for(name, seed) for name in SPECS]
+    for make in OTHER_FAMILIES.values():
+        oracle = make()
+        oracles[oracle.dimension].append(oracle)
+    return oracles
+
+
+def test_one_domain_contract_for_every_valuation():
+    """``evaluate`` raises ``DomainError`` exactly where ``require_unit``
+    rejects the point, or for a rotated oracle the rotated point, and a
+    one-row ``evaluate_many`` answers as ``evaluate`` does, on non-finite
+    coordinates, signed zeros, subnormals and the unit tolerance's edge."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    oracles = contract_oracles()
+    special = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                               -5e-324, 2.2250738585072014e-308, 1.0, -1.0, 1e308])
+
+    @st.composite
+    def points(draw, d):
+        """A tuple of any floats, or a direction scaled so that its squared
+        norm lands a few ulps either side of 1 or of 1 +- 2 * EPS_NORM,
+        maybe with one coordinate replaced by a special value."""
+        if draw(st.booleans()):
+            return draw(st.tuples(*[st.one_of(special, st.floats())] * d))
+        v = draw(st.tuples(*[st.floats(-1.0, 1.0)] * d).filter(lambda v: max(map(abs, v)) > 1e-6))
+        delta = draw(st.sampled_from([0.0, -2e-12, 2e-12])) + draw(st.integers(-4, 4)) * 2.0 ** -52
+        scale = math.sqrt((1.0 + delta) / sum(c * c for c in v))
+        v = [c * scale for c in v]
+        if draw(st.booleans()):
+            v[draw(st.integers(0, d - 1))] = draw(special)
+        return tuple(v)
+
+    def outcome(call):
+        try:
+            return call()
+        except DomainError:
+            return DomainError
+
+    def rejects(p) -> bool:
+        return outcome(lambda: require_unit(p, len(p))) is DomainError
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        for d, members in oracles.items():
+            p = data.draw(points(d))
+            for oracle in members:
+                rotation = getattr(oracle, "rotation", None)
+                expected = rejects(p if rotation is None else rotate(rotation, p))
+                one = outcome(lambda: oracle.evaluate(p))
+                assert (one is DomainError) == expected, (oracle, p)
+                assert outcome(lambda: int(oracle.evaluate_many(np.array([p]))[0])) == one, \
+                    (oracle, p)
+
+    with np.errstate(all="ignore"):  # 1e308 squared, inf - inf: numpy warns on columns
+        check()

@@ -264,6 +264,18 @@ class TestOtherFamilies:
         with pytest.raises(ValueError):
             RotatedValuation(base, [row[:2] for row in rot])
 
+    def test_rotated_wrapper_rejects_rows_that_are_not_orthonormal(self):
+        # A stretched row would make the base blame a point the caller
+        # never passed; a sheared pair would map the sphere off itself.
+        base = FourSegmentValuation()
+        with pytest.raises(DomainError):
+            RotatedValuation(base, [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(DomainError):
+            RotatedValuation(base, [[math.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        s = math.sqrt(0.5)
+        with pytest.raises(NotOrthogonal):
+            RotatedValuation(base, [[1.0, 0.0, 0.0], [s, s, 0.0], [0.0, 0.0, 1.0]])
+
     def test_random_rotation_is_a_seeded_uniform_rotation(self):
         # Seed 0's rows, as exact floats: they rest on random.Random's
         # documented stream and Python float arithmetic, not on numpy.
