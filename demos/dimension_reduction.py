@@ -1,11 +1,11 @@
 """From d dimensions down to three, and back up with a certificate.
 
-For d >= 4 the non-existence of valuations reduces to the 3D case: find
-d-3 mutually orthogonal directions where the candidate vanishes, restrict
-to the 2-sphere orthogonal to them, extract a violating triad there, and
-pad it with the zero set to get a violating d-basis.  The zeros come from
-the standard basis, in d oracle calls: a basis that does not sum to 1 is
-itself the certificate, and one that does holds d-1 zeros.
+For d >= 4 the non-existence of valuations reduces to the 3D case: read
+the standard basis in d oracle calls, restrict to the span of three of
+its axes, extract a violating triad there, and pad it with the other d-3
+axes, where the candidate vanishes, to get a violating d-basis.  A basis
+that does not sum to 1 is itself the certificate; one that does holds d-1
+zeros, and ``reduce_dimension`` keeps the first d-3 as the zero set.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from kswitness import (
     WitnessConfig,
     check_basis,
     extract_witness,
-    find_zero_orthogonal_set,
     reduce_dimension,
 )
 
@@ -31,13 +30,11 @@ for dimension in (4, 5):
 
     oracle = FunctionValuation(dimension, candidate)
 
-    search = find_zero_orthogonal_set(oracle)
+    reduced = reduce_dimension(oracle).reduced
     print(f"zero hunt: {dimension} oracle calls")
-    zeros = search.zeros
-    for z in zeros:
+    for z in reduced.zeros:
         print(f"  zero direction {np.round(z, 4)}  v = {oracle.evaluate(z)}")
 
-    reduced = reduce_dimension(oracle, zeros)
     report = extract_witness(reduced, WitnessConfig(rng_seed=2))
     print(f"reduced extraction: {report.outcome}, triad sum = {report.triad_sum}")
 

@@ -7,7 +7,7 @@ The package splits along the problem's own joints:
   two-step descent, rotations, orthonormal triads;
 - ``valuation``: the oracle interface plus every explicit construction
   (1D, 2D, and the 3D near-miss families), the basis sum rule, and the
-  d >= 4 -> 3 reduction;
+  d >= 4 -> 3 reduction from one read of the standard basis;
 - ``witness``: the certificate extractor;
 - ``kssets``: exact integer ray sets, orthogonality graphs, basis
   enumeration, and the {0,1}-coloring solver with bundled classic data;
@@ -31,8 +31,7 @@ _EXPORTS = {
         "FourSegmentValuation", "FunctionValuation", "Generator2D", "NotABasis",
         "OracleSpecError", "PolarCapValuation", "ReducedValuation", "RotatedValuation",
         "StepMeridianValuation", "Valuation", "Valuation2D", "Valuation2DRotated",
-        "ZeroSetInvalid", "build_oracle", "check_basis", "find_zero_orthogonal_set",
-        "make_valuation_1d", "reduce_dimension",
+        "build_oracle", "check_basis", "make_valuation_1d", "reduce_dimension",
     ),
     "witness": ("WitnessConfig", "WitnessReport", "extract_witness"),
     "kssets": (

@@ -114,13 +114,18 @@ def cmd_check_set(args) -> int:
     except (kssets.RaySetFormatError, kssets.DuplicateRay) as exc:
         return _fail(str(exc), EXIT_INPUT)
     graph = ray_set.graph
-    if ray_set.bases is not None:
-        bases = ray_set.bases
-        source = "supplied"
-    else:
-        bases = kssets.enumerate_bases(graph, ray_set.dimension)
-        source = "enumerated"
-    result = kssets.find_valuation(graph, bases)
+    try:
+        if ray_set.bases is not None:
+            bases = ray_set.bases
+            source = "supplied"
+        else:
+            bases = kssets.enumerate_bases(graph, ray_set.dimension)
+            source = "enumerated"
+        result = kssets.find_valuation(graph, bases)
+    except RecursionError:
+        # Enumeration recurses once per basis member, the solver once per branch.
+        return _fail(f"{args.path}: too deep to enumerate or solve within Python's "
+                     f"recursion limit ({sys.getrecursionlimit()})", EXIT_INPUT)
     report = {
         "schema": 1,
         "name": ray_set.name,
@@ -135,25 +140,35 @@ def cmd_check_set(args) -> int:
 
 # --- witness -----------------------------------------------------------------
 
+class _BadInput(Exception):
+    """An input that ends the command with exit 2; the message is its
+    ``error:`` line."""
+
+
 def _load_oracle(path: str) -> Valuation:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        # ValueError covers bad JSON, bad UTF-8 and an integer literal longer
-        # than int() converts; RecursionError, arrays or objects nested too deep.
-        except (ValueError, RecursionError) as exc:
-            raise OracleSpecError(str(exc)) from exc
-    return build_oracle(spec)
+    """The oracle an oracle-spec file describes, built by ``build_oracle``.
+    Raises ``_BadInput`` when the file cannot be read or the spec is bad."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                spec = json.load(fh)
+            # ValueError covers bad JSON, bad UTF-8 and an integer literal longer
+            # than int() converts; RecursionError, arrays or objects nested too deep.
+            except (ValueError, RecursionError) as exc:
+                raise OracleSpecError(str(exc)) from exc
+        return build_oracle(spec)
+    except OSError as exc:
+        raise _BadInput(f"cannot read {path}: {exc}") from exc
+    except OracleSpecError as exc:
+        raise _BadInput(f"bad oracle spec: {exc}") from exc
 
 
 def cmd_witness(args) -> int:
     _bind_float_stack()
     try:
         oracle = _load_oracle(args.oracle)
-    except OSError as exc:
-        return _fail(f"cannot read {args.oracle}: {exc}", EXIT_INPUT)
-    except OracleSpecError as exc:
-        return _fail(f"bad oracle spec: {exc}", EXIT_INPUT)
+    except _BadInput as exc:
+        return _fail(str(exc), EXIT_INPUT)
     report = extract_witness(oracle, WitnessConfig(max_descent_probes=args.budget,
                                                    rng_seed=args.seed))
     return _dump_json(report.to_json_dict(), args.out,
@@ -290,10 +305,8 @@ def cmd_plot(args) -> int:
     elif args.oracle:
         try:
             oracle = _load_oracle(args.oracle)
-        except OSError as exc:
-            return _fail(f"cannot read {args.oracle}: {exc}", EXIT_INPUT)
-        except OracleSpecError as exc:
-            return _fail(f"bad oracle spec: {exc}", EXIT_INPUT)
+        except _BadInput as exc:
+            return _fail(str(exc), EXIT_INPUT)
         title = f"oracle grid: {args.oracle}"
     try:
         if args.figure == "descent-circle":

@@ -8,9 +8,9 @@ cannot exist, and the concrete families below (four-segment, step-meridian,
 polar-cap, spun-2D) are the natural near-misses the witness extractor is
 pointed at.  Dimension d >= 4 reduces to d = 3 from one basis: if a
 valuation's bits on the standard basis do not sum to 1, that basis is the
-certificate; if they do, d-1 of its vectors are mutually orthogonal zeros,
-and restricting to the 2-sphere orthogonal to d-3 of them leaves a 3D
-valuation.
+certificate; if they do, d-1 of its vectors are zeros, and restricting to
+the span of the three basis vectors left after the first d-3 zeros leaves
+a 3D valuation (``reduce_dimension``).
 
 Antipodal symmetry is a contract on implementations; it is spot-checked by
 the test harness on sampled points, since it cannot be proven for black-box
@@ -29,7 +29,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .sphere_geom import (
-    HALF_PI, DomainError, NotOrthogonal, as_rows, as_vector, dot, require_orthonormal,
+    HALF_PI, DomainError, NotOrthogonal, as_rows, as_vector, require_orthonormal,
     require_unit, require_unit_rows, rotate,
 )
 
@@ -38,10 +38,6 @@ PI = math.pi
 
 class NotABasis(ValueError):
     """A claimed basis fails the orthonormality check."""
-
-
-class ZeroSetInvalid(ValueError):
-    """A dimension-reduction zero set is not orthonormal or not all zero."""
 
 
 class OracleSpecError(ValueError):
@@ -502,42 +498,28 @@ def check_basis(valuation: Valuation, basis) -> int:
     return sum(_bit(valuation, v) for v in vecs)
 
 
-def _complete_orthonormal(vectors: list[tuple], dimension: int) -> list[tuple]:
-    """Deterministic Gram-Schmidt completion against the standard basis."""
-    basis = list(vectors)
-    for i in range(dimension):
-        if len(basis) == dimension:
-            break
-        r = [float(k == i) for k in range(dimension)]
-        for b in basis:
-            c = dot(r, b)
-            r = [rk - c * bk for rk, bk in zip(r, b)]
-        norm = math.sqrt(dot(r, r))
-        if norm > 1e-6:
-            basis.append(tuple(rk / norm for rk in r))
-    if len(basis) != dimension:
-        raise AssertionError("orthonormal completion failed")
-    return basis[len(vectors):]
-
-
 class ReducedValuation(Valuation):
-    """A d-dimensional valuation restricted to the 2-sphere orthogonal to a
-    zero set, expressed in a fixed 3-frame of that orthogonal complement.
-    Takes unit 3-vectors only, as every ``Valuation`` does, and checks
-    them before embedding.  ``zeros`` and ``frame`` (three rows) are
-    tuples of orthonormal d-vectors."""
+    """A d-dimensional valuation restricted to the 2-sphere of three
+    standard axes, ``axes`` in ascending order.  The other d-3 standard
+    basis vectors, ``zeros``, are the zero set it is orthogonal to.  Takes
+    unit 3-vectors only, as every ``Valuation`` does."""
 
-    def __init__(self, base: Valuation, zeros: list[tuple], frame: list[tuple]):
+    def __init__(self, base: Valuation, axes):
+        d = base.dimension
+        self.axes = tuple(axes)
+        if len(self.axes) != 3 or not 0 <= self.axes[0] < self.axes[1] < self.axes[2] < d:
+            raise ValueError(f"axes must be three ascending indices below {d}, got {axes!r}")
         self.base = base
-        self.zeros = tuple(zeros)
-        self.frame = tuple(frame)
-        self._columns = tuple(zip(*self.frame))
+        self.zeros = tuple(tuple(float(k == i) for k in range(d))
+                           for i in range(d) if i not in self.axes)
 
     def embed(self, u) -> tuple[float, ...]:
-        """Map a reduced 3-vector back to the ambient d-space: ``u @ frame``,
-        each coordinate's three products summed left to right."""
-        x, y, z = as_vector(u)
-        return tuple(a * x + b * y + c * z for a, b, c in self._columns)
+        """A reduced 3-vector in the ambient d-space: its coordinates at
+        ``axes`` and 0.0 everywhere else, so no coordinate is rounded."""
+        x = [0.0] * self.base.dimension
+        for i, c in zip(self.axes, as_vector(u)):
+            x[i] = c
+        return tuple(x)
 
     def embed_basis(self, triad) -> list[tuple[float, ...]]:
         """Ambient d-basis: the embedded triad padded with the zero set."""
@@ -547,61 +529,33 @@ class ReducedValuation(Valuation):
         return self.base.evaluate(self.embed(self._check(n)))
 
 
-def reduce_dimension(valuation: Valuation, zeros) -> ReducedValuation:
-    """Restrict a d >= 4 valuation to the 2-sphere orthogonal to d-3
-    mutually orthogonal unit vectors on which it vanishes.
+@dataclass(frozen=True)
+class Reduction:
+    """Outcome of ``reduce_dimension``: the standard basis it read and the
+    sum of its bits, and ``reduced`` when that sum is 1, None otherwise."""
 
-    Raises ZeroSetInvalid when the zero set is the wrong size, not
-    orthonormal by ``require_orthonormal``, or contains a vector with value
-    1 (such a failure is itself progress toward the d-dimensional
-    statement, so the caller learns it loudly).  A violating triad found in
-    the reduced valuation maps back to a violating d-basis via
-    ``embed_basis``.
-    """
-    d = valuation.dimension
-    if d < 4:
-        raise ZeroSetInvalid(f"reduction needs dimension >= 4, oracle claims {d}")
-    try:
-        zs = require_orthonormal(zeros, d)
-    except (DomainError, NotOrthogonal) as exc:
-        raise ZeroSetInvalid(f"zero set: {exc}") from None
-    if len(zs) != d - 3:
-        raise ZeroSetInvalid(f"need exactly {d - 3} zero vectors, got {len(zs)}")
-    for i, z in enumerate(zs):
-        if _bit(valuation, z) != 0:
-            raise ZeroSetInvalid(f"valuation is 1 on zero vector {i}")
-    return ReducedValuation(valuation, zs, _complete_orthonormal(zs, d))
+    basis: tuple[tuple[float, ...], ...]
+    basis_sum: int
+    reduced: ReducedValuation | None
 
 
-@dataclass
-class ZeroSearchResult:
-    """Outcome of ``find_zero_orthogonal_set``: exactly one of ``zeros`` and
-    ``violating_basis`` is set, and ``basis_sum`` goes with the latter."""
-
-    zeros: list[tuple[float, ...]] | None
-    violating_basis: list[tuple[float, ...]] | None
-    basis_sum: int | None
-
-    @property
-    def found(self) -> bool:
-        return self.zeros is not None
-
-
-def find_zero_orthogonal_set(valuation: Valuation) -> ZeroSearchResult:
-    """d-3 mutually orthogonal unit vectors with value 0, or a basis that
-    breaks the sum rule, from exactly d oracle calls.
+def reduce_dimension(valuation: Valuation) -> Reduction:
+    """A d >= 4 valuation cut down to a 3-D one, or a basis that breaks the
+    sum rule, from exactly d oracle calls.
 
     Evaluates the standard basis e_1 ... e_d once each.  If the bits do not
-    sum to 1, that basis is the certificate.  If they do, the other d-1
-    vectors are zeros, and the first d-3 of them in index order are
-    returned.  Raises ``ValueError`` when d < 4 or an answer is not 0 or 1.
+    sum to 1, that basis is the certificate.  If they do, the first d-3
+    zeros in index order are the zero set, and the valuation is restricted
+    to the span of the other three axes.  A violating triad found there
+    maps back to a violating d-basis via ``embed_basis``.  Raises
+    ``ValueError`` when d < 4 or an answer is not 0 or 1.
     """
     d = valuation.dimension
     if d < 4:
-        raise ValueError("zero-set search applies to dimension >= 4 only")
-    basis = [tuple(float(k == i) for k in range(d)) for i in range(d)]
-    values = [_bit(valuation, e) for e in basis]
-    if sum(values) != 1:
-        return ZeroSearchResult(None, basis, sum(values))
-    zeros = [e for e, val in zip(basis, values) if val == 0]
-    return ZeroSearchResult(zeros[:d - 3], None, None)
+        raise ValueError(f"reduction needs dimension >= 4, oracle claims {d}")
+    basis = tuple(tuple(float(k == i) for k in range(d)) for i in range(d))
+    bits = [_bit(valuation, e) for e in basis]
+    if sum(bits) != 1:
+        return Reduction(basis, sum(bits), None)
+    zeros = [i for i, bit in enumerate(bits) if bit == 0][:d - 3]
+    return Reduction(basis, 1, ReducedValuation(valuation, [i for i in range(d) if i not in zeros]))

@@ -56,7 +56,6 @@ from kswitness.valuation import (
     Valuation2D,
     Valuation2DRotated,
     check_basis,
-    find_zero_orthogonal_set,
     random_rotation,
     reduce_dimension,
 )
@@ -222,12 +221,14 @@ def test_criterion_5_witness_extraction():
         assert crit.elapsed < 30.0
 
 
-def _projection_oracle(dimension):
+def _projection_oracle(dimension, calls):
     """Synthetic d-dim oracle: four-segment values of the (normalized) last
-    three coordinates; zero when the projection vanishes."""
+    three coordinates; zero when the projection vanishes.  Appends each
+    point it is asked about to ``calls``."""
     base = FourSegmentValuation()
 
     def fn(n):
+        calls.append(n)
         tail = n[dimension - 3:]
         norm = float(np.linalg.norm(tail))
         if norm < 1e-9:
@@ -240,10 +241,11 @@ def _projection_oracle(dimension):
 def test_criterion_6_dimension_reduction():
     with _Criterion(6, "dimension reduction") as crit:
         for dimension in range(4, 9):
-            oracle = _projection_oracle(dimension)
-            search = find_zero_orthogonal_set(oracle)
-            assert search.found
-            reduced = reduce_dimension(oracle, search.zeros)
+            calls = []
+            oracle = _projection_oracle(dimension, calls)
+            reduced = reduce_dimension(oracle).reduced
+            assert len(calls) == dimension  # one read of the standard basis
+            assert reduced is not None
             report = extract_witness(reduced, WitnessConfig(rng_seed=6))
             assert report.outcome == "violating_basis"
             ambient = reduced.embed_basis(report.triad.vectors)

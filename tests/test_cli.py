@@ -4,8 +4,10 @@ import argparse
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -373,6 +375,44 @@ class TestInputErrors:
         lines = err.splitlines()
         assert code == 2 and stdout == ""
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+RECURSION_LIMIT = 100
+
+
+def _too_deep(case: str) -> dict:
+    """A valid ray set that needs more than ``RECURSION_LIMIT`` frames."""
+    n = RECURSION_LIMIT
+    if case == "standard-basis":  # enumerate_bases grows a basis one member per frame
+        return {"name": "axes", "dimension": n,
+                "vectors": [[int(i == k) for k in range(n)] for i in range(n)]}
+    # find_valuation branches once per frame on each pair of a colorable set.
+    return {"name": "pairs", "dimension": 2,
+            "vectors": [v for k in range(1, n + 1) for v in ([1, k], [-k, 1])]}
+
+
+class TestRecursionLimit:
+    """Valid ray sets that need more Python frames than the recursion limit
+    allows end in exit 2 with one ``error:`` line naming the file.  Each
+    runs in a fresh interpreter with the limit lowered to
+    ``RECURSION_LIMIT``, so the inputs stay small."""
+
+    @pytest.mark.parametrize("case", ["standard-basis", "disjoint-pairs"])
+    def test_too_deep_exits_2(self, tmp_path, case):
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(_too_deep(case)))
+        code = ("import sys\n"
+                "from kswitness import cli\n"
+                f"sys.setrecursionlimit({RECURSION_LIMIT})\n"
+                f"sys.exit(cli.main(['check-set', {str(path)!r}]))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=60)
+        lines = result.stderr.splitlines()
+        assert result.returncode == 2 and result.stdout == ""
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), result.stderr
 
 
 class TestParserPerSubcommand:

@@ -30,3 +30,25 @@ def test_walkthrough_shows_the_pole_basis_bits(tmp_path):
     line = next(s for s in result.stdout.splitlines() if s.split()[:1] == ["pole_basis"])
     values = ast.literal_eval(line.split(None, 1)[1])["values"]
     assert len(values) == 3 and set(values) <= {0, 1}, line
+
+
+DIMENSION_REDUCTION_STDOUT = """\
+=== d = 4 ===
+zero hunt: 4 oracle calls
+  zero direction [1. 0. 0. 0.]  v = 0
+reduced extraction: violating_basis, triad sum = 2
+padded back to a 4-basis: sum = 2 (needs 1)
+
+=== d = 5 ===
+zero hunt: 5 oracle calls
+  zero direction [1. 0. 0. 0. 0.]  v = 0
+  zero direction [0. 1. 0. 0. 0.]  v = 0
+reduced extraction: violating_basis, triad sum = 2
+padded back to a 5-basis: sum = 2 (needs 1)
+
+"""
+
+
+def test_dimension_reduction_prints_the_pinned_text(tmp_path):
+    result = run_demo(ROOT / "demos" / "dimension_reduction.py", tmp_path)
+    assert result.stdout == DIMENSION_REDUCTION_STDOUT

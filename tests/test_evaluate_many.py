@@ -200,7 +200,7 @@ def test_base_class_fallback_keeps_constant_and_reduced_bits():
         bits = ConstantValuation(3, value).evaluate_many(points)
         assert bits.dtype == np.int8 and bits.tolist() == [value] * len(points)
     base = FunctionValuation(4, lambda n: 1 if abs(n[3]) > 0.5 else 0)
-    reduced = reduce_dimension(base, [np.eye(4)[0]])
+    reduced = reduce_dimension(base).reduced
     bits = reduced.evaluate_many(points)
     assert bits.dtype == np.int8
     assert bits.tolist() == [reduced.evaluate(p) for p in points]
@@ -351,11 +351,15 @@ def test_to_oracle_dict_round_trips_through_json(seed, rotation_seed):
 # --- one domain contract for every valuation -------------------------------
 
 def contract_oracles() -> dict[int, list]:
-    """Every built-in kind, plain and rotated, and the families off S^2 with
-    a user oracle, by dimension."""
+    """Every built-in kind, plain and rotated, the families off S^2 with a
+    user oracle, and reductions from d = 4 and d = 5, by dimension."""
     oracles = {d: [] for d in (1, 2, 3)}
     for seed in ROTATION_SEEDS[:2]:
         oracles[3] += [oracle_for(name, seed) for name in SPECS]
+    # 1 near e_d at d = 4 (axes 1, 2, 3) and near e_1 at d = 5 (axes 0, 3, 4).
+    for d, axis in ((4, 3), (5, 0)):
+        base = FunctionValuation(d, lambda n, a=axis: int(abs(n[a]) > 0.5))
+        oracles[3].append(reduce_dimension(base).reduced)
     for make in OTHER_FAMILIES.values():
         oracle = make()
         oracles[oracle.dimension].append(oracle)

@@ -32,8 +32,7 @@ EXPORTS = {
         "FourSegmentValuation", "FunctionValuation", "Generator2D", "NotABasis",
         "OracleSpecError", "PolarCapValuation", "ReducedValuation", "RotatedValuation",
         "StepMeridianValuation", "Valuation", "Valuation2D", "Valuation2DRotated",
-        "ZeroSetInvalid", "build_oracle", "check_basis", "find_zero_orthogonal_set",
-        "make_valuation_1d", "reduce_dimension",
+        "build_oracle", "check_basis", "make_valuation_1d", "reduce_dimension",
     ),
     "witness": ("WitnessConfig", "WitnessReport", "extract_witness"),
     "kssets": (
@@ -125,8 +124,10 @@ class TestHarnessContract:
         spec = tmp_path / "oracle.json"
         spec.write_text(json.dumps({"kind": "four_segment"}))
         assert cli.main(["witness", str(spec)]) == 0
+        assert cli.main(["plot", "--oracle", str(spec), "--grid", "2",
+                         "--out", str(tmp_path / "grid.csv")]) == 0
         capsys.readouterr()
-        assert calls == [{"kind": "four_segment"}]
+        assert calls == [{"kind": "four_segment"}] * 2
 
     def test_name_set_before_first_bind_stays_set(self, tmp_path):
         spec = tmp_path / "oracle.json"

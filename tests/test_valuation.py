@@ -18,14 +18,13 @@ from kswitness.valuation import (
     NotABasis,
     OracleSpecError,
     PolarCapValuation,
+    ReducedValuation,
     RotatedValuation,
     StepMeridianValuation,
     Valuation2D,
     Valuation2DRotated,
-    ZeroSetInvalid,
     build_oracle,
     check_basis,
-    find_zero_orthogonal_set,
     make_valuation_1d,
     random_rotation,
     reduce_dimension,
@@ -355,7 +354,7 @@ class TestCheckBasis:
         with pytest.raises(ValueError, match="expected 0 or 1"):
             check_basis(seven, list(np.eye(4)))
         with pytest.raises(ValueError, match="expected 0 or 1"):
-            reduce_dimension(seven, [np.eye(4)[0]])
+            reduce_dimension(seven)
 
     def test_fractional_answer_raises(self):
         # int() would read 0.9 as 0, and the basis as one that sums to 0.
@@ -388,13 +387,10 @@ def _tilted(s):
     (_tilted(math.nextafter(EPS_ORTHO, 1.0)), False),
 ], ids=["unit_within", "unit_beyond", "orthogonal_within", "orthogonal_beyond"])
 def test_one_orthonormality_check(basis, accepted):
-    """Triad, check_basis and reduce_dimension accept and reject the same
-    vectors at the edges of the unit and orthogonality tolerances.  The
-    zero set is the basis's first two vectors, padded to d = 5."""
-    zeros = [(*v, 0.0, 0.0) for v in basis[:2]]
+    """Triad and check_basis accept and reject the same vectors at the
+    edges of the unit and orthogonality tolerances."""
     checks = [(lambda: Triad(*basis), (DomainError, NotOrthogonal)),
-              (lambda: check_basis(ConstantValuation(3, 0), basis), NotABasis),
-              (lambda: reduce_dimension(ConstantValuation(5, 0), zeros), ZeroSetInvalid)]
+              (lambda: check_basis(ConstantValuation(3, 0), basis), NotABasis)]
     for check, rejection in checks:
         if accepted:
             check()
@@ -409,39 +405,32 @@ def _coordinate_indicator(dim, coord, threshold):
 
 
 class TestDimensionReduction:
-    def test_nan_zero_vector_rejected(self):
-        v = _coordinate_indicator(4, 3, 0.5)
-        with pytest.raises(ZeroSetInvalid):
-            reduce_dimension(v, [[float("nan")] * 4])
-
-    def test_zero_set_with_value_one_rejected(self):
-        v = _coordinate_indicator(4, 3, 0.5)
-        e4 = np.eye(4)[3]
-        with pytest.raises(ZeroSetInvalid):
-            reduce_dimension(v, [e4])
-
-    def test_non_orthogonal_zeros_rejected(self):
-        v = _coordinate_indicator(5, 4, 0.5)
-        e1, e2 = np.eye(5)[0], np.eye(5)[1]
-        skew = (e1 + e2) / math.sqrt(2)
-        with pytest.raises(ZeroSetInvalid):
-            reduce_dimension(v, [e1, skew])
-
     def test_reduced_matches_direct_evaluation(self):
         v = _coordinate_indicator(4, 3, 0.5)
-        reduced = reduce_dimension(v, [np.eye(4)[0]])
+        reduced = reduce_dimension(v).reduced
+        assert reduced.axes == (1, 2, 3) and reduced.zeros == ((1.0, 0.0, 0.0, 0.0),)
         rng = np.random.default_rng(31)
         for _ in range(500):
             u = rng.standard_normal(3)
             u /= np.linalg.norm(u)
             embedded = reduced.embed(u)
-            np.testing.assert_allclose(embedded, u @ np.array(reduced.frame), rtol=0, atol=1e-15)
-            assert abs(np.linalg.norm(embedded) - 1.0) < 1e-12
+            assert embedded == (0.0, *u.tolist())
             assert reduced.evaluate(u) == v.evaluate(embedded)
-            assert abs(embedded[0]) < 1e-12  # orthogonal to the zero set
+
+    def test_embed_places_the_coordinates_at_the_axes(self):
+        # The 1 at e_1 leaves e_2, e_3 as the zero set of d = 5, so the
+        # axes are not contiguous.
+        reduced = reduce_dimension(_coordinate_indicator(5, 0, 0.5)).reduced
+        assert reduced.axes == (0, 3, 4)
+        # Signed zeros too: the coordinates are copied, not computed.
+        assert repr(reduced.embed((0.6, -0.0, 0.8))) == repr((0.6, 0.0, 0.0, -0.0, 0.8))
+        with pytest.raises(ValueError, match="ascending"):
+            ReducedValuation(reduced.base, (0, 4, 3))
+        with pytest.raises(ValueError, match="ascending"):
+            ReducedValuation(reduced.base, (2, 3, 5))
 
     def test_reduced_rejects_points_of_the_wrong_shape(self):
-        reduced = reduce_dimension(_coordinate_indicator(4, 3, 0.5), [np.eye(4)[0]])
+        reduced = reduce_dimension(_coordinate_indicator(4, 3, 0.5)).reduced
         with pytest.raises(DomainError):
             reduced.evaluate(np.zeros(4))
         # Off the sphere too, as every built-in family: the base would
@@ -453,18 +442,9 @@ class TestDimensionReduction:
                 reduced.evaluate_many(np.array([[0.0, 0.0, 1.0], point]))
         assert reduced.evaluate_many(np.array([[0.0, 0.0, 1.0]])).tolist() == [1]
 
-    @pytest.mark.parametrize("zero", [(1.0 + 1e-10, 0.0, 0.0, 0.0), (*DOT_EDGE, 0.0)],
-                             ids=["long_axis", "dot_edge"])
-    def test_zero_set_not_unit_by_the_oracles_check_rejected(self, zero):
-        # Unit within 1e-9 but not within the oracles' 2 * EPS_NORM: the
-        # zero set must fail as one, so no DomainError escapes the oracle.
-        with pytest.raises(ZeroSetInvalid):
-            reduce_dimension(ConstantValuation(4, 0), [zero])
-
     def test_embedding_preserves_orthogonality(self):
         v = _coordinate_indicator(5, 4, 0.5)
-        zeros = [np.eye(5)[0], np.eye(5)[1]]
-        reduced = reduce_dimension(v, zeros)
+        reduced = reduce_dimension(v).reduced
         triad = [np.eye(3)[i] for i in range(3)]
         ambient = reduced.embed_basis(triad)
         assert len(ambient) == 5
@@ -477,30 +457,31 @@ class TestZeroSearch:
     def test_sparse_ones_found_immediately(self):
         # 1 only in a tiny cap around e_1: e_2 ... e_4 are zeros.
         v = _coordinate_indicator(4, 0, 0.999999)
-        result = find_zero_orthogonal_set(v)
-        assert result.found and len(result.zeros) == 1
-        reduce_dimension(v, result.zeros)  # must satisfy the precondition
+        result = reduce_dimension(v)
+        assert result.basis_sum == 1
+        assert result.reduced.zeros == ((0.0, 1.0, 0.0, 0.0),)
+        assert result.reduced.axes == (0, 2, 3)
 
     def test_everywhere_one_reports_violating_basis(self):
         v = ConstantValuation(4, 1)
-        result = find_zero_orthogonal_set(v)
-        assert not result.found
-        np.testing.assert_array_equal(result.violating_basis, np.eye(4))
+        result = reduce_dimension(v)
+        assert result.reduced is None
+        np.testing.assert_array_equal(result.basis, np.eye(4))
         assert result.basis_sum == 4
 
     def test_everywhere_zero_reports_violating_basis(self):
-        result = find_zero_orthogonal_set(ConstantValuation(4, 0))
-        assert not result.found
-        np.testing.assert_array_equal(result.violating_basis, np.eye(4))
+        result = reduce_dimension(ConstantValuation(4, 0))
+        assert result.reduced is None
+        np.testing.assert_array_equal(result.basis, np.eye(4))
         assert result.basis_sum == 0
 
     def test_d5_search(self):
         v = _coordinate_indicator(5, 4, 0.25)
-        result = find_zero_orthogonal_set(v)
-        assert result.found and len(result.zeros) == 2
+        reduced = reduce_dimension(v).reduced
+        assert len(reduced.zeros) == 2
         for i in range(2):
-            assert v.evaluate(result.zeros[i]) == 0
-        assert abs(np.dot(result.zeros[0], result.zeros[1])) < 1e-9
+            assert v.evaluate(reduced.zeros[i]) == 0
+        assert abs(np.dot(reduced.zeros[0], reduced.zeros[1])) < 1e-9
 
     @pytest.mark.parametrize("dimension", range(4, 11))
     def test_exactly_d_calls_on_the_projection_oracle(self, dimension):
@@ -517,12 +498,16 @@ class TestZeroSearch:
             return 0 if norm < 1e-9 else base.evaluate(tail / norm)
 
         oracle = FunctionValuation(dimension, fn)
-        result = find_zero_orthogonal_set(oracle)
+        result = reduce_dimension(oracle)
         assert len(calls) == dimension
-        assert result.found and result.violating_basis is None
-        np.testing.assert_array_equal(result.zeros, np.eye(dimension)[:dimension - 3])
-        reduce_dimension(oracle, result.zeros)
+        assert result.basis_sum == 1
+        np.testing.assert_array_equal(result.reduced.zeros, np.eye(dimension)[:dimension - 3])
+        assert result.reduced.axes == tuple(range(dimension - 3, dimension))
+
+    def test_dimension_below_four_raises(self):
+        with pytest.raises(ValueError, match="dimension >= 4"):
+            reduce_dimension(ConstantValuation(3, 0))
 
     def test_non_bit_answer_raises(self):
         with pytest.raises(ValueError, match="expected 0 or 1"):
-            find_zero_orthogonal_set(FunctionValuation(4, lambda n: 7))
+            reduce_dimension(FunctionValuation(4, lambda n: 7))
