@@ -30,6 +30,7 @@ from kswitness.valuation import (
     reduce_dimension,
     step_profile,
 )
+from kswitness.witness import WitnessConfig, extract_witness
 
 HALF_PI = math.pi / 2
 
@@ -404,6 +405,15 @@ def _coordinate_indicator(dim, coord, threshold):
     return FunctionValuation(dim, lambda n: 1 if n[coord] ** 2 > threshold else 0)
 
 
+# One spec per built-in oracle kind.
+KIND_SPECS = {
+    "four_segment": {"kind": "four_segment"},
+    "step_meridian": {"kind": "step_meridian", "theta_star": 0.7},
+    "polar_cap": {"kind": "polar_cap", "cap_latitude": 0.9},
+    "valuation2d_rotated": {"kind": "valuation2d_rotated", "intervals": [[0.2, 0.9], [1.1, 1.4]]},
+}
+
+
 class TestDimensionReduction:
     def test_reduced_matches_direct_evaluation(self):
         v = _coordinate_indicator(4, 3, 0.5)
@@ -441,6 +451,32 @@ class TestDimensionReduction:
             with pytest.raises(DomainError):
                 reduced.evaluate_many(np.array([[0.0, 0.0, 1.0], point]))
         assert reduced.evaluate_many(np.array([[0.0, 0.0, 1.0]])).tolist() == [1]
+
+    @pytest.mark.parametrize("kind", sorted(KIND_SPECS))
+    def test_tail_oracle_reduces_to_its_base(self, kind):
+        """An oracle that reads the last three coordinates reduces to its
+        3-D base: embed copies coordinates, so the extractor's reports on
+        the reduced valuation are the base's own, and a standard basis that
+        breaks the sum rule carries the base's bits on the axes."""
+        for rotation_seed in (None, 3, 11):
+            spec = dict(KIND_SPECS[kind])
+            if rotation_seed is not None:
+                spec["rotation_seed"] = rotation_seed
+            base = build_oracle(spec)
+            axis_sum = sum(base.evaluate(e) for e in np.eye(3))
+            for d in (4, 6):
+                oracle = FunctionValuation(
+                    d, lambda n, d=d: base.evaluate(n[d - 3:]) if any(n[d - 3:]) else 0)
+                result = reduce_dimension(oracle)
+                assert result.basis_sum == axis_sum
+                if axis_sum != 1:
+                    assert result.reduced is None
+                    continue
+                assert result.reduced.axes == (d - 3, d - 2, d - 1)
+                for rng_seed in range(2):
+                    config = WitnessConfig(rng_seed=rng_seed)
+                    assert (extract_witness(result.reduced, config).to_json_dict()
+                            == extract_witness(base, config).to_json_dict())
 
     def test_embedding_preserves_orthogonality(self):
         v = _coordinate_indicator(5, 4, 0.5)
