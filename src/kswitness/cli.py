@@ -68,10 +68,63 @@ def _fmt(x: float) -> str:
     return s[1:] if s == "-0.000000000000" else s
 
 
+_encode_str = json.encoder.encode_basestring_ascii  # json's C string encoder
+
+
+def _json_text(x, indent: str = "\n") -> str:
+    """``json.dumps(x, indent=2, sort_keys=True)``, byte for byte, built in
+    one pass; ``indent`` is the line break and indent that close ``x``.
+    Exact types are tested first; anything else goes to ``_other_text``."""
+    t = type(x)
+    if t is str:
+        return _encode_str(x)
+    if t is float and math.isfinite(x):
+        return float.__repr__(x)
+    if t is int:
+        return int.__repr__(x)
+    if t is dict:
+        if not x:
+            return "{}"
+        inner = indent + "  "
+        # _encode_str raises TypeError on a key that is not a str.
+        items = [_encode_str(k) + ": " + _json_text(v, inner) for k, v in sorted(x.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if t is list or t is tuple:
+        if not x:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in x]) + indent + "]"
+    return _other_text(x, indent)
+
+
+def _other_text(x, indent: str) -> str:
+    """``_json_text`` of constants, non-finite floats and subclasses, in
+    ``json``'s isinstance order, so each reads as ``json`` writes it."""
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, str):
+        return _encode_str(x)
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if math.isfinite(x):
+            return float.__repr__(x)
+        return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+    if isinstance(x, (list, tuple)):
+        return _json_text(list(x), indent)
+    if isinstance(x, dict):
+        return _json_text(dict(x.items()), indent)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def _dump_json(doc: dict, out_path: str | None, code: int) -> int:
     """Writes a report to ``out_path`` or stdout; returns ``code``, or the
     I/O-error code when ``out_path`` cannot be written."""
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = _json_text(doc) + "\n"
     if not out_path:
         sys.stdout.write(text)
         return code
@@ -347,7 +400,9 @@ def _add_witness(sub) -> None:
     p_wit.add_argument("oracle", help="oracle-spec JSON file")
     p_wit.add_argument("--seed", type=_int_at_least(0), default=0,
                        help="seed choosing the frame of the first basis read")
-    p_wit.add_argument("--budget", type=_positive_int, default=10_000, help="total oracle-call budget")
+    p_wit.add_argument("--budget", type=_positive_int, default=10_000,
+                       help="oracle calls the search may make; the certificate's re-check "
+                            "makes 2 or 3 fresh calls on top")
     p_wit.add_argument("--out", help="write the report here instead of stdout")
     p_wit.set_defaults(func=cmd_witness)
 

@@ -80,7 +80,9 @@ _ANCHOR = SphPoint(HALF_PI - HALF_PI / 2 ** _BISECTION_STEPS, 0.0)
 class WitnessConfig:
     """Budgets and determinism knobs for the extractor.
 
-    ``max_descent_probes`` caps total oracle calls for the whole run;
+    ``max_descent_probes`` caps the oracle calls of the search, which
+    ``stats["oracle_calls"]`` counts; the re-check of a certificate makes its
+    fresh calls (3 for a basis, 2 for an antipodal pair) on top.
     ``rng_seed`` chooses the frame of the first basis read.
     """
 

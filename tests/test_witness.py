@@ -417,3 +417,55 @@ class TestWebEndgame:
             assert oracle.evaluate(n) != oracle.evaluate([-c for c in n])
         else:
             assert sum(oracle.evaluate(v) for v in report.triad.vectors) != 1
+
+
+class CountingValuation(Valuation):
+    """``base``, counting every call made to it."""
+
+    def __init__(self, base: Valuation):
+        self.base = base
+        self.calls = 0
+
+    def evaluate(self, n) -> int:
+        self.calls += 1
+        return self.base.evaluate(n)
+
+
+class TestBudgetBoundsTheSearch:
+    """``max_descent_probes`` (``witness --budget``) bounds the search, whose
+    calls ``stats["oracle_calls"]`` counts; the re-check of a certificate
+    makes its fresh calls on top, 3 for a basis and 2 for an antipodal pair."""
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_SPECS))
+    def test_basis_recheck_makes_three_calls_more(self, name):
+        phases = set()
+        for rotation_seed in range(6):
+            for rng_seed in range(3):
+                spec = {**SWEEP_SPECS[name], "rotation_seed": rotation_seed}
+                oracle = CountingValuation(build_oracle(spec))
+                report = extract_witness(oracle, WitnessConfig(rng_seed=rng_seed))
+                assert report.outcome == "violating_basis"
+                assert oracle.calls == report.stats["oracle_calls"] + 3
+                phases.add(report.stats["phase_reached"])
+                # A budget of exactly the search's calls still ends in the
+                # certificate, after 3 calls more than the budget.
+                budget = report.stats["oracle_calls"]
+                tight = CountingValuation(build_oracle(spec))
+                again = extract_witness(tight, WitnessConfig(max_descent_probes=budget,
+                                                             rng_seed=rng_seed))
+                assert again.to_json_dict()["triad"] == report.to_json_dict()["triad"]
+                assert tight.calls == budget + 3
+        assert "competing_meridian" in phases
+
+    def test_pole_basis_at_budget_three_makes_six_calls(self):
+        oracle = CountingValuation(FourSegmentValuation())
+        report = extract_witness(oracle, WitnessConfig(max_descent_probes=3, rng_seed=0))
+        assert report.outcome == "violating_basis"
+        assert report.stats["oracle_calls"] == 3 and oracle.calls == 6
+
+    def test_antipodal_recheck_makes_two_calls_more(self):
+        config = WitnessConfig(rng_seed=0)
+        oracle = CountingValuation(web_propagated_oracle(StepMeridianValuation(0.8), config))
+        report = extract_witness(oracle, config)
+        assert report.outcome == "antipodal_violation"
+        assert oracle.calls == report.stats["oracle_calls"] + 2 == MAX_CALLS + 2
