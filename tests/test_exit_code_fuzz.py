@@ -40,8 +40,7 @@ def base_documents() -> list:
 
 
 def nodes(doc, found=None) -> list:
-    """Every (container, key) pair of ``doc``, the containers included as
-    the children of their parents."""
+    """Every (parent, key) place in ``doc``, at any depth."""
     found = [] if found is None else found
     if isinstance(doc, dict):
         keys = list(doc)
