@@ -8,6 +8,8 @@ that does not sum to 1 is itself the certificate; one that does holds d-1
 zeros, and ``reduce_dimension`` keeps the first d-3 as the zero set.
 """
 
+import math
+
 import numpy as np
 
 from kswitness import (
@@ -25,8 +27,8 @@ for dimension in (4, 5):
 
     def candidate(n, d=dimension):
         tail = n[d - 3:]
-        norm = float(np.linalg.norm(tail))
-        return 0 if norm < 1e-9 else base.evaluate(tail / norm)
+        norm = math.hypot(*tail)
+        return 0 if norm < 1e-9 else base.evaluate([c / norm for c in tail])
 
     oracle = FunctionValuation(dimension, candidate)
 

@@ -9,12 +9,11 @@ whatever g looks like.
 """
 
 import math
-
-import numpy as np
+import random
 
 from kswitness import Generator2D, Valuation2D, check_basis
 
-rng = np.random.default_rng(0)
+rng = random.Random(0)
 
 print("=== a valuation generated by g = indicator of [0.2, 0.9) ===")
 gen = Generator2D(((0.2, 0.9),))
@@ -27,16 +26,15 @@ for theta in (0.0, 0.5, 1.2, 2.0, 3.3, 5.0):
           f"{v.value_at_angle(theta) + v.value_at_angle(theta + math.pi / 2)}")
 
 print("\n=== every orthogonal dyad sums to 1 ===")
-for theta in rng.uniform(0, 2 * math.pi, 5):
-    dyad = [np.array([math.cos(theta), math.sin(theta)]),
-            np.array([-math.sin(theta), math.cos(theta)])]
+for theta in (rng.uniform(0, 2 * math.pi) for _ in range(5)):
+    dyad = [(math.cos(theta), math.sin(theta)), (-math.sin(theta), math.cos(theta))]
     print(f"  dyad at angle {theta:5.2f}: sum = {check_basis(v, dyad)}")
 
 print("\n=== the image is automatically 50/50, for any generator ===")
 for trial in range(5):
     gen = Generator2D.random(rng)
     v = Valuation2D(gen)
-    thetas = rng.uniform(0, 2 * math.pi, 20_000)
+    thetas = [rng.uniform(0, 2 * math.pi) for _ in range(20_000)]
     ones = v.values_at_angles(thetas).mean()
     print(f"  generator with {len(gen.intervals)} interval(s): "
           f"fraction of ones = {ones:.3f}")

@@ -5,8 +5,9 @@ The package splits along the problem's own joints:
 
 - ``sphere_geom``: latitude-convention coordinates, descent circles, the
   two-step descent, rotations, orthonormal triads;
-- ``valuation``: the oracle interface plus every explicit construction
-  (1D, 2D, and the 3D near-miss families), the basis sum rule, and the
+- ``valuation``: the oracle interface plus the explicit constructions
+  (2D, and the 3D near-miss families; in 1D a valuation is a constant,
+  which ``FunctionValuation`` wraps), the basis sum rule, and the
   d >= 4 -> 3 reduction from one read of the standard basis;
 - ``witness``: the certificate extractor;
 - ``kssets``: exact integer ray sets, orthogonality graphs, basis
@@ -31,7 +32,7 @@ _EXPORTS = {
         "FourSegmentValuation", "FunctionValuation", "Generator2D", "NotABasis",
         "OracleSpecError", "PolarCapValuation", "ReducedValuation", "RotatedValuation",
         "StepMeridianValuation", "Valuation", "Valuation2D", "Valuation2DRotated",
-        "build_oracle", "check_basis", "make_valuation_1d", "reduce_dimension",
+        "build_oracle", "check_basis", "reduce_dimension",
     ),
     "witness": ("WitnessConfig", "WitnessReport", "extract_witness"),
     "kssets": (

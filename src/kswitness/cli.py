@@ -26,7 +26,7 @@ from . import kssets
 _FLOAT_NAMES = (
     "DescentCircle", "DomainError", "SphPoint", "descent_theta", "equator_crossings",
     "to_cartesian", "two_step_chain", "two_step_delta_phi",
-    "OracleSpecError", "Valuation", "build_oracle",
+    "OracleSpecError", "build_oracle",
     "WitnessConfig", "extract_witness",
 )
 _float_stack_bound = False

@@ -120,7 +120,7 @@ def from_cartesian(v) -> SphPoint:
 def as_vector(v, dimension: int = 3) -> tuple[float, ...]:
     """``v`` as a tuple of ``dimension`` Python floats.  Raises DomainError
     on anything else: a scalar, a nested sequence, another length."""
-    if isinstance(v, np.ndarray):
+    if hasattr(v, "tolist"):
         v = v.tolist()  # nested lists for ndim > 1, which float() rejects
     try:
         v = tuple(map(float, v))

@@ -1,16 +1,17 @@
-"""Valuations: {0,1}-valued oracles on unit spheres, and every explicit
-construction that actually exists.
+"""Valuations: {0,1}-valued oracles on unit spheres, and the explicit
+constructions.
 
 A valuation assigns each unit vector a bit, is antipodally symmetric
-(v(-n) = v(n)), and sums to 1 over every orthonormal basis.  In one and two
-dimensions such maps exist and are built here; in three dimensions they
-cannot exist, and the concrete families below (four-segment, step-meridian,
-polar-cap, spun-2D) are the natural near-misses the witness extractor is
-pointed at.  Dimension d >= 4 reduces to d = 3 from one basis: if a
-valuation's bits on the standard basis do not sum to 1, that basis is the
-certificate; if they do, d-1 of its vectors are zeros, and restricting to
-the span of the three basis vectors left after the first d-3 zeros leaves
-a 3D valuation (``reduce_dimension``).
+(v(-n) = v(n)), and sums to 1 over every orthonormal basis.  In one
+dimension it is a constant, 1 for a standalone system; in two it exists
+and is built here from a generator on a quarter turn.  In three dimensions
+none can exist, and the concrete families below (four-segment,
+step-meridian, polar-cap, spun-2D) are the natural near-misses the
+witness extractor is pointed at.  Dimension d >= 4 reduces to d = 3 from
+one basis: if a valuation's bits on the standard basis do not sum to 1,
+that basis is the certificate; if they do, d-1 of its vectors are zeros,
+and restricting to the span of the three basis vectors left after the
+first d-3 zeros leaves a 3D valuation (``reduce_dimension``).
 
 Antipodal symmetry is a contract on implementations; it is spot-checked by
 the test harness on sampled points, since it cannot be proven for black-box
@@ -123,37 +124,15 @@ class _RuleValuation(Valuation):
 
 class FunctionValuation(Valuation):
     """Adapter wrapping an arbitrary callable oracle.  The callable sees
-    only unit ``dimension``-vectors, as float arrays: every other point
-    raises ``DomainError`` before it is called."""
+    only unit ``dimension``-vectors, as tuples of Python floats: every
+    other point raises ``DomainError`` before it is called."""
 
     def __init__(self, dimension: int, fn):
         self.dimension = dimension
         self._fn = fn
 
     def evaluate(self, n) -> int:
-        return self._fn(np.asarray(self._check(n)))
-
-
-class ConstantValuation(Valuation):
-    def __init__(self, dimension: int, value: int):
-        if value not in (0, 1):
-            raise ValueError("valuation values must be 0 or 1")
-        self.dimension = dimension
-        self.value = value
-
-    def evaluate(self, n) -> int:
-        self._check(n)
-        return self.value
-
-
-def make_valuation_1d(value_of_basis: int = 1) -> Valuation:
-    """The S^0 valuation: v(n) = v(-n) = value_of_basis.
-
-    Standalone one-dimensional systems force value 1 (some observable has a
-    nonzero value, so v(I) = 1); passing 0 models a one-dimensional subspace
-    of a larger space, where no constraint applies.
-    """
-    return ConstantValuation(1, value_of_basis)
+        return self._fn(self._check(n))
 
 
 @dataclass(frozen=True)
@@ -186,12 +165,6 @@ class Generator2D:
             raise ValueError("generator argument outside [0, pi/2)")
         return ops.searchsorted(self._edges, t) % 2
 
-    def value(self, t: float) -> int:
-        return self._lookup(_One, t)
-
-    def values(self, t: np.ndarray) -> np.ndarray:
-        return self._lookup(_Many, np.asarray(t, dtype=float))
-
     def to_dict(self) -> dict:
         return {"intervals": [list(iv) for iv in self.intervals]}
 
@@ -201,9 +174,9 @@ class Generator2D:
                          for a, b in doc.get("intervals", [])))
 
     @classmethod
-    def random(cls, rng: np.random.Generator) -> "Generator2D":
+    def random(cls, rng: random.Random) -> "Generator2D":
         """One to four intervals with uniform endpoints."""
-        cuts = np.sort(rng.uniform(0.0, HALF_PI, size=2 * rng.integers(1, 5)))
+        cuts = sorted(rng.uniform(0.0, HALF_PI) for _ in range(2 * rng.randint(1, 4)))
         return cls(tuple(zip(cuts[0::2], cuts[1::2])))
 
 

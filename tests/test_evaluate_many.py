@@ -5,14 +5,15 @@ last-bit difference would flip a value."""
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
 from kswitness.sphere_geom import DomainError, SphPoint, require_unit, rotate, to_cartesian
 from kswitness.valuation import (
-    BOUNDARY_VARIANTS, ConstantValuation, FunctionValuation, Generator2D, Valuation2D, _bit,
-    build_oracle, make_valuation_1d, random_rotation, reduce_dimension,
+    BOUNDARY_VARIANTS, FunctionValuation, Generator2D, Valuation2D, _bit, build_oracle,
+    random_rotation, reduce_dimension,
 )
 
 HALF_PI = math.pi / 2
@@ -197,7 +198,7 @@ def test_base_class_fallback_rejects_non_bit_answers(answer):
 def test_base_class_fallback_keeps_constant_and_reduced_bits():
     points = random_units(200, 5)
     for value in (0, 1):
-        bits = ConstantValuation(3, value).evaluate_many(points)
+        bits = FunctionValuation(3, lambda n: value).evaluate_many(points)
         assert bits.dtype == np.int8 and bits.tolist() == [value] * len(points)
     base = FunctionValuation(4, lambda n: 1 if abs(n[3]) > 0.5 else 0)
     reduced = reduce_dimension(base).reduced
@@ -221,7 +222,7 @@ def test_valuation_2d_rows_at_quarter_turns_and_signed_zeros():
     # The one-ulp generator of the quarter-turn reduction test in
     # test_valuation.py, and a random one.
     generators = [Generator2D(((math.nextafter(HALF_PI, 0.0), HALF_PI),)),
-                  Generator2D.random(np.random.default_rng(6))]
+                  Generator2D.random(random.Random(6))]
     quarter_turns = [k * HALF_PI for k in range(-9, 10)] + [2 * math.pi, -2 * math.pi]
     thetas = [x for t in quarter_turns + [0.0, -0.0, 5e-324, -5e-324]
               for x in (t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf))]
@@ -259,22 +260,27 @@ def test_every_3d_family_rejects_points_off_the_sphere(name, seed, point):
         oracle.evaluate_many(np.array([[0.0, 0.0, 1.0], point]))
 
 
-def _unit_only(n):
-    """A user oracle's callable that fails the test if it is ever handed a
-    point off the sphere."""
-    assert n.shape == (3,) and abs(float(n @ n) - 1.0) <= 1e-9, n
-    return int(n[2] > 0.0)
+def _unit_only(dimension: int, bit=None) -> FunctionValuation:
+    """A user oracle whose callable fails the test unless it is handed a
+    tuple of ``dimension`` Python floats on the sphere.  It answers ``bit``,
+    or without one whether the last coordinate is positive."""
+    def fn(n):
+        assert type(n) is tuple and len(n) == dimension, n
+        assert all(type(c) is float for c in n) and abs(sum(c * c for c in n) - 1.0) <= 1e-9, n
+        return int(n[-1] > 0.0) if bit is None else bit
+
+    return FunctionValuation(dimension, fn)
 
 
-# The families off S^2: the circle and the constant valuations, S^0
-# included; and a user oracle on S^2, whose callable must never see a
-# point off the sphere.
+# The circle's valuation, and user oracles on S^0, S^2 and S^3, the
+# constant ones included, whose callables must see only unit float tuples.
 OTHER_FAMILIES = {
     "valuation2d": lambda: Valuation2D(Generator2D(((EDGES[0], EDGES[1]),))),
-    "constant1d-1": lambda: make_valuation_1d(1),
-    "constant1d-0": lambda: make_valuation_1d(0),
-    "constant3d": lambda: ConstantValuation(3, 1),
-    "function3d": lambda: FunctionValuation(3, _unit_only),
+    "constant1d-1": lambda: _unit_only(1, 1),
+    "constant1d-0": lambda: _unit_only(1, 0),
+    "constant3d": lambda: _unit_only(3, 1),
+    "function3d": lambda: _unit_only(3),
+    "function4d": lambda: _unit_only(4),
 }
 
 
@@ -330,7 +336,7 @@ def seeded_specs(seed: int) -> list[dict]:
          "boundary_variant": str(rng.choice(BOUNDARY_VARIANTS))},
         {"kind": "step_meridian", "theta_star": 0.0},
         {"kind": "polar_cap", "cap_latitude": float(rng.uniform(0.01, HALF_PI - 0.01))},
-        {"kind": "valuation2d_rotated", **Generator2D.random(rng).to_dict()},
+        {"kind": "valuation2d_rotated", **Generator2D.random(random.Random(seed)).to_dict()},
     ]
 
 
@@ -351,9 +357,9 @@ def test_to_oracle_dict_round_trips_through_json(seed, rotation_seed):
 # --- one domain contract for every valuation -------------------------------
 
 def contract_oracles() -> dict[int, list]:
-    """Every built-in kind, plain and rotated, the families off S^2 with a
-    user oracle, and reductions from d = 4 and d = 5, by dimension."""
-    oracles = {d: [] for d in (1, 2, 3)}
+    """Every built-in kind, plain and rotated, ``OTHER_FAMILIES``, and
+    reductions from d = 4 and d = 5, by dimension."""
+    oracles = {d: [] for d in (1, 2, 3, 4)}
     for seed in ROTATION_SEEDS[:2]:
         oracles[3] += [oracle_for(name, seed) for name in SPECS]
     # 1 near e_d at d = 4 (axes 1, 2, 3) and near e_1 at d = 5 (axes 0, 3, 4).

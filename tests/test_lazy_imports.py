@@ -3,6 +3,7 @@ on first use only: ``check-set`` and ``import kswitness`` never load it, and
 every lazily bound name is the object in its home module.  Nor does
 ``check-set`` load ``dataclasses`` or ``inspect``."""
 
+import ast
 import importlib
 import json
 import os
@@ -32,7 +33,7 @@ EXPORTS = {
         "FourSegmentValuation", "FunctionValuation", "Generator2D", "NotABasis",
         "OracleSpecError", "PolarCapValuation", "ReducedValuation", "RotatedValuation",
         "StepMeridianValuation", "Valuation", "Valuation2D", "Valuation2DRotated",
-        "build_oracle", "check_basis", "make_valuation_1d", "reduce_dimension",
+        "build_oracle", "check_basis", "reduce_dimension",
     ),
     "witness": ("WitnessConfig", "WitnessReport", "extract_witness"),
     "kssets": (
@@ -144,3 +145,43 @@ class TestHarnessContract:
             "print(code, calls, cli.extract_witness is spy)\n"
         )
         assert stdout.split() == ["0", "[3]", "True"]
+
+
+# The batch path: the only code in the float modules that may name numpy.
+# Everything else computes on Python floats, so a lazy numpy import can sit
+# inside these alone.
+BATCH_PATH = {
+    "sphere_geom": ("to_cartesian_grid", "as_rows", "require_unit_rows"),
+    "valuation": ("Valuation.evaluate_many", "Valuation._check_rows", "_Many",
+                  "_RuleValuation.evaluate_many", "Valuation2D.values_at_angles",
+                  "RotatedValuation.evaluate_many"),
+}
+
+
+def _np_scopes(tree: ast.Module) -> list[str]:
+    """For each ``np`` in the module, the qualified name of the def, class
+    or module-level assignment it sits in (``"<module>"`` for none)."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id == "np":
+                found.append(".".join(scope) or "<module>")
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(child, scope + (child.name,))
+            elif isinstance(child, ast.Assign) and node is tree:
+                walk(child, (ast.unparse(child.targets[0]),))
+            else:
+                walk(child, scope)
+
+    walk(tree, ())
+    return found
+
+
+@pytest.mark.parametrize("module", BATCH_PATH)
+def test_numpy_is_named_only_on_the_batch_path(module):
+    source = Path(importlib.import_module(f"kswitness.{module}").__file__).read_text()
+    scopes = _np_scopes(ast.parse(source))
+    outside = [s for s in scopes
+               if not any(s == b or s.startswith(b + ".") for b in BATCH_PATH[module])]
+    assert scopes and outside == []

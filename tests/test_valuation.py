@@ -1,7 +1,8 @@
-"""Valuation constructions: 1D/2D existence, the 3D near-miss families,
+"""Valuation constructions: 2D existence, the 3D near-miss families,
 the basis sum rule, and dimension reduction."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from kswitness.sphere_geom import (
     to_cartesian,
 )
 from kswitness.valuation import (
-    ConstantValuation,
     FourSegmentValuation,
     FunctionValuation,
     Generator2D,
@@ -25,7 +25,6 @@ from kswitness.valuation import (
     Valuation2DRotated,
     build_oracle,
     check_basis,
-    make_valuation_1d,
     random_rotation,
     reduce_dimension,
     step_profile,
@@ -33,22 +32,6 @@ from kswitness.valuation import (
 from kswitness.witness import WitnessConfig, extract_witness
 
 HALF_PI = math.pi / 2
-
-
-class TestOneDimension:
-    def test_standalone_forces_one(self):
-        v = make_valuation_1d(1)
-        assert v.evaluate(np.array([1.0])) == 1
-        assert v.evaluate(np.array([-1.0])) == 1
-
-    def test_subspace_mode_allows_zero(self):
-        v = make_valuation_1d(0)
-        assert v.evaluate(np.array([1.0])) == 0
-
-    def test_antipodal_trivially(self):
-        for bit in (0, 1):
-            v = make_valuation_1d(bit)
-            assert v.evaluate(np.array([1.0])) == v.evaluate(np.array([-1.0]))
 
 
 class TestGenerator2D:
@@ -61,17 +44,20 @@ class TestGenerator2D:
             Generator2D(((0.0, HALF_PI + 0.1),))
 
     def test_membership(self):
-        g = Generator2D(((0.1, 0.3), (0.5, 0.7)))
-        assert g.value(0.2) == 1
-        assert g.value(0.3) == 0  # half-open on the right
-        assert g.value(0.1) == 1
-        assert g.value(0.0) == 0
+        # On [0, pi/2) the valuation is its generator.
+        v = Valuation2D(Generator2D(((0.1, 0.3), (0.5, 0.7))))
+        assert v.value_at_angle(0.2) == 1
+        assert v.value_at_angle(0.3) == 0  # half-open on the right
+        assert v.value_at_angle(0.1) == 1
+        assert v.value_at_angle(0.0) == 0
 
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(2)
-        g = Generator2D.random(rng)
-        ts = rng.uniform(0.0, HALF_PI - 1e-9, 500)
-        assert list(g.values(ts)) == [g.value(t) for t in ts]
+    def test_random_is_seeded_and_draws_one_to_four_intervals(self):
+        counts = set()
+        for seed in range(200):
+            g = Generator2D.random(random.Random(seed))
+            assert g == Generator2D.random(random.Random(seed))
+            counts.add(len(g.intervals))
+        assert counts == {1, 2, 3, 4}
 
     def test_round_trip(self):
         g = Generator2D(((0.0, 0.25), (1.0, 1.5)))
@@ -98,9 +84,9 @@ class TestValuation2D:
         assert abs(ones / 10_000 - 0.5) < 0.02
 
     def test_defining_identities_hold_exactly(self):
-        rng = np.random.default_rng(8)
+        rng, generators = np.random.default_rng(8), random.Random(8)
         for _ in range(20):
-            v = Valuation2D(Generator2D.random(rng))
+            v = Valuation2D(Generator2D.random(generators))
             for theta in rng.uniform(0.0, 2 * math.pi, 500):
                 assert v.value_at_angle(theta) == v.value_at_angle(theta + math.pi)
                 assert v.value_at_angle(theta) + v.value_at_angle(theta + HALF_PI) == 1
@@ -112,7 +98,7 @@ class TestValuation2D:
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(21)
-        v = Valuation2D(Generator2D.random(rng))
+        v = Valuation2D(Generator2D.random(random.Random(21)))
         thetas = rng.uniform(-10, 10, 1000)
         assert list(v.values_at_angles(thetas)) == [v.value_at_angle(t) for t in thetas]
 
@@ -336,13 +322,13 @@ class TestCheckBasis:
         assert check_basis(v, basis) == 1
 
     def test_trivial_valuation_exposes_sum_zero(self):
-        v = ConstantValuation(3, 0)
+        v = FunctionValuation(3, lambda n: 0)
         for basis in ([np.eye(3)[i] for i in range(3)], _completed(POLAR_CAP_EDGE)):
             assert check_basis(v, basis) == 0
 
     def test_dyads_always_sum_to_one(self):
         rng = np.random.default_rng(25)
-        v = Valuation2D(Generator2D.random(rng))
+        v = Valuation2D(Generator2D.random(random.Random(25)))
         for theta in rng.uniform(0, 2 * math.pi, 300):
             dyad = [np.array([math.cos(theta), math.sin(theta)]),
                     np.array([-math.sin(theta), math.cos(theta)])]
@@ -391,7 +377,7 @@ def test_one_orthonormality_check(basis, accepted):
     """Triad and check_basis accept and reject the same vectors at the
     edges of the unit and orthogonality tolerances."""
     checks = [(lambda: Triad(*basis), (DomainError, NotOrthogonal)),
-              (lambda: check_basis(ConstantValuation(3, 0), basis), NotABasis)]
+              (lambda: check_basis(FunctionValuation(3, lambda n: 0), basis), NotABasis)]
     for check, rejection in checks:
         if accepted:
             check()
@@ -499,14 +485,14 @@ class TestZeroSearch:
         assert result.reduced.axes == (0, 2, 3)
 
     def test_everywhere_one_reports_violating_basis(self):
-        v = ConstantValuation(4, 1)
+        v = FunctionValuation(4, lambda n: 1)
         result = reduce_dimension(v)
         assert result.reduced is None
         np.testing.assert_array_equal(result.basis, np.eye(4))
         assert result.basis_sum == 4
 
     def test_everywhere_zero_reports_violating_basis(self):
-        result = reduce_dimension(ConstantValuation(4, 0))
+        result = reduce_dimension(FunctionValuation(4, lambda n: 0))
         assert result.reduced is None
         np.testing.assert_array_equal(result.basis, np.eye(4))
         assert result.basis_sum == 0
@@ -530,8 +516,8 @@ class TestZeroSearch:
         def fn(n):
             calls.append(n)
             tail = n[dimension - 3:]
-            norm = float(np.linalg.norm(tail))
-            return 0 if norm < 1e-9 else base.evaluate(tail / norm)
+            norm = math.hypot(*tail)
+            return 0 if norm < 1e-9 else base.evaluate([c / norm for c in tail])
 
         oracle = FunctionValuation(dimension, fn)
         result = reduce_dimension(oracle)
@@ -542,7 +528,7 @@ class TestZeroSearch:
 
     def test_dimension_below_four_raises(self):
         with pytest.raises(ValueError, match="dimension >= 4"):
-            reduce_dimension(ConstantValuation(3, 0))
+            reduce_dimension(FunctionValuation(3, lambda n: 0))
 
     def test_non_bit_answer_raises(self):
         with pytest.raises(ValueError, match="expected 0 or 1"):

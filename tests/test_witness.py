@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from kswitness.valuation import (
-    ConstantValuation,
     FourSegmentValuation,
     FunctionValuation,
     Generator2D,
@@ -154,13 +153,13 @@ class TestExtractWitness:
                 assert report.stats["oracle_calls"] <= MAX_CALLS, (rotation_seed, rng_seed)
 
     def test_trivial_zero_oracle(self):
-        oracle = ConstantValuation(3, 0)
+        oracle = FunctionValuation(3, lambda n: 0)
         report = extract_witness(oracle, WitnessConfig(rng_seed=1))
         assert report.outcome == "violating_basis"
         assert report.triad_sum == 0
 
     def test_trivial_one_oracle(self):
-        oracle = ConstantValuation(3, 1)
+        oracle = FunctionValuation(3, lambda n: 1)
         report = extract_witness(oracle, WitnessConfig(rng_seed=1))
         assert report.outcome == "violating_basis"
         assert report.triad_sum >= 2
@@ -183,7 +182,7 @@ class TestExtractWitness:
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError):
-            extract_witness(ConstantValuation(4, 0))
+            extract_witness(FunctionValuation(4, lambda n: 0))
 
     def test_budget_exhaustion_is_not_found(self):
         oracle = FunctionValuation(3, StepMeridianValuation(0.9).evaluate)
