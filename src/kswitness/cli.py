@@ -198,7 +198,7 @@ class _BadInput(Exception):
     ``error:`` line."""
 
 
-def _load_oracle(path: str) -> Valuation:
+def _load_oracle(path: str):
     """The oracle an oracle-spec file describes, built by ``build_oracle``.
     Raises ``_BadInput`` when the file cannot be read or the spec is bad."""
     try:
@@ -253,7 +253,7 @@ def cmd_geom(args) -> int:
 
 # --- plot --------------------------------------------------------------------
 
-def _valuation_grid(oracle: Valuation, lat_rows: int, lon_cols: int):
+def _valuation_grid(oracle, lat_rows: int, lon_cols: int):
     """Equal-area grid avoiding the boundary arcs: the row latitudes, the
     column longitudes, and the oracle's value at each cell, row by row,
     from one ``evaluate_many`` call."""
@@ -488,7 +488,7 @@ def _add_subcommands(parser, dest: str, table: dict, path: tuple[str, ...]) -> N
 
 
 def build_parser(*path: str) -> argparse.ArgumentParser:
-    """The full parser or, given a subcommand name (and after ``geom``, a
+    """A new full parser or, given a subcommand name (and after ``geom``, a
     geom subcommand name), one holding that path alone."""
     parser = argparse.ArgumentParser(
         prog="kswitness",
@@ -499,16 +499,23 @@ def build_parser(*path: str) -> argparse.ArgumentParser:
     return parser
 
 
+# main's parsers, by argv path, each built on first use.  A path is empty or
+# keys of _SUBCOMMANDS and _GEOM_COMMANDS, so at most nine are kept.
+_parsers: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # One call runs one subcommand, so only its parser is built, and for
+    # One call runs one subcommand, so only its parser is needed, and for
     # geom only the named geom subcommand's; anything else (help, no argv,
     # a flag or an unknown word) gets the full parser at that level and
     # argparse's own message.
-    path = argv[:1] if argv and argv[0] in _SUBCOMMANDS else []
-    if path == ["geom"] and len(argv) > 1 and argv[1] in _GEOM_COMMANDS:
-        path.append(argv[1])
-    parser = build_parser(*path)
+    path = tuple(argv[:1]) if argv and argv[0] in _SUBCOMMANDS else ()
+    if path == ("geom",) and len(argv) > 1 and argv[1] in _GEOM_COMMANDS:
+        path += (argv[1],)
+    parser = _parsers.get(path)
+    if parser is None:
+        parser = _parsers[path] = build_parser(*path)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from kswitness import cli
 from kswitness.cli import build_parser, main
 from kswitness.kssets import bundled_data_dir
 
@@ -415,10 +416,18 @@ class TestRecursionLimit:
         assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), result.stderr
 
 
+@pytest.fixture
+def fresh_parsers(monkeypatch):
+    """An empty parser memo for ``main``; the old one is put back after."""
+    parsers = {}
+    monkeypatch.setattr(cli, "_parsers", parsers)
+    return parsers
+
+
 class TestParserPerSubcommand:
     """``main`` builds only the invoked subcommand's parser, and for
-    ``geom`` only the named geom subcommand's; every message argparse
-    prints is the one the full parser prints."""
+    ``geom`` only the named geom subcommand's, once per process; every
+    message argparse prints is the one the full parser prints."""
 
     SUBCOMMANDS = ("check-set", "witness", "geom", "plot")
     GEOM_COMMANDS = ("descend", "delta-phi", "chain", "crossings")
@@ -451,7 +460,7 @@ class TestParserPerSubcommand:
         assert (main(), *capsys.readouterr()) == expected
 
     @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
-    def test_one_parser_per_call(self, monkeypatch, capsys, argv):
+    def test_one_parser_per_path(self, monkeypatch, capsys, fresh_parsers, argv):
         added = {"command": [], "geom_command": []}
         add_parser = argparse._SubParsersAction.add_parser
 
@@ -462,6 +471,12 @@ class TestParserPerSubcommand:
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
         main(list(argv))
         capsys.readouterr()
+        first = {dest: list(names) for dest, names in added.items()}
+        # A second identical call reuses the parser and adds no subparser.
+        main(list(argv))
+        capsys.readouterr()
+        assert added == first
+        assert len(fresh_parsers) == 1
         named = argv[:1] if argv and argv[0] in self.SUBCOMMANDS else []
         assert added["command"] == (named or list(self.SUBCOMMANDS))
         # Geom builds only the geom subcommand named next, and all four
@@ -473,3 +488,32 @@ class TestParserPerSubcommand:
         else:
             geom = []
         assert added["geom_command"] == geom
+
+    def test_reused_parsers_leak_no_state(self, capsys, tmp_path, oracle_file, fresh_parsers):
+        spec = oracle_file({"kind": "step_meridian", "theta_star": 0.7, "rotation_seed": 5})
+        out = tmp_path / "figure"
+        descend = ["geom", "descend", "--theta-p", "0.3", "--phi", "2"]
+        steps = [
+            ["witness", spec, "--seed", "5"], ["witness", spec], ["-h"],
+            ["witness", "x.json", "--seed", "-1"], ["witness", spec], ["witness", "-h"],
+            [*descend, "--phi-p", "1"], descend, ["geom", "descend", "-h"],
+            ["plot", "--figure", "four-segment", "--grid", "4", "--format", "svg",
+             "--out", str(out)],
+            ["-h"], ["plot", "--figure", "four-segment", "--grid", "4", "--out", str(out)],
+        ]
+
+        def outcome(run, argv):
+            out.unlink(missing_ok=True)
+            code = run(list(argv))
+            return (code, *capsys.readouterr(), out.read_bytes() if out.exists() else None)
+
+        seen = []
+        for argv in steps:
+            expected = outcome(self.full_parser_main, argv)
+            assert outcome(main, argv) == expected, argv
+            seen.append(expected)
+        # Each second step differs from the first only by a flag it leaves
+        # at its default, so a value carried over would show.
+        assert [code for code, *_ in seen] == [0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0]
+        assert seen[0] != seen[1] and seen[6] != seen[7] and seen[9] != seen[11]
+        assert set(fresh_parsers) == {(), ("witness",), ("geom", "descend"), ("plot",)}

@@ -4,6 +4,7 @@ every lazily bound name is the object in its home module.  Nor does
 ``check-set`` load ``dataclasses`` or ``inspect``."""
 
 import ast
+import builtins
 import importlib
 import json
 import os
@@ -185,3 +186,57 @@ def test_numpy_is_named_only_on_the_batch_path(module):
     outside = [s for s in scopes
                if not any(s == b or s.startswith(b + ".") for b in BATCH_PATH[module])]
     assert scopes and outside == []
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """Names a module binds outside its functions and classes, in ``if``
+    and ``try`` blocks too: imports, defs, classes and assignment targets."""
+    names = set()
+
+    def visit(body):
+        for node in body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(n.id for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name))
+            elif isinstance(node, (ast.If, ast.Try)):
+                for block in ("body", "orelse", "finalbody"):
+                    visit(getattr(node, block, []))
+                for handler in getattr(node, "handlers", []):
+                    visit(handler.body)
+
+    visit(tree.body)
+    return names
+
+
+def _annotation_names(tree: ast.Module) -> set[str]:
+    """Every bare name in the module's annotations, string ones parsed."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            annotations += [arg.annotation for arg in
+                            (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if arg]
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = set()
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                node = ast.parse(node.value, mode="eval")
+            names.update(n.id for n in ast.walk(node) if isinstance(n, ast.Name))
+    return names
+
+
+def test_cli_annotations_name_only_what_cli_binds():
+    # cli postpones its annotations, so an unbound name in one raises
+    # nothing until something such as typing.get_type_hints evaluates it.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    bound = _top_level_names(tree) | set(cli._FLOAT_NAMES) | set(dir(builtins))
+    named = _annotation_names(tree)
+    assert named and named - bound == set()
