@@ -197,9 +197,9 @@ def _top_level_names(tree: ast.Module) -> set[str]:
         for node in body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names.update((a.asname or a.name).split(".")[0] for a in node.names)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names.add(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names.update(n.id for t in targets for n in ast.walk(t)
                              if isinstance(n, ast.Name))
@@ -217,7 +217,7 @@ def _annotation_names(tree: ast.Module) -> set[str]:
     """Every bare name in the module's annotations, string ones parsed."""
     annotations = []
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, ast.FunctionDef):
             a = node.args
             annotations += [arg.annotation for arg in
                             (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if arg]
@@ -225,11 +225,13 @@ def _annotation_names(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.AnnAssign):
             annotations.append(node.annotation)
     names = set()
-    for annotation in filter(None, annotations):
-        for node in ast.walk(annotation):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                node = ast.parse(node.value, mode="eval")
-            names.update(n.id for n in ast.walk(node) if isinstance(n, ast.Name))
+    pending = [a for a in annotations if a is not None]
+    while pending:
+        for node in ast.walk(pending.pop()):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                pending.append(ast.parse(node.value, mode="eval"))
     return names
 
 
