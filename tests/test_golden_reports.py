@@ -53,6 +53,12 @@ PLOT_FORMATS = ("csv", "svg")
 PLOT_ROTATION_SEED = 7
 ORACLE_PLOT_CASES = [(kind, 64, fmt) for kind in KINDS for fmt in PLOT_FORMATS]
 ORACLE_PLOT_CASES += [("four_segment", 256, fmt) for fmt in PLOT_FORMATS]
+# Edge grids, pinned in the same file: grid 1 is one row of two columns.
+# The four-segment spec is unrotated here.
+EDGE_PLOT_CASES = [(kind, rotation_seed, grid, fmt)
+                   for kind, rotation_seed in (("four_segment", None),
+                                               ("valuation2d_rotated", PLOT_ROTATION_SEED))
+                   for grid in (1, 2, 3) for fmt in PLOT_FORMATS]
 ORACLE_DIGESTS = GOLDEN / "plot" / "oracle_digests.json"
 # plot --figure descent-circle digests, pinned in the same file: the default
 # apex and one apex off the prime meridian.
@@ -77,9 +83,14 @@ def plot_bytes(fmt: str, workdir: Path) -> bytes:
     return out.read_bytes()
 
 
-def oracle_plot_digest(kind: str, grid: int, fmt: str, workdir: Path) -> str:
+def oracle_plot_digest(kind: str, grid: int, fmt: str, workdir: Path,
+                       rotation_seed=PLOT_ROTATION_SEED) -> str:
+    """The digest of ``kind``'s grid, rotated by ``rotation_seed`` unless
+    it is None."""
     # The SVG title names the spec path, so it is given relative to workdir.
-    spec = {**oracle_spec(kind, 0), "rotation_seed": PLOT_ROTATION_SEED}
+    spec = {k: v for k, v in oracle_spec(kind, 0).items() if k != "rotation_seed"}
+    if rotation_seed is not None:
+        spec["rotation_seed"] = rotation_seed
     (workdir / "oracle.json").write_text(json.dumps(spec))
     cwd = os.getcwd()
     os.chdir(workdir)
@@ -92,8 +103,9 @@ def oracle_plot_digest(kind: str, grid: int, fmt: str, workdir: Path) -> str:
     return hashlib.sha256((workdir / f"grid.{fmt}").read_bytes()).hexdigest()
 
 
-def oracle_plot_key(kind: str, grid: int, fmt: str) -> str:
-    return f"{kind}_rot{PLOT_ROTATION_SEED}_grid{grid}.{fmt}"
+def oracle_plot_key(kind: str, grid: int, fmt: str, rotation_seed=PLOT_ROTATION_SEED) -> str:
+    rotation = "" if rotation_seed is None else f"_rot{rotation_seed}"
+    return f"{kind}{rotation}_grid{grid}.{fmt}"
 
 
 def descent_plot_digest(apex, grid: int, fmt: str, workdir: Path) -> str:
@@ -127,6 +139,13 @@ def test_oracle_plot_matches_pinned_digest(kind, grid, fmt, tmp_path):
     assert oracle_plot_digest(kind, grid, fmt, tmp_path) == pinned[oracle_plot_key(kind, grid, fmt)]
 
 
+@pytest.mark.parametrize("kind,rotation_seed,grid,fmt", EDGE_PLOT_CASES)
+def test_edge_grid_plot_matches_pinned_digest(kind, rotation_seed, grid, fmt, tmp_path):
+    pinned = json.loads(ORACLE_DIGESTS.read_text())
+    digest = oracle_plot_digest(kind, grid, fmt, tmp_path, rotation_seed)
+    assert digest == pinned[oracle_plot_key(kind, grid, fmt, rotation_seed)]
+
+
 @pytest.mark.parametrize("apex,grid,fmt", DESCENT_PLOT_CASES)
 def test_descent_circle_plot_matches_pinned_digest(apex, grid, fmt, tmp_path):
     pinned = json.loads(ORACLE_DIGESTS.read_text())
@@ -147,6 +166,9 @@ if __name__ == "__main__":
             (GOLDEN / "plot" / f"four_segment_grid16.{fmt}").write_bytes(plot_bytes(fmt, work))
         digests = {oracle_plot_key(*case): oracle_plot_digest(*case, work)
                    for case in ORACLE_PLOT_CASES}
+        digests.update((oracle_plot_key(kind, grid, fmt, seed),
+                        oracle_plot_digest(kind, grid, fmt, work, seed))
+                       for kind, seed, grid, fmt in EDGE_PLOT_CASES)
         digests.update((descent_plot_key(*case), descent_plot_digest(*case, work))
                        for case in DESCENT_PLOT_CASES)
         ORACLE_DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
