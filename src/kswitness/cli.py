@@ -265,43 +265,62 @@ def _valuation_grid(oracle, lat_rows: int, lon_cols: int):
     return thetas, phis, values.tolist()
 
 
+# The write buffer of a grid file, in bytes: rows are written one at a
+# time, and a grid of a few hundred kilobytes reaches the file in one or two
+# writes.
+_GRID_BUFFER = 1 << 20
+
+
 def _write_grid_csv(grid, out_path: str) -> None:
     """One ``theta,phi,value`` line per cell, as csv.writer would write it,
-    written a grid row at a time; each latitude and longitude is formatted
-    once."""
+    written a grid row at a time through one ``_GRID_BUFFER``.  A row is its
+    latitude joined with per-column pieces picked by value, so each
+    latitude and longitude is formatted once."""
     thetas, phis, values = grid
-    cols = [f",{_fmt(phi)}," for phi in phis]
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    lon_cols = len(phis)
+    # A cell is the row's latitude and tails[j][value].
+    tails = [(f",{phi},0\r\n", f",{phi},1\r\n") for phi in map(_fmt, phis)]
+    with open(out_path, "w", encoding="utf-8", newline="", buffering=_GRID_BUFFER) as fh:
         fh.write("theta,phi,value\r\n")
         for i, theta in enumerate(thetas):
             row = _fmt(theta)
-            first = i * len(cols)
-            fh.write("".join(f"{row}{col}{value}\r\n"
-                             for col, value in zip(cols, values[first:first + len(cols)])))
+            first = i * lon_cols
+            fh.write(row + row.join([tail[value] for tail, value
+                                     in zip(tails, values[first:first + lon_cols])]))
+
+
+def _xml_text(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` escaped, for SVG text content."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _write_grid_svg(grid, out_path: str, title: str) -> None:
     """Equirectangular projection: one rect per grid cell, ones shaded dark,
-    written a grid row at a time."""
+    written a grid row at a time through one ``_GRID_BUFFER``.  A row is its
+    y coordinate joined with per-column pieces picked by value."""
     thetas, phis, values = grid
     lat_rows, lon_cols = len(thetas), len(phis)
     width, height, margin = 720, 360, 24
     cw = width / lon_cols
     ch = height / lat_rows
-    # A cell's rect is x_head[j] + y[i] + tail[value].
-    x_head = [f'<rect x="{j * cw:.2f}" y="' for j in range(lon_cols)]
+    # A cell's rect is x_head[j] + y + tail[value], so a row is
+    # x_head[0] + y + y.join(between[j][value_j]), where between[j][value]
+    # closes cell j and opens cell j + 1 up to its y.
+    x_head = [f'<rect x="{j * cw:.2f}" y="' for j in range(lon_cols)] + [""]
     tail = [f'" width="{cw + 0.35:.2f}" height="{ch + 0.35:.2f}" fill="{color}"/>\n'
             for color in ("#e8e4da", "#24476b")]
-    with open(out_path, "w", encoding="utf-8") as fh:
+    between = [(tail[0] + head, tail[1] + head) for head in x_head[1:]]
+    with open(out_path, "w", encoding="utf-8", buffering=_GRID_BUFFER) as fh:
         fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
                  f'width="{width + 2 * margin}" height="{height + 2 * margin + 18}">\n'
-                 f'<text x="{margin}" y="16" font-family="monospace" font-size="13">{title}'
-                 f'</text>\n<g transform="translate({margin},{margin + 18})">\n')
+                 f'<text x="{margin}" y="16" font-family="monospace" font-size="13">'
+                 f'{_xml_text(title)}</text>\n'
+                 f'<g transform="translate({margin},{margin + 18})">\n')
         for i in range(lat_rows):
             y = f"{height - (i + 1) * ch:.2f}"
             first = i * lon_cols
-            fh.write("".join(head + y + tail[value]
-                             for head, value in zip(x_head, values[first:first + lon_cols])))
+            fh.write(x_head[0] + y + y.join([piece[value] for piece, value
+                                             in zip(between, values[first:first + lon_cols])]))
         fh.write(f'<rect x="0" y="0" width="{width}" height="{height}" '
                  f'fill="none" stroke="#222" stroke-width="1"/>\n</g></svg>\n')
 

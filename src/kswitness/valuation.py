@@ -85,7 +85,9 @@ def _bit(valuation: Valuation, n) -> int:
 # What a family's rule may call besides comparisons, ``& | ^``, ``abs`` and
 # ``divmod``: ``_One`` on one point's Python floats, ``_Many`` on numpy
 # columns.  Both map the ``math`` asin and atan2, which numpy's can differ
-# from in the last bit, and ``_Many`` holds no batch-sized list of floats.
+# from in the last bit.  ``_Many`` maps them over memoryviews of the
+# columns, which yield plain Python floats: no ``np.float64`` is built per
+# element, and no batch-sized list of floats is held.
 _One = SimpleNamespace(
     map=lambda fn, *args: fn(*args),
     where=lambda cond, a, b: a if cond else b,
@@ -96,7 +98,8 @@ _One = SimpleNamespace(
     all=bool,
 )
 _Many = SimpleNamespace(
-    map=lambda fn, *columns: np.fromiter(map(fn, *columns), float, len(columns[0])),
+    map=lambda fn, *columns: np.fromiter(map(fn, *map(memoryview, columns)), float,
+                                         len(columns[0])),
     where=np.where,
     clip=lambda z: np.clip(z, -1.0, 1.0),
     fmod=np.fmod,

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -192,6 +193,27 @@ class TestPlot:
         assert code == 0
         text = out_path.read_text()
         assert text.startswith("<svg") and "<rect" in text
+
+    @pytest.mark.parametrize("case", ["four-segment", "descent-circle", "oracle", "a&b<c>d"])
+    def test_every_svg_parses_as_xml(self, capsys, tmp_path, case):
+        """Both figures and an oracle grid, and an oracle spec in a
+        directory whose name holds ``&``, ``<`` and ``>``: the title must
+        read back as the spec path."""
+        out_path = tmp_path / "fig.svg"
+        argv = ["plot", "--format", "svg", "--grid", "4", "--out", str(out_path)]
+        if case in cli.FIGURES:
+            argv += ["--figure", case]
+        else:
+            spec = tmp_path / case / "s.json"
+            spec.parent.mkdir()
+            spec.write_text(json.dumps({"kind": "four_segment"}))
+            argv += ["--oracle", str(spec)]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        svg = ElementTree.parse(out_path).getroot()
+        if case not in cli.FIGURES:
+            assert svg.find("{http://www.w3.org/2000/svg}text").text == f"oracle grid: {spec}"
+            assert len(svg.findall(".//{http://www.w3.org/2000/svg}rect")) == 4 * 8 + 1
 
     def test_grid_out_of_memory_exits_2(self, capsys, monkeypatch, tmp_path):
         # numpy raises MemoryError for a grid it cannot allocate; stand in

@@ -180,6 +180,72 @@ def test_random_units_rotated(name, many_random_units):
     assert_same_bits(oracle_for(name, 3), many_random_units)
 
 
+def float32_units(count: int, seed: int) -> np.ndarray:
+    """Points that float32 holds exactly and whose squared norm, summed in
+    float64, is within the unit tolerance: (a, b, c) / 2**24 with signs and
+    the axes shuffled, for integers below 2**24 whose squares sum to within
+    400 of 2**48.  A random a is tried against a run of b."""
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < count:
+        a = int(rng.integers(2 ** 24))
+        b = np.arange(2 ** 16, dtype=np.int64) + int(rng.integers(2 ** 24 - 2 ** 16))
+        t = 2 ** 48 - a * a - b * b
+        b, t = b[t >= 0], t[t >= 0]
+        c = np.rint(np.sqrt(t.astype(float))).astype(np.int64)
+        near = np.abs(c * c - t) <= 400
+        found += [(a, int(y), int(z)) for y, z in zip(b[near], c[near])]
+    points = np.array(found[:count], dtype=float) / 2.0 ** 24
+    points *= rng.choice([-1.0, 1.0], size=points.shape)
+    points = np.array([rng.permutation(row) for row in points])
+    assert np.array_equal(points.astype(np.float32), points)
+    return points
+
+
+def _read_only(points: np.ndarray) -> np.ndarray:
+    points = points.copy()
+    points.flags.writeable = False
+    return points
+
+
+# The memory layouts a batch may arrive in, each built from C-ordered
+# float64 points.  The batch rules iterate memoryviews of its columns.
+LAYOUTS = {
+    "fortran": np.asfortranarray,
+    "strided": lambda p: np.repeat(p, 2, axis=0)[::2],  # every other row
+    "read_only": _read_only,
+    "float32": lambda p: p.astype(np.float32),
+    "big_endian": lambda p: p.astype(">f8"),
+}
+
+
+@pytest.fixture(scope="module")
+def layout_points():
+    """Float32-exact points for the float32 layout; grid-16 and the
+    boundary arcs for the others."""
+    return {"float32": float32_units(200, 9),
+            "other": np.concatenate([lattice(16), boundary_points()])}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("seed", (None, 0))
+@pytest.mark.parametrize("name", SPECS)
+def test_batch_layouts_give_evaluate_bits(name, seed, layout, layout_points):
+    oracle = oracle_for(name, seed)
+    points = layout_points["float32" if layout == "float32" else "other"]
+    batch = LAYOUTS[layout](points)
+    expected = np.array([oracle.evaluate(p) for p in batch], np.int8)
+    bits = oracle.evaluate_many(batch)
+    assert bits.dtype == np.int8 and np.array_equal(bits, expected)
+
+
+@pytest.mark.parametrize("seed", (None, 0))
+@pytest.mark.parametrize("name", SPECS)
+def test_empty_batch_gives_empty_int8(name, seed):
+    bits = oracle_for(name, seed).evaluate_many(np.empty((0, 3)))
+    assert bits.dtype == np.int8 and bits.shape == (0,)
+
+
 def test_base_class_fallback_loops_over_evaluate():
     oracle = FunctionValuation(3, lambda n: n[0] * n[1] > n[2])
     points = np.concatenate([boundary_points(), random_units(500, 4)])
