@@ -273,7 +273,7 @@ _GRID_BUFFER = 1 << 20
 
 def _write_grid_csv(grid, out_path: str) -> None:
     """One ``theta,phi,value`` line per cell, as csv.writer would write it,
-    written a grid row at a time through one ``_GRID_BUFFER``.  A row is its
+    written a grid row at a time through one 1 MiB buffer.  A row is its
     latitude joined with per-column pieces picked by value, so each
     latitude and longitude is formatted once."""
     thetas, phis, values = grid
@@ -296,7 +296,7 @@ def _xml_text(text: str) -> str:
 
 def _write_grid_svg(grid, out_path: str, title: str) -> None:
     """Equirectangular projection: one rect per grid cell, ones shaded dark,
-    written a grid row at a time through one ``_GRID_BUFFER``.  A row is its
+    written a grid row at a time through one 1 MiB buffer.  A row is its
     y coordinate joined with per-column pieces picked by value."""
     thetas, phis, values = grid
     lat_rows, lon_cols = len(thetas), len(phis)
