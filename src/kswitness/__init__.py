@@ -15,8 +15,8 @@ The package splits along the problem's own joints:
 - ``cli``: the ``kswitness`` command-line front door.
 
 The names below are re-exported lazily: ``import kswitness`` loads no
-submodule, and numpy loads on first use of a geometry, valuation or
-witness name.
+submodule.  numpy loads only on the batch path (``evaluate_many`` and the
+``plot`` grids), never on first use of a name.
 """
 
 from importlib import import_module

@@ -20,9 +20,10 @@ from importlib import import_module
 
 from . import kssets
 
-# The float stack (numpy, sphere_geom, valuation, witness) loads on first
-# use, so check-set runs on kssets and the stdlib alone.  Commands call these
-# names through the module globals, where a tracer may have swapped them.
+# The float stack (sphere_geom, valuation, witness) loads on first use, so
+# check-set runs on kssets and the stdlib alone; numpy loads only when a
+# plot grid is evaluated.  Commands call these names through the module
+# globals, where a tracer may have swapped them.
 _FLOAT_NAMES = (
     "DescentCircle", "DomainError", "SphPoint", "descent_theta", "equator_crossings",
     "to_cartesian", "two_step_chain", "two_step_delta_phi",
@@ -257,7 +258,7 @@ def _valuation_grid(oracle, lat_rows: int, lon_cols: int):
     """Equal-area grid avoiding the boundary arcs: the row latitudes, the
     column longitudes, and the oracle's value at each cell, row by row,
     from one ``evaluate_many`` call."""
-    from .sphere_geom import to_cartesian_grid  # a local import keeps numpy off check-set
+    from .sphere_geom import to_cartesian_grid  # a local import keeps sphere_geom off check-set
 
     thetas = [math.asin(-1.0 + (2 * i + 1) / lat_rows) for i in range(lat_rows)]
     phis = [-math.pi + 2.0 * math.pi * (j + 0.5) / lon_cols for j in range(lon_cols)]

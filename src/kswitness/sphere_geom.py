@@ -18,8 +18,9 @@ A vector is a tuple of Python floats and a 3 x 3 matrix a tuple of three
 row tuples; functions taking a vector also accept any sequence or array of
 numbers.  Every product is plain float arithmetic summed left to right, so
 results do not depend on numpy or on the BLAS it calls.  Only the batch
-helpers (``to_cartesian_grid``, ``require_unit_rows``) compute on numpy
-arrays, and they sum the same products on columns.
+helpers (``to_cartesian_grid``, ``as_rows``, ``require_unit_rows``)
+compute on numpy arrays, and they sum the same products on columns; numpy
+is imported inside them, so the scalar geometry runs without it.
 
 All types are immutable values and every function is pure, so everything
 here is safe to share and call across threads.
@@ -28,9 +29,6 @@ here is safe to share and call across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 # Floating-point slack for geometry built from exact formulas.  EPS_NORM
 # gates unit-norm checks and pole detection, EPS_ORTHO gates orthogonality
@@ -58,6 +56,46 @@ class NotOrthogonal(ValueError):
     """Vectors that must be orthogonal are not, beyond tolerance."""
 
 
+# The value types here, in ``valuation`` and in ``witness`` are plain
+# classes on these two bases, with what a dataclass would give them, so
+# that no command loads ``dataclasses`` (and ``inspect``) to start.
+
+class _Record:
+    """Fields named by ``_fields``, in order: a record equals another of
+    its own class with equal fields, and its repr lists them.  Unhashable,
+    since its fields may be reassigned."""
+
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A record whose ``__init__`` sets its attributes with
+    ``object.__setattr__``, once: assigning or deleting one later raises
+    AttributeError.  Hashed on its fields."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def wrap_longitude(phi: float) -> float:
     """Normalize an angle to [-pi, pi)."""
     phi = math.fmod(phi + math.pi, TWO_PI)
@@ -66,19 +104,17 @@ def wrap_longitude(phi: float) -> float:
     return phi - math.pi
 
 
-@dataclass(frozen=True)
-class SphPoint:
+class SphPoint(_Frozen):
     """A point on S^2: latitude theta in [-pi/2, pi/2], longitude in [-pi, pi).
 
     Longitude is normalized on construction and canonicalized to 0 at the
     poles so equality is well defined.
     """
 
-    theta: float
-    phi: float
+    _fields = ("theta", "phi")
 
-    def __post_init__(self):
-        theta, phi = float(self.theta), float(self.phi)
+    def __init__(self, theta: float, phi: float):
+        theta, phi = float(theta), float(phi)
         if not abs(theta) <= HALF_PI + 1e-12:
             raise DomainError(f"latitude {theta} outside [-pi/2, pi/2]")
         if not math.isfinite(phi):
@@ -95,11 +131,13 @@ def to_cartesian(p: SphPoint) -> tuple[float, float, float]:
     return (ct * math.cos(p.phi), ct * math.sin(p.phi), math.sin(p.theta))
 
 
-def to_cartesian_grid(thetas, phis) -> np.ndarray:
+def to_cartesian_grid(thetas, phis):
     """``to_cartesian(SphPoint(theta, phi))`` for every theta in ``thetas``
     and phi in ``phis``, as an (N, 3) array, row by row.  The angles are
     normalized by SphPoint and the products are the ones to_cartesian
     takes, so every coordinate has the same bits."""
+    import numpy as np
+
     lat = [SphPoint(theta, 0.0).theta for theta in thetas]
     lon = [SphPoint(0.0, phi).phi for phi in phis]
     pole = np.array([abs(theta) == HALF_PI for theta in lat])[:, None]
@@ -152,9 +190,11 @@ def require_unit(v, dimension: int = 3) -> tuple[float, ...]:
     return v
 
 
-def as_rows(points, dimension: int = 3) -> np.ndarray:
+def as_rows(points, dimension: int = 3):
     """``points`` as an (N, dimension) float array, ``as_vector`` for a
     batch: DomainError on any other shape."""
+    import numpy as np
+
     p = np.asarray(points, dtype=float)
     if p.ndim != 2 or p.shape[1] != dimension:
         raise DomainError(f"expected an (N, {dimension}) array of {dimension}-vectors, "
@@ -162,8 +202,10 @@ def as_rows(points, dimension: int = 3) -> np.ndarray:
     return p
 
 
-def require_unit_rows(points, dimension: int = 3) -> np.ndarray:
+def require_unit_rows(points, dimension: int = 3):
     """``require_unit`` for each row of an (N, dimension) array."""
+    import numpy as np
+
     p = as_rows(points, dimension)
     sq = p[:, 0] * p[:, 0]
     for j in range(1, dimension):
@@ -231,8 +273,7 @@ def perp_of_apex(p: SphPoint) -> tuple[float, float, float]:
     return (st * math.cos(p.phi), st * math.sin(p.phi), -math.cos(p.theta))
 
 
-@dataclass(frozen=True)
-class DescentCircle:
+class DescentCircle(_Frozen):
     """The great circle whose northernmost/southernmost point is ``apex``.
 
     An apex on the equator would degenerate the construction to the equator
@@ -240,13 +281,14 @@ class DescentCircle:
     rejected.
     """
 
-    apex: SphPoint
+    _fields = ("apex",)
 
-    def __post_init__(self):
-        if self.apex.theta == 0.0:
+    def __init__(self, apex: SphPoint):
+        if apex.theta == 0.0:
             raise DomainError("descent circle apex on the equator is degenerate")
-        if abs(self.apex.theta) == HALF_PI:
+        if abs(apex.theta) == HALF_PI:
             raise DomainError("descent circle apex at a pole is not allowed")
+        object.__setattr__(self, "apex", apex)
 
 
 def descent_theta(circle: DescentCircle, phi: float) -> float:
@@ -341,16 +383,16 @@ def rotation_to_pole(p) -> tuple:
     return _rodrigues(axis, math.acos(max(-1.0, min(1.0, z))))
 
 
-@dataclass(frozen=True, eq=False)
-class Triad:
-    """Three mutually orthogonal unit vectors (an orthonormal basis of R^3)."""
+class Triad(_Frozen):
+    """Three mutually orthogonal unit vectors (an orthonormal basis of R^3),
+    equal only to itself."""
 
-    n1: tuple[float, float, float]
-    n2: tuple[float, float, float]
-    n3: tuple[float, float, float]
+    _fields = ("n1", "n2", "n3")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        for name, v in zip(("n1", "n2", "n3"), require_orthonormal(self.vectors)):
+    def __init__(self, n1, n2, n3):
+        for name, v in zip(self._fields, require_orthonormal((n1, n2, n3))):
             object.__setattr__(self, name, v)
 
     @property

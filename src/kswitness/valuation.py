@@ -22,15 +22,13 @@ are single-threaded; everything constructed here is immutable and pure.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import random
-from dataclasses import dataclass
 from types import SimpleNamespace
 
-import numpy as np
-
 from .sphere_geom import (
-    HALF_PI, DomainError, NotOrthogonal, as_rows, as_vector, require_orthonormal,
+    HALF_PI, DomainError, NotOrthogonal, _Frozen, as_rows, as_vector, require_orthonormal,
     require_unit, require_unit_rows, rotate,
 )
 
@@ -51,24 +49,26 @@ class Valuation:
     of the same bits.  Unit d-vectors are the whole domain: ``_check`` and
     ``_check_rows`` are ``require_unit`` and ``require_unit_rows``, and
     raise ``DomainError`` on anything else, NaN and the zero vector
-    included."""
+    included.  Only the batch path imports numpy."""
 
     dimension: int = 3
 
     def evaluate(self, n) -> int:
         raise NotImplementedError
 
-    def evaluate_many(self, points) -> np.ndarray:
+    def evaluate_many(self, points):
         """``evaluate`` on each row, through the same bit check as every
         scalar answer.  The built-in families run their one rule on whole
         columns instead (see ``_RuleValuation``)."""
+        import numpy as np
+
         points = self._check_rows(points)
         return np.fromiter((_bit(self, n) for n in points), np.int8, len(points))
 
     def _check(self, n) -> tuple[float, ...]:
         return require_unit(n, self.dimension)
 
-    def _check_rows(self, points) -> np.ndarray:
+    def _check_rows(self, points):
         return require_unit_rows(points, self.dimension)
 
 
@@ -83,9 +83,9 @@ def _bit(valuation: Valuation, n) -> int:
 
 
 # What a family's rule may call besides comparisons, ``& | ^``, ``abs`` and
-# ``divmod``: ``_One`` on one point's Python floats, ``_Many`` on numpy
+# ``divmod``: ``_One`` on one point's Python floats, ``_Many()`` on numpy
 # columns.  Both map the ``math`` asin and atan2, which numpy's can differ
-# from in the last bit.  ``_Many`` maps them over memoryviews of the
+# from in the last bit.  ``_Many()`` maps them over memoryviews of the
 # columns, which yield plain Python floats: no ``np.float64`` is built per
 # element, and no batch-sized list of floats is held.
 _One = SimpleNamespace(
@@ -97,16 +97,24 @@ _One = SimpleNamespace(
     searchsorted=bisect.bisect_right,
     all=bool,
 )
-_Many = SimpleNamespace(
-    map=lambda fn, *columns: np.fromiter(map(fn, *map(memoryview, columns)), float,
-                                         len(columns[0])),
-    where=np.where,
-    clip=lambda z: np.clip(z, -1.0, 1.0),
-    fmod=np.fmod,
-    minimum=np.minimum,
-    searchsorted=lambda edges, t: np.searchsorted(edges, t, side="right"),
-    all=np.all,
-)
+
+
+@functools.cache
+def _Many() -> SimpleNamespace:
+    """The batch rules' namespace, built on the first batch call, which
+    imports numpy, and kept for the process."""
+    import numpy as np
+
+    return SimpleNamespace(
+        map=lambda fn, *columns: np.fromiter(map(fn, *map(memoryview, columns)), float,
+                                             len(columns[0])),
+        where=np.where,
+        clip=lambda z: np.clip(z, -1.0, 1.0),
+        fmod=np.fmod,
+        minimum=np.minimum,
+        searchsorted=lambda edges, t: np.searchsorted(edges, t, side="right"),
+        all=np.all,
+    )
 
 
 class _RuleValuation(Valuation):
@@ -121,8 +129,10 @@ class _RuleValuation(Valuation):
     def evaluate(self, n) -> int:
         return int(self._bits(_One, *self._check(n)))
 
-    def evaluate_many(self, points) -> np.ndarray:
-        return self._bits(_Many, *self._check_rows(points).T).astype(np.int8)
+    def evaluate_many(self, points):
+        import numpy as np
+
+        return self._bits(_Many(), *self._check_rows(points).T).astype(np.int8)
 
 
 class FunctionValuation(Valuation):
@@ -138,8 +148,7 @@ class FunctionValuation(Valuation):
         return self._fn(self._check(n))
 
 
-@dataclass(frozen=True)
-class Generator2D:
+class Generator2D(_Frozen):
     """A {0,1} function on [0, pi/2), stored as the sorted disjoint half-open
     intervals carrying the value 1.
 
@@ -148,10 +157,10 @@ class Generator2D:
     instead.
     """
 
-    intervals: tuple[tuple[float, float], ...] = ()
+    _fields = ("intervals",)
 
-    def __post_init__(self):
-        ivs = tuple((float(a), float(b)) for a, b in self.intervals)
+    def __init__(self, intervals=()):
+        ivs = tuple((float(a), float(b)) for a, b in intervals)
         last = 0.0
         for a, b in ivs:
             if not (0.0 <= a < b <= HALF_PI):
@@ -209,8 +218,10 @@ class Valuation2D(_RuleValuation):
     def value_at_angle(self, theta: float) -> int:
         return self._at(_One, theta)
 
-    def values_at_angles(self, theta: np.ndarray) -> np.ndarray:
-        return self._at(_Many, np.asarray(theta, dtype=float))
+    def values_at_angles(self, theta):
+        import numpy as np
+
+        return self._at(_Many(), np.asarray(theta, dtype=float))
 
     def _bits(self, ops, x, y):
         return self._at(ops, ops.map(math.atan2, y, x))
@@ -384,7 +395,9 @@ class RotatedValuation(Valuation):
     def evaluate(self, n) -> int:
         return self.base.evaluate(rotate(self.rotation, as_vector(n)))
 
-    def evaluate_many(self, points) -> np.ndarray:
+    def evaluate_many(self, points):
+        import numpy as np
+
         x, y, z = as_rows(points).T
         return self.base.evaluate_many(np.column_stack(
             [a * x + b * y + c * z for a, b, c in self.rotation]))
@@ -505,14 +518,17 @@ class ReducedValuation(Valuation):
         return self.base.evaluate(self.embed(self._check(n)))
 
 
-@dataclass(frozen=True)
-class Reduction:
+class Reduction(_Frozen):
     """Outcome of ``reduce_dimension``: the standard basis it read and the
     sum of its bits, and ``reduced`` when that sum is 1, None otherwise."""
 
-    basis: tuple[tuple[float, ...], ...]
-    basis_sum: int
-    reduced: ReducedValuation | None
+    _fields = ("basis", "basis_sum", "reduced")
+
+    def __init__(self, basis: tuple[tuple[float, ...], ...], basis_sum: int,
+                 reduced: ReducedValuation | None):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis_sum", basis_sum)
+        object.__setattr__(self, "reduced", reduced)
 
 
 def reduce_dimension(valuation: Valuation) -> Reduction:

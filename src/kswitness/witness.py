@@ -39,7 +39,6 @@ web's 26 other than the anchor.  The outcome is "not_found", with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .sphere_geom import (
     HALF_PI,
@@ -48,6 +47,8 @@ from .sphere_geom import (
     DescentCircle,
     SphPoint,
     Triad,
+    _Frozen,
+    _Record,
     cross,
     equator_crossings,
     from_cartesian,
@@ -76,8 +77,7 @@ _BISECTION_STEPS = math.floor(math.log2(HALF_PI / (HALF_PI - _APEX_GUARD))) + 1
 _ANCHOR = SphPoint(HALF_PI - HALF_PI / 2 ** _BISECTION_STEPS, 0.0)
 
 
-@dataclass(frozen=True)
-class WitnessConfig:
+class WitnessConfig(_Frozen):
     """Budgets and determinism knobs for the extractor.
 
     ``max_descent_probes`` caps the oracle calls of the search, which
@@ -86,14 +86,15 @@ class WitnessConfig:
     ``rng_seed`` chooses the frame of the first basis read.
     """
 
-    max_descent_probes: int = 10_000
-    rng_seed: int = 0
+    _fields = ("max_descent_probes", "rng_seed")
 
-    def __post_init__(self):
-        if self.max_descent_probes < 1:
+    def __init__(self, max_descent_probes: int = 10_000, rng_seed: int = 0):
+        if max_descent_probes < 1:
             raise ValueError("max_descent_probes must be at least 1")
-        if self.rng_seed < 0:
+        if rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
+        object.__setattr__(self, "max_descent_probes", max_descent_probes)
+        object.__setattr__(self, "rng_seed", rng_seed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -102,23 +103,30 @@ class WitnessConfig:
         }
 
 
-@dataclass
-class WitnessReport:
+class WitnessReport(_Record):
     """A certificate (or a bounded-search failure) plus the replayable trace.
 
     outcome is one of "violating_basis" (``triad`` re-evaluates to
     ``triad_sum`` != 1), "antipodal_violation" (``antipodal_point`` and its
-    negation re-evaluate to ``antipodal_values``), or "not_found".
+    negation re-evaluate to ``antipodal_values``), or "not_found".  Each
+    report gets a new ``stats`` dict and ``trace`` list unless given one.
     """
 
-    outcome: str
-    triad: Triad | None = None
-    triad_sum: int | None = None
-    antipodal_point: tuple[float, float, float] | None = None
-    antipodal_values: tuple[int, int] | None = None
-    stats: dict = field(default_factory=dict)
-    trace: list = field(default_factory=list)
-    config: WitnessConfig | None = None
+    _fields = ("outcome", "triad", "triad_sum", "antipodal_point", "antipodal_values",
+               "stats", "trace", "config")
+
+    def __init__(self, outcome: str, triad: Triad | None = None, triad_sum: int | None = None,
+                 antipodal_point: tuple[float, float, float] | None = None,
+                 antipodal_values: tuple[int, int] | None = None, stats: dict | None = None,
+                 trace: list | None = None, config: WitnessConfig | None = None):
+        self.outcome = outcome
+        self.triad = triad
+        self.triad_sum = triad_sum
+        self.antipodal_point = antipodal_point
+        self.antipodal_values = antipodal_values
+        self.stats = {} if stats is None else stats
+        self.trace = [] if trace is None else trace
+        self.config = config
 
     @property
     def found(self) -> bool:

@@ -1,7 +1,9 @@
-"""The float stack (numpy, ``sphere_geom``, ``valuation``, ``witness``) loads
-on first use only: ``check-set`` and ``import kswitness`` never load it, and
-every lazily bound name is the object in its home module.  Nor does
-``check-set`` load ``dataclasses`` or ``inspect``."""
+"""The float stack (``sphere_geom``, ``valuation``, ``witness``) loads on
+first use only: ``check-set`` and ``import kswitness`` never load it, and
+every lazily bound name is the object in its home module.  numpy loads on
+the batch path only, so ``witness``, ``geom`` and the scalar API run
+without it.  No command but the grid plots loads ``dataclasses`` or
+``inspect``."""
 
 import ast
 import builtins
@@ -17,6 +19,8 @@ import pytest
 import kswitness
 from kswitness import cli, sphere_geom, valuation, witness
 from kswitness.kssets import bundled_data_dir
+
+from test_golden_reports import GOLDEN, WITNESS_CASES, oracle_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 FLOAT_STACK = ("numpy", "kswitness.sphere_geom", "kswitness.valuation", "kswitness.witness")
@@ -89,6 +93,90 @@ def test_check_set_loads_neither_dataclasses_nor_inspect():
         "                  if m in sys.modules and m not in before]))\n"
     )
     assert json.loads(stdout) == []
+
+
+HEAVY = ("numpy", "dataclasses", "inspect")
+
+
+def newly_loaded(code: str) -> list[str]:
+    """The modules of HEAVY that ``code`` loads in a fresh interpreter,
+    measured against what was loaded before it, as above."""
+    stdout = run_fresh(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        + code +
+        f"\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules and m not in before]))\n"
+    )
+    return json.loads(stdout.splitlines()[-1])
+
+
+# The commands that run on the scalar path, with {spec} and {out} for an
+# oracle-spec file and an output path.
+SCALAR_COMMANDS = [
+    ["witness", "{spec}", "--seed", "2", "--out", "{out}"],
+    ["geom", "descend", "--theta-p", "0.7", "--phi-p", "0.2", "--phi", "1.1"],
+    ["geom", "delta-phi", "--theta-p", "0.7", "--theta-q", "0.3"],
+    ["geom", "chain", "--theta-p", "0.7", "--phi-p", "0.2", "--theta-q", "0.3"],
+    ["geom", "crossings", "--theta-p", "0.7", "--phi-p", "0.2"],
+    ["plot", "--figure", "descent-circle", "--out", "{out}"],
+    ["plot", "--figure", "descent-circle", "--format", "svg", "--out", "{out}"],
+]
+
+
+@pytest.mark.parametrize("argv", SCALAR_COMMANDS, ids=" ".join)
+def test_scalar_commands_load_no_heavy_module(argv, tmp_path):
+    spec = tmp_path / "oracle.json"
+    spec.write_text(json.dumps(oracle_spec("valuation2d_rotated", 3)))
+    argv = [a.format(spec=spec, out=tmp_path / "out") for a in argv]
+    code = f"from kswitness import cli\nassert cli.main({argv!r}) == 0\n"
+    assert newly_loaded(code) == []
+    assert (tmp_path / "out").exists() == ("--out" in argv)
+
+
+def test_float_modules_import_no_heavy_module():
+    code = "import kswitness.sphere_geom, kswitness.valuation, kswitness.witness\n"
+    assert newly_loaded(code) == []
+
+
+def test_plot_oracle_loads_numpy(tmp_path):
+    spec = tmp_path / "oracle.json"
+    spec.write_text(json.dumps({"kind": "four_segment"}))
+    argv = ["plot", "--oracle", str(spec), "--grid", "2", "--out", str(tmp_path / "grid.csv")]
+    assert "numpy" in newly_loaded(f"from kswitness import cli\nassert cli.main({argv!r}) == 0\n")
+
+
+# Refuses every numpy import; the child prints the names it refused.
+REFUSE_NUMPY = """
+import sys
+refused = []
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            refused.append(name)
+            raise ImportError(f"{name} is refused")
+        return None
+sys.meta_path.insert(0, RefuseNumpy())
+"""
+
+
+def test_golden_witness_reports_without_numpy(tmp_path):
+    runs = []
+    for kind, seed in WITNESS_CASES:
+        spec = tmp_path / f"{kind}_seed{seed}.spec.json"
+        spec.write_text(json.dumps(oracle_spec(kind, seed)))
+        runs.append(["witness", str(spec), "--seed", str(seed),
+                     "--out", str(tmp_path / f"{kind}_seed{seed}.json")])
+    stdout = run_fresh(
+        REFUSE_NUMPY
+        + "import json\n"
+        + "from kswitness import cli\n"
+        + f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+        + "print(json.dumps([codes, refused, 'numpy' in sys.modules]))\n"
+    )
+    assert json.loads(stdout) == [[0] * len(runs), [], False]
+    for kind, seed in WITNESS_CASES:
+        report = tmp_path / f"{kind}_seed{seed}.json"
+        assert report.read_bytes() == (GOLDEN / "witness" / report.name).read_bytes()
 
 
 @pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTS.items() for n in names])
