@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from importlib import import_module
 
@@ -290,9 +291,27 @@ def _write_grid_csv(grid, out_path: str) -> None:
                                      in zip(tails, values[first:first + lon_cols])]))
 
 
+# What XML 1.0 forbids in a document: C0 controls but tab and the line
+# breaks, surrogates, U+FFFE and U+FFFF.  A pattern string, which ``re``
+# compiles on the first SVG title rather than on every start-up.
+_XML_FORBIDDEN = r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+
+
+def _readable(match) -> str:
+    """A character XML forbids, as its Python escape.  A byte that is not
+    UTF-8, which ``sys.argv`` carries as a surrogate in U+DC80..U+DCFF,
+    reads as that byte: ``\\xff`` for the byte 0xff."""
+    code = ord(match.group())
+    if 0xDC80 <= code <= 0xDCFF:
+        code -= 0xDC00
+    return ascii(chr(code))[1:-1]
+
+
 def _xml_text(text: str) -> str:
-    """``text`` with ``&``, ``<`` and ``>`` escaped, for SVG text content."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """``text`` as well-formed SVG text content: ``&``, ``<`` and ``>``
+    escaped, and what XML forbids written as a readable escape."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return re.sub(_XML_FORBIDDEN, _readable, text)
 
 
 def _write_grid_svg(grid, out_path: str, title: str) -> None:

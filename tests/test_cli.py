@@ -194,11 +194,18 @@ class TestPlot:
         text = out_path.read_text()
         assert text.startswith("<svg") and "<rect" in text
 
-    @pytest.mark.parametrize("case", ["four-segment", "descent-circle", "oracle", "a&b<c>d"])
+    # Directory names XML cannot hold as they are, by how the title shows
+    # them: a byte that is not UTF-8, as sys.argv carries it, and a C0
+    # control character.
+    SHOWN = {"a\udcffb": "a\\xffb", "a\x01b": "a\\x01b"}
+
+    @pytest.mark.parametrize("case", ["four-segment", "descent-circle", "oracle", "a&b<c>d",
+                                      *SHOWN])
     def test_every_svg_parses_as_xml(self, capsys, tmp_path, case):
-        """Both figures and an oracle grid, and an oracle spec in a
-        directory whose name holds ``&``, ``<`` and ``>``: the title must
-        read back as the spec path."""
+        """Both figures and an oracle grid, and oracle specs in directories
+        whose names hold ``&``, ``<`` and ``>``, a byte that is not UTF-8
+        or a control character: the title must read back as the spec path,
+        with each of the last two written as its escape."""
         out_path = tmp_path / "fig.svg"
         argv = ["plot", "--format", "svg", "--grid", "4", "--out", str(out_path)]
         if case in cli.FIGURES:
@@ -212,7 +219,8 @@ class TestPlot:
         assert code == 0
         svg = ElementTree.parse(out_path).getroot()
         if case not in cli.FIGURES:
-            assert svg.find("{http://www.w3.org/2000/svg}text").text == f"oracle grid: {spec}"
+            shown = str(spec).replace(case, self.SHOWN.get(case, case))
+            assert svg.find("{http://www.w3.org/2000/svg}text").text == f"oracle grid: {shown}"
             assert len(svg.findall(".//{http://www.w3.org/2000/svg}rect")) == 4 * 8 + 1
 
     def test_grid_out_of_memory_exits_2(self, capsys, monkeypatch, tmp_path):
