@@ -26,26 +26,9 @@ import pytest
 
 from kswitness.cli import main
 
+from golden_specs import KINDS, SEEDS, oracle_spec
+
 GOLDEN = Path(__file__).parent / "golden"
-SEEDS = range(5)
-
-
-def oracle_spec(kind: str, seed: int) -> dict:
-    """The four built-in kinds; every kind but four_segment is rotated by
-    a seed-derived rotation."""
-    spec = {
-        "four_segment": {"kind": "four_segment"},
-        "step_meridian": {"kind": "step_meridian", "theta_star": 0.7},
-        "polar_cap": {"kind": "polar_cap", "cap_latitude": 0.9},
-        "valuation2d_rotated": {"kind": "valuation2d_rotated",
-                                "intervals": [[0.2, 0.9], [1.1, 1.4]]},
-    }[kind]
-    if kind != "four_segment":
-        spec = {**spec, "rotation_seed": seed}
-    return spec
-
-
-KINDS = ("four_segment", "step_meridian", "polar_cap", "valuation2d_rotated")
 WITNESS_CASES = [(kind, seed) for kind in KINDS for seed in SEEDS]
 PLOT_FORMATS = ("csv", "svg")
 # plot --oracle digests: one rotated spec per kind at grid 64, and the

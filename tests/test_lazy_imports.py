@@ -20,7 +20,8 @@ import kswitness
 from kswitness import cli, sphere_geom, valuation, witness
 from kswitness.kssets import bundled_data_dir
 
-from test_golden_reports import GOLDEN, WITNESS_CASES, oracle_spec
+from golden_specs import oracle_spec
+from test_golden_reports import GOLDEN, WITNESS_CASES
 
 ROOT = Path(__file__).resolve().parent.parent
 FLOAT_STACK = ("numpy", "kswitness.sphere_geom", "kswitness.valuation", "kswitness.witness")
