@@ -19,8 +19,6 @@ submodule.  numpy loads only on the batch path (``evaluate_many`` and the
 ``plot`` grids), never on first use of a name.
 """
 
-from importlib import import_module
-
 _EXPORTS = {
     "sphere_geom": (
         "EPS_NORM", "EPS_ORTHO", "DescentAwayFromEquator", "DescentCircle",
@@ -53,6 +51,8 @@ def __getattr__(name: str):
         # Not an export: lets ``from kswitness import cli`` fall through to
         # the submodule import.
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
+    # __import__ rather than importlib.import_module, which
+    # ``python -X importtime`` does not log.
+    value = getattr(__import__(f"{__name__}.{module}", fromlist=(name,)), name)
     globals()[name] = value
     return value

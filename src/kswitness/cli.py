@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
+import stat
 import sys
 from importlib import import_module
 
@@ -125,17 +127,74 @@ def _other_text(x, indent: str) -> str:
 
 def _dump_json(doc: dict, out_path: str | None, code: int) -> int:
     """Writes a report to ``out_path`` or stdout; returns ``code``, or the
-    I/O-error code when ``out_path`` cannot be written."""
+    I/O-error code when the report cannot be written."""
     text = _json_text(doc) + "\n"
     if not out_path:
-        sys.stdout.write(text)
-        return code
+        return _print(text, code)
     try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_out(out_path, (text,))
     except OSError as exc:
         return _fail(f"cannot write {out_path}: {exc}", EXIT_IO)
     return code
+
+
+def _print(text: str, code: int) -> int:
+    """Writes ``text`` to stdout and flushes it; returns ``code``, or the
+    I/O-error code when stdout cannot take it (a full device, a closed
+    pipe)."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # What stdout still buffers would fail again in the interpreter's
+        # flush at exit, which then exits 120; send it to the null device.
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, sys.stdout.fileno())
+        finally:
+            os.close(null)
+        return _fail(f"cannot write stdout: {exc}", EXIT_IO)
+    return code
+
+
+def _open_in_place(path: str, flags: int) -> int:
+    """``open``'s opener for output files: its own flags but ``O_TRUNC``."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def _write_out(out_path: str, chunks, newline: str | None = None, buffering: int = -1) -> None:
+    """Writes the strings ``chunks`` yields to ``out_path`` as UTF-8, with
+    ``open``'s ``newline`` and ``buffering``.  An existing file is written
+    over in place and, if it is a regular file, then cut to the written
+    length: truncating it to zero first would make ext4 (``auto_da_alloc``)
+    start writing it back on close.  If writing raises, a regular file is
+    cut to zero length, so a failed run never leaves the old contents in
+    place."""
+    with open(out_path, "w", encoding="utf-8", newline=newline, buffering=buffering,
+              opener=_open_in_place) as fh:
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        try:
+            fh.writelines(chunks)
+            if regular:
+                fh.truncate()
+        except BaseException:
+            if regular:
+                _empty(fh)
+            raise
+
+
+def _empty(fh) -> None:
+    """Closes ``fh``, whatever it still buffers, and cuts its file to zero
+    length."""
+    fd = os.dup(fh.fileno())
+    try:
+        try:
+            fh.close()
+        except OSError:
+            pass
+        os.ftruncate(fd, 0)
+    finally:
+        os.close(fd)
 
 
 def _int_at_least(low: int):
@@ -237,20 +296,18 @@ def cmd_geom(args) -> int:
     try:
         if args.geom_command == "descend":
             circle = DescentCircle(SphPoint(args.theta_p, args.phi_p))
-            print(_fmt(descent_theta(circle, args.phi)))
+            lines = [_fmt(descent_theta(circle, args.phi))]
         elif args.geom_command == "delta-phi":
-            print(_fmt(two_step_delta_phi(args.theta_p, args.theta_q)))
+            lines = [_fmt(two_step_delta_phi(args.theta_p, args.theta_q))]
         elif args.geom_command == "chain":
             r, q = two_step_chain(SphPoint(args.theta_p, args.phi_p), args.theta_q)
-            print("r", _fmt(r.theta), _fmt(r.phi))
-            print("q", _fmt(q.theta), _fmt(q.phi))
+            lines = [f"r {_fmt(r.theta)} {_fmt(r.phi)}", f"q {_fmt(q.theta)} {_fmt(q.phi)}"]
         elif args.geom_command == "crossings":
             s1, s2 = equator_crossings(DescentCircle(SphPoint(args.theta_p, args.phi_p)))
-            print("s1", *(_fmt(c) for c in s1))
-            print("s2", *(_fmt(c) for c in s2))
+            lines = [" ".join(["s1", *map(_fmt, s1)]), " ".join(["s2", *map(_fmt, s2)])]
     except DomainError as exc:
         return _fail(str(exc), EXIT_INPUT)
-    return EXIT_OK
+    return _print("".join(line + "\n" for line in lines), EXIT_OK)
 
 
 # --- plot --------------------------------------------------------------------
@@ -273,22 +330,21 @@ def _valuation_grid(oracle, lat_rows: int, lon_cols: int):
 _GRID_BUFFER = 1 << 20
 
 
-def _write_grid_csv(grid, out_path: str) -> None:
+def _grid_csv(grid):
     """One ``theta,phi,value`` line per cell, as csv.writer would write it,
-    written a grid row at a time through one 1 MiB buffer.  A row is its
-    latitude joined with per-column pieces picked by value, so each
-    latitude and longitude is formatted once."""
+    yielded a grid row at a time.  A row is its latitude joined with
+    per-column pieces picked by value, so each latitude and longitude is
+    formatted once."""
     thetas, phis, values = grid
     lon_cols = len(phis)
     # A cell is the row's latitude and tails[j][value].
     tails = [(f",{phi},0\r\n", f",{phi},1\r\n") for phi in map(_fmt, phis)]
-    with open(out_path, "w", encoding="utf-8", newline="", buffering=_GRID_BUFFER) as fh:
-        fh.write("theta,phi,value\r\n")
-        for i, theta in enumerate(thetas):
-            row = _fmt(theta)
-            first = i * lon_cols
-            fh.write(row + row.join([tail[value] for tail, value
-                                     in zip(tails, values[first:first + lon_cols])]))
+    yield "theta,phi,value\r\n"
+    for i, theta in enumerate(thetas):
+        row = _fmt(theta)
+        first = i * lon_cols
+        yield row + row.join([tail[value] for tail, value
+                              in zip(tails, values[first:first + lon_cols])])
 
 
 # What XML 1.0 forbids in a document: C0 controls but tab and the line
@@ -314,10 +370,10 @@ def _xml_text(text: str) -> str:
     return re.sub(_XML_FORBIDDEN, _readable, text)
 
 
-def _write_grid_svg(grid, out_path: str, title: str) -> None:
+def _grid_svg(grid, title: str):
     """Equirectangular projection: one rect per grid cell, ones shaded dark,
-    written a grid row at a time through one 1 MiB buffer.  A row is its
-    y coordinate joined with per-column pieces picked by value."""
+    yielded a grid row at a time.  A row is its y coordinate joined with
+    per-column pieces picked by value."""
     thetas, phis, values = grid
     lat_rows, lon_cols = len(thetas), len(phis)
     width, height, margin = 720, 360, 24
@@ -330,19 +386,18 @@ def _write_grid_svg(grid, out_path: str, title: str) -> None:
     tail = [f'" width="{cw + 0.35:.2f}" height="{ch + 0.35:.2f}" fill="{color}"/>\n'
             for color in ("#e8e4da", "#24476b")]
     between = [(tail[0] + head, tail[1] + head) for head in x_head[1:]]
-    with open(out_path, "w", encoding="utf-8", buffering=_GRID_BUFFER) as fh:
-        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
-                 f'width="{width + 2 * margin}" height="{height + 2 * margin + 18}">\n'
-                 f'<text x="{margin}" y="16" font-family="monospace" font-size="13">'
-                 f'{_xml_text(title)}</text>\n'
-                 f'<g transform="translate({margin},{margin + 18})">\n')
-        for i in range(lat_rows):
-            y = f"{height - (i + 1) * ch:.2f}"
-            first = i * lon_cols
-            fh.write(x_head[0] + y + y.join([piece[value] for piece, value
-                                             in zip(between, values[first:first + lon_cols])]))
-        fh.write(f'<rect x="0" y="0" width="{width}" height="{height}" '
-                 f'fill="none" stroke="#222" stroke-width="1"/>\n</g></svg>\n')
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" '
+           f'width="{width + 2 * margin}" height="{height + 2 * margin + 18}">\n'
+           f'<text x="{margin}" y="16" font-family="monospace" font-size="13">'
+           f'{_xml_text(title)}</text>\n'
+           f'<g transform="translate({margin},{margin + 18})">\n')
+    for i in range(lat_rows):
+        y = f"{height - (i + 1) * ch:.2f}"
+        first = i * lon_cols
+        yield x_head[0] + y + y.join([piece[value] for piece, value
+                                      in zip(between, values[first:first + lon_cols])])
+    yield (f'<rect x="0" y="0" width="{width}" height="{height}" '
+           f'fill="none" stroke="#222" stroke-width="1"/>\n</g></svg>\n')
 
 
 def _descent_curve(theta_p: float, phi_p: float, samples: int):
@@ -354,14 +409,13 @@ def _descent_curve(theta_p: float, phi_p: float, samples: int):
     return rows
 
 
-def _write_curve_csv(rows, out_path: str) -> None:
+def _curve_csv(rows):
     """One ``phi,theta`` line per sample, as csv.writer would write it."""
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("phi,theta\r\n")
-        fh.write("".join(f"{_fmt(phi)},{_fmt(theta)}\r\n" for phi, theta in rows))
+    yield "phi,theta\r\n"
+    yield "".join(f"{_fmt(phi)},{_fmt(theta)}\r\n" for phi, theta in rows)
 
 
-def _write_curve_svg(rows, out_path: str, title: str) -> None:
+def _curve_svg(rows, title: str):
     width, height, margin = 720, 360, 24
 
     def sx(phi):
@@ -382,8 +436,7 @@ def _write_curve_svg(rows, out_path: str, title: str) -> None:
         f'<polyline fill="none" stroke="#a33" stroke-width="1.6" points="{pts}"/>',
         "</svg>",
     ]
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(svg) + "\n")
+    yield "\n".join(svg) + "\n"
 
 
 def cmd_plot(args) -> int:
@@ -400,26 +453,25 @@ def cmd_plot(args) -> int:
         except _BadInput as exc:
             return _fail(str(exc), EXIT_INPUT)
         title = f"oracle grid: {args.oracle}"
-    try:
-        if args.figure == "descent-circle":
-            try:
-                rows = _descent_curve(args.theta_p, args.phi_p, 4 * args.grid)
-            except DomainError as exc:
-                return _fail(str(exc), EXIT_INPUT)
-            if args.format == "csv":
-                _write_curve_csv(rows, args.out)
-            else:
-                _write_curve_svg(rows, args.out,
-                                 f"descent circle, apex ({args.theta_p:.4f}, {args.phi_p:.4f})")
+    if args.figure == "descent-circle":
+        try:
+            rows = _descent_curve(args.theta_p, args.phi_p, 4 * args.grid)
+        except DomainError as exc:
+            return _fail(str(exc), EXIT_INPUT)
+        if args.format == "csv":
+            chunks = _curve_csv(rows)
         else:
-            try:
-                grid = _valuation_grid(oracle, lat_rows, lon_cols)
-            except MemoryError:
-                return _fail(f"--grid {args.grid}: the grid does not fit in memory", EXIT_INPUT)
-            if args.format == "csv":
-                _write_grid_csv(grid, args.out)
-            else:
-                _write_grid_svg(grid, args.out, title)
+            chunks = _curve_svg(rows, f"descent circle, apex ({args.theta_p:.4f}, {args.phi_p:.4f})")
+        buffering = -1
+    else:
+        try:
+            grid = _valuation_grid(oracle, lat_rows, lon_cols)
+        except MemoryError:
+            return _fail(f"--grid {args.grid}: the grid does not fit in memory", EXIT_INPUT)
+        chunks = _grid_csv(grid) if args.format == "csv" else _grid_svg(grid, title)
+        buffering = _GRID_BUFFER
+    try:
+        _write_out(args.out, chunks, "" if args.format == "csv" else None, buffering)
     except OSError as exc:
         return _fail(f"cannot write {args.out}: {exc}", EXIT_IO)
     return EXIT_OK

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -336,6 +337,160 @@ class TestOutputErrors:
         lines = err.splitlines()
         assert code == 3 and stdout == ""
         assert len(lines) == 1 and lines[0].startswith("error: cannot write ")
+
+    @pytest.mark.parametrize("sink", ["/dev/full", "closed-pipe"])
+    @pytest.mark.parametrize("command", ["check-set", "witness", "geom"])
+    def test_unwritable_stdout_exits_3(self, oracle_file, command, sink):
+        argv = {
+            "check-set": ["check-set", str(bundled_data_dir() / "peres33.json")],
+            "witness": ["witness", oracle_file({"kind": "four_segment"})],
+            "geom": ["geom", "descend", "--theta-p", "0.5", "--phi", "1"],
+        }[command]
+        if sink == "/dev/full":
+            if not os.path.exists(sink):
+                pytest.skip("no /dev/full here")
+            stdout = os.open(sink, os.O_WRONLY)
+        else:
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        # Block-buffered, as stdout is by default, so what the failed flush
+        # leaves buffered must not fail again at exit.
+        env.pop("PYTHONUNBUFFERED", None)
+        try:
+            result = subprocess.run([sys.executable, "-m", "kswitness", *argv], env=env,
+                                    stdout=stdout, stderr=subprocess.PIPE, text=True,
+                                    timeout=60)
+        finally:
+            os.close(stdout)
+        lines = result.stderr.splitlines()
+        assert result.returncode == 3, result.stderr
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout: ")
+
+
+# Each command that writes an --out file, with {spec} for an oracle-spec
+# file, and the exit code it ends in.
+OUT_COMMANDS = {
+    "check-set": (["check-set", str(bundled_data_dir() / "peres33.json")], 10),
+    "witness": (["witness", "{spec}", "--seed", "3"], 0),
+    "oracle-csv": (["plot", "--oracle", "{spec}", "--grid", "8"], 0),
+    "oracle-svg": (["plot", "--oracle", "{spec}", "--grid", "8", "--format", "svg"], 0),
+    "curve-csv": (["plot", "--figure", "descent-circle", "--grid", "8"], 0),
+    "curve-svg": (["plot", "--figure", "descent-circle", "--grid", "8", "--format", "svg"], 0),
+}
+
+
+class TestOutFile:
+    """An existing ``--out`` file is written over in place and cut to
+    length, in the bytes a fresh write gives; one that cannot be opened, or
+    whose write fails, ends in exit 3 and one ``error:`` line, and a failed
+    write leaves an empty file, never the old one."""
+
+    @pytest.fixture(params=OUT_COMMANDS)
+    def command(self, request, capsys, oracle_file):
+        """A function running the command into an out path and returning its
+        exit code and stderr, and the exit code it ends in when it works."""
+        argv, code = OUT_COMMANDS[request.param]
+        spec = oracle_file({"kind": "four_segment"})
+        argv = [a.format(spec=spec) for a in argv]
+
+        def write(out):
+            status, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+            assert stdout == ""
+            return status, err
+        return write, code
+
+    @staticmethod
+    def fresh(command, tmp_path) -> bytes:
+        write, code = command
+        assert write(tmp_path / "fresh") == (code, "")
+        return (tmp_path / "fresh").read_bytes()
+
+    @staticmethod
+    def assert_exit_3(result, out):
+        code, err = result
+        lines = err.splitlines()
+        assert code == 3
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}: ")
+
+    @pytest.mark.parametrize("length", ["64 KiB longer", "shorter"])
+    def test_rewrite_gives_the_fresh_bytes(self, command, tmp_path, length):
+        write, code = command
+        fresh = self.fresh(command, tmp_path)
+        out = tmp_path / "old"
+        out.write_bytes(os.urandom(len(fresh) + 65536 if length == "64 KiB longer"
+                                   else len(fresh) // 2))
+        assert write(out) == (code, "")
+        assert out.read_bytes() == fresh
+
+    def test_symlink_is_written_through(self, command, tmp_path):
+        write, code = command
+        fresh = self.fresh(command, tmp_path)
+        target = tmp_path / "target"
+        target.write_bytes(os.urandom(len(fresh) + 65536))
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        assert write(link) == (code, "")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh
+
+    def test_dev_null(self, command):
+        write, code = command
+        assert write(os.devnull) == (code, "")
+
+    def test_read_only_file_exits_3(self, command, tmp_path, monkeypatch):
+        write, _ = command
+        out = tmp_path / "old"
+        out.write_bytes(b"old")
+        out.chmod(0o444)
+        if os.access(out, os.W_OK):
+            # Root writes a read-only file; stand in for the refusal any
+            # other user gets.
+            real_open = os.open
+
+            def refuse(path, flags, *args, **kwargs):
+                if path == str(out) and flags & (os.O_WRONLY | os.O_RDWR):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+                return real_open(path, flags, *args, **kwargs)
+            monkeypatch.setattr(os, "open", refuse)
+        self.assert_exit_3(write(out), out)
+        assert out.read_bytes() == b"old"
+
+    def test_failed_write_leaves_an_empty_file(self, command, tmp_path, monkeypatch):
+        write, code = command
+        out = tmp_path / "report"
+        assert write(out) == (code, "")
+        write_out = cli._write_out
+
+        def failing(out_path, chunks, *args):
+            def first_then_fail():
+                yield next(iter(chunks))
+                raise OSError(errno.EIO, "forced failure")
+            write_out(out_path, first_then_fail(), *args)
+        monkeypatch.setattr(cli, "_write_out", failing)
+        self.assert_exit_3(write(out), out)
+        assert out.read_bytes() == b""
+
+
+def test_grid_write_failing_after_a_flush_leaves_an_empty_file(capsys, tmp_path, monkeypatch):
+    # A 160-row grid CSV is about 1.7 MB, so by row 150 its 1 MiB buffer has
+    # reached the file once and holds the rows since.
+    out = tmp_path / "grid.csv"
+    argv = ["plot", "--figure", "four-segment", "--grid", "160", "--out", str(out)]
+    assert run_cli(capsys, *argv) == (0, "", "")
+    assert out.stat().st_size > 1 << 20
+    fmt, calls = cli._fmt, []
+
+    def fmt_failing_at_row_150(x):
+        calls.append(x)
+        if len(calls) > 320 + 150:  # 320 longitudes, then one latitude per row
+            raise OSError(errno.ENOSPC, "forced failure")
+        return fmt(x)
+    monkeypatch.setattr(cli, "_fmt", fmt_failing_at_row_150)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3 and len(err.splitlines()) == 1
+    assert out.read_bytes() == b""
 
 
 class TestInputErrors:

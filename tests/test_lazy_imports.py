@@ -186,6 +186,17 @@ def test_export_is_its_home_object(module, name):
     assert getattr(kswitness, name) is getattr(home, name)
 
 
+def test_importtime_logs_a_lazily_loaded_module():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-X", "importtime", "-c",
+                             "import kswitness; kswitness.SphPoint"],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    logged = [line.rpartition("|")[2].strip() for line in result.stderr.splitlines()]
+    assert "kswitness.sphere_geom" in logged
+
+
 def test_unknown_name_is_attribute_error():
     with pytest.raises(AttributeError):
         kswitness.no_such_name  # noqa: B018
