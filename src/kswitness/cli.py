@@ -7,12 +7,15 @@ with embedded schema version; all angles are radians (degrees are rejected
 by omission: there is no flag for them).
 
 Exit codes are a stable contract: 0 success/colorable, 10 uncolorable,
-11 witness not found, 2 input error, 3 I/O error.
+11 witness not found, 2 input error, 3 I/O error.  A command returns its
+verdict's code and raises ``_Error`` for any other; ``main`` alone maps
+errors to exit codes and writes the one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -66,6 +69,15 @@ EXIT_NOT_FOUND = 11
 FIGURES = ("four-segment", "descent-circle")
 
 
+class _Error(Exception):
+    """Ends a command with exit ``code``; ``main`` writes the message as its
+    one ``error:`` line."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
 def _fmt(x: float) -> str:
     """Fixed 12-decimal output used by every geometry subcommand."""
     s = f"{x:.12f}"
@@ -78,7 +90,9 @@ _encode_str = json.encoder.encode_basestring_ascii  # json's C string encoder
 def _json_text(x, indent: str = "\n") -> str:
     """``json.dumps(x, indent=2, sort_keys=True)``, byte for byte, built in
     one pass; ``indent`` is the line break and indent that close ``x``.
-    Exact types are tested first; anything else goes to ``_other_text``."""
+    ``x`` holds only what a report holds: ``dict``, ``list``, ``tuple``,
+    ``str``, ``int``, finite ``float``, ``True``, ``False`` and ``None``,
+    of exactly those types; anything else raises ``TypeError``."""
     t = type(x)
     if t is str:
         return _encode_str(x)
@@ -98,63 +112,51 @@ def _json_text(x, indent: str = "\n") -> str:
             return "[]"
         inner = indent + "  "
         return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in x]) + indent + "]"
-    return _other_text(x, indent)
-
-
-def _other_text(x, indent: str) -> str:
-    """``_json_text`` of constants, non-finite floats and subclasses, in
-    ``json``'s isinstance order, so each reads as ``json`` writes it."""
     if x is None:
         return "null"
     if x is True:
         return "true"
     if x is False:
         return "false"
-    if isinstance(x, str):
-        return _encode_str(x)
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        if math.isfinite(x):
-            return float.__repr__(x)
-        return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-    if isinstance(x, (list, tuple)):
-        return _json_text(list(x), indent)
-    if isinstance(x, dict):
-        return _json_text(dict(x.items()), indent)
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    raise TypeError(f"a report cannot hold {x!r}")
 
 
-def _dump_json(doc: dict, out_path: str | None, code: int) -> int:
-    """Writes a report to ``out_path`` or stdout; returns ``code``, or the
-    I/O-error code when the report cannot be written."""
+def _dump_json(doc: dict, out_path: str | None) -> None:
+    """Writes a report to ``out_path`` or stdout."""
     text = _json_text(doc) + "\n"
-    if not out_path:
-        return _print(text, code)
-    try:
+    if out_path:
         _write_out(out_path, (text,))
-    except OSError as exc:
-        return _fail(f"cannot write {out_path}: {exc}", EXIT_IO)
-    return code
+    else:
+        _write_std("stdout", text)
 
 
-def _print(text: str, code: int) -> int:
-    """Writes ``text`` to stdout and flushes it; returns ``code``, or the
-    I/O-error code when stdout cannot take it (a full device, a closed
-    pipe)."""
+def _write_std(name: str, text: str) -> None:
+    """Writes ``text`` to ``sys.stdout`` or ``sys.stderr``, by ``name``, and
+    flushes it.  A stream that cannot take it (a full device, a closed pipe,
+    a descriptor closed at start-up) has its descriptor pointed at the null
+    device, so what it still buffers cannot fail again in the interpreter's
+    flush at exit, which would exit 120.  Then a failed stdout raises the
+    I/O error, and a failed stderr loses only ``text``."""
+    stream = getattr(sys, name)
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        if stream is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        stream.write(text)
+        stream.flush()
     except OSError as exc:
-        # What stdout still buffers would fail again in the interpreter's
-        # flush at exit, which then exits 120; send it to the null device.
-        null = os.open(os.devnull, os.O_WRONLY)
         try:
-            os.dup2(null, sys.stdout.fileno())
-        finally:
-            os.close(null)
-        return _fail(f"cannot write stdout: {exc}", EXIT_IO)
-    return code
+            fd = (1 if name == "stdout" else 2) if stream is None else stream.fileno()
+        except ValueError:  # io.UnsupportedOperation: no descriptor of its own
+            fd = None
+        if fd is not None:
+            null = os.open(os.devnull, os.O_WRONLY)
+            if null != fd:  # a closed descriptor may be the one open() reuses
+                try:
+                    os.dup2(null, fd)
+                finally:
+                    os.close(null)
+        if name == "stdout":
+            raise _Error(EXIT_IO, f"cannot write stdout: {exc}") from exc
 
 
 def _open_in_place(path: str, flags: int) -> int:
@@ -169,18 +171,21 @@ def _write_out(out_path: str, chunks, newline: str | None = None, buffering: int
     length: truncating it to zero first would make ext4 (``auto_da_alloc``)
     start writing it back on close.  If writing raises, a regular file is
     cut to zero length, so a failed run never leaves the old contents in
-    place."""
-    with open(out_path, "w", encoding="utf-8", newline=newline, buffering=buffering,
-              opener=_open_in_place) as fh:
-        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-        try:
-            fh.writelines(chunks)
-            if regular:
-                fh.truncate()
-        except BaseException:
-            if regular:
-                _empty(fh)
-            raise
+    place; an ``OSError`` ends the command with the I/O-error code."""
+    try:
+        with open(out_path, "w", encoding="utf-8", newline=newline, buffering=buffering,
+                  opener=_open_in_place) as fh:
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            try:
+                fh.writelines(chunks)
+                if regular:
+                    fh.truncate()
+            except BaseException:
+                if regular:
+                    _empty(fh)
+                raise
+    except OSError as exc:
+        raise _Error(EXIT_IO, f"cannot write {out_path}: {exc}") from exc
 
 
 def _empty(fh) -> None:
@@ -213,20 +218,15 @@ def _int_at_least(low: int):
 _positive_int = _int_at_least(1)
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 # --- check-set ---------------------------------------------------------------
 
 def cmd_check_set(args) -> int:
     try:
         ray_set = kssets.load_ray_set(args.path)
     except OSError as exc:
-        return _fail(f"cannot read {args.path}: {exc}", EXIT_INPUT)
+        raise _Error(EXIT_INPUT, f"cannot read {args.path}: {exc}") from exc
     except (kssets.RaySetFormatError, kssets.DuplicateRay) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+        raise _Error(EXIT_INPUT, str(exc)) from exc
     graph = ray_set.graph
     try:
         if ray_set.bases is not None:
@@ -238,8 +238,8 @@ def cmd_check_set(args) -> int:
         result = kssets.find_valuation(graph, bases)
     except RecursionError:
         # Enumeration recurses once per basis member, the solver once per branch.
-        return _fail(f"{args.path}: too deep to enumerate or solve within Python's "
-                     f"recursion limit ({sys.getrecursionlimit()})", EXIT_INPUT)
+        raise _Error(EXIT_INPUT, f"{args.path}: too deep to enumerate or solve within "
+                                 f"Python's recursion limit ({sys.getrecursionlimit()})") from None
     report = {
         "schema": 1,
         "name": ray_set.name,
@@ -249,19 +249,15 @@ def cmd_check_set(args) -> int:
         "bases": {"count": len(bases), "source": source},
         "coloring": result.to_json_dict(),
     }
-    return _dump_json(report, args.out, EXIT_OK if result.colorable else EXIT_UNCOLORABLE)
+    _dump_json(report, args.out)
+    return EXIT_OK if result.colorable else EXIT_UNCOLORABLE
 
 
 # --- witness -----------------------------------------------------------------
 
-class _BadInput(Exception):
-    """An input that ends the command with exit 2; the message is its
-    ``error:`` line."""
-
-
 def _load_oracle(path: str):
-    """The oracle an oracle-spec file describes, built by ``build_oracle``.
-    Raises ``_BadInput`` when the file cannot be read or the spec is bad."""
+    """The oracle an oracle-spec file describes, built by ``build_oracle``;
+    a file that cannot be read or a bad spec is an input error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             try:
@@ -272,21 +268,17 @@ def _load_oracle(path: str):
                 raise OracleSpecError(str(exc)) from exc
         return build_oracle(spec)
     except OSError as exc:
-        raise _BadInput(f"cannot read {path}: {exc}") from exc
+        raise _Error(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
     except OracleSpecError as exc:
-        raise _BadInput(f"bad oracle spec: {exc}") from exc
+        raise _Error(EXIT_INPUT, f"bad oracle spec: {exc}") from exc
 
 
 def cmd_witness(args) -> int:
     _bind_float_stack()
-    try:
-        oracle = _load_oracle(args.oracle)
-    except _BadInput as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    report = extract_witness(oracle, WitnessConfig(max_descent_probes=args.budget,
-                                                   rng_seed=args.seed))
-    return _dump_json(report.to_json_dict(), args.out,
-                      EXIT_OK if report.found else EXIT_NOT_FOUND)
+    report = extract_witness(_load_oracle(args.oracle),
+                             WitnessConfig(max_descent_probes=args.budget, rng_seed=args.seed))
+    _dump_json(report.to_json_dict(), args.out)
+    return EXIT_OK if report.found else EXIT_NOT_FOUND
 
 
 # --- geom --------------------------------------------------------------------
@@ -306,8 +298,9 @@ def cmd_geom(args) -> int:
             s1, s2 = equator_crossings(DescentCircle(SphPoint(args.theta_p, args.phi_p)))
             lines = [" ".join(["s1", *map(_fmt, s1)]), " ".join(["s2", *map(_fmt, s2)])]
     except DomainError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    return _print("".join(line + "\n" for line in lines), EXIT_OK)
+        raise _Error(EXIT_INPUT, str(exc)) from exc
+    _write_std("stdout", "".join(line + "\n" for line in lines))
+    return EXIT_OK
 
 
 # --- plot --------------------------------------------------------------------
@@ -442,22 +435,19 @@ def _curve_svg(rows, title: str):
 def cmd_plot(args) -> int:
     _bind_float_stack()
     if bool(args.figure) == bool(args.oracle):
-        return _fail("exactly one of --figure or --oracle is required", EXIT_INPUT)
+        raise _Error(EXIT_INPUT, "exactly one of --figure or --oracle is required")
     lat_rows, lon_cols = args.grid, 2 * args.grid
     if args.figure == "four-segment":
         oracle = build_oracle({"kind": "four_segment"})
         title = "four-segment valuation (dark = 1)"
     elif args.oracle:
-        try:
-            oracle = _load_oracle(args.oracle)
-        except _BadInput as exc:
-            return _fail(str(exc), EXIT_INPUT)
+        oracle = _load_oracle(args.oracle)
         title = f"oracle grid: {args.oracle}"
     if args.figure == "descent-circle":
         try:
             rows = _descent_curve(args.theta_p, args.phi_p, 4 * args.grid)
         except DomainError as exc:
-            return _fail(str(exc), EXIT_INPUT)
+            raise _Error(EXIT_INPUT, str(exc)) from exc
         if args.format == "csv":
             chunks = _curve_csv(rows)
         else:
@@ -467,13 +457,11 @@ def cmd_plot(args) -> int:
         try:
             grid = _valuation_grid(oracle, lat_rows, lon_cols)
         except MemoryError:
-            return _fail(f"--grid {args.grid}: the grid does not fit in memory", EXIT_INPUT)
+            raise _Error(EXIT_INPUT,
+                         f"--grid {args.grid}: the grid does not fit in memory") from None
         chunks = _grid_csv(grid) if args.format == "csv" else _grid_svg(grid, title)
         buffering = _GRID_BUFFER
-    try:
-        _write_out(args.out, chunks, "" if args.format == "csv" else None, buffering)
-    except OSError as exc:
-        return _fail(f"cannot write {args.out}: {exc}", EXIT_IO)
+    _write_out(args.out, chunks, "" if args.format == "csv" else None, buffering)
     return EXIT_OK
 
 
@@ -612,7 +600,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on bad flags, which matches the contract.
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Error as exc:
+        _write_std("stderr", f"error: {exc}\n")
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -324,9 +324,30 @@ class TestCheckSetLayers:
                           "find_valuation"}
 
 
+def run_module(argv, **streams) -> subprocess.CompletedProcess:
+    """``python -m kswitness ARGV`` in a child process with the given
+    ``subprocess.run`` stream arguments, its stdout block-buffered as it is
+    by default, so what a failed flush leaves buffered must not fail again
+    at exit."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "kswitness", *argv], env=env, text=True,
+                          timeout=60, **streams)
+
+
+def dev_full() -> int:
+    """A descriptor open for writing on ``/dev/full``, which the caller
+    closes; skips the test where there is none."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full here")
+    return os.open("/dev/full", os.O_WRONLY)
+
+
 class TestOutputErrors:
     """A report that cannot be written ends in exit 3 with one ``error:``
-    line and no traceback."""
+    line and no traceback; an ``error:`` line that cannot be written is
+    lost, and the exit code kept."""
 
     @pytest.mark.parametrize("command", ["check-set", "witness"])
     def test_unwritable_out_exits_3(self, capsys, tmp_path, oracle_file, command):
@@ -347,23 +368,45 @@ class TestOutputErrors:
             "geom": ["geom", "descend", "--theta-p", "0.5", "--phi", "1"],
         }[command]
         if sink == "/dev/full":
-            if not os.path.exists(sink):
-                pytest.skip("no /dev/full here")
-            stdout = os.open(sink, os.O_WRONLY)
+            stdout = dev_full()
         else:
             read_end, stdout = os.pipe()
             os.close(read_end)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-        # Block-buffered, as stdout is by default, so what the failed flush
-        # leaves buffered must not fail again at exit.
-        env.pop("PYTHONUNBUFFERED", None)
         try:
-            result = subprocess.run([sys.executable, "-m", "kswitness", *argv], env=env,
-                                    stdout=stdout, stderr=subprocess.PIPE, text=True,
-                                    timeout=60)
+            result = run_module(argv, stdout=stdout, stderr=subprocess.PIPE)
         finally:
             os.close(stdout)
+        lines = result.stderr.splitlines()
+        assert result.returncode == 3, result.stderr
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout: ")
+
+    @pytest.mark.parametrize("command", ["check-set", "witness", "geom", "plot"])
+    def test_unwritable_stderr_keeps_exit_2(self, tmp_path, oracle_file, command):
+        argv = {
+            "check-set": ["check-set", str(tmp_path / "missing.json")],
+            "witness": ["witness", oracle_file({"kind": "no_such_kind"})],
+            "geom": ["geom", "descend", "--theta-p", "0", "--phi", "1"],
+            "plot": ["plot", "--out", str(tmp_path / "x.csv")],
+        }[command]
+        stderr = dev_full()
+        try:
+            result = run_module(argv, stdout=subprocess.PIPE, stderr=stderr)
+        finally:
+            os.close(stderr)
+        assert result.returncode == 2 and result.stdout == ""
+
+    def test_unwritable_stdout_and_stderr_keep_exit_3(self):
+        sink = dev_full()
+        try:
+            result = run_module(["check-set", str(bundled_data_dir() / "peres33.json")],
+                                stdout=sink, stderr=sink)
+        finally:
+            os.close(sink)
+        assert result.returncode == 3
+
+    def test_stdout_closed_at_start_exits_3(self):
+        result = run_module(["check-set", str(bundled_data_dir() / "peres33.json")],
+                            stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
         lines = result.stderr.splitlines()
         assert result.returncode == 3, result.stderr
         assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout: ")

@@ -1,12 +1,17 @@
 """The exit-code contract under seeded fuzzing: mutated ray-set and
 oracle-spec documents, run in process through ``check-set``, ``witness``
 and ``plot --oracle``, end in a documented exit code, never in an
-exception, and every input error prints exactly one ``error:`` line."""
+exception, and every input error prints exactly one ``error:`` line.  A
+stderr that cannot be written changes no exit code."""
 
 import copy
+import errno
+import io
 import json
 import math
+import os
 import random
+import sys
 
 from kswitness.cli import main
 from kswitness.kssets import bundled_data_dir
@@ -77,7 +82,22 @@ def mutate(doc, rng: random.Random):
     return doc
 
 
-def test_mutated_documents_keep_the_exit_code_contract(capsys, tmp_path):
+class BrokenStderr:
+    """A stderr whose every write fails, on no descriptor of its own, so
+    nothing may point the test process's descriptor 2 elsewhere."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        raise io.UnsupportedOperation("fileno")
+
+
+def test_mutated_documents_keep_the_exit_code_contract(capsys, monkeypatch, tmp_path):
+    stderr_file = os.fstat(2)
     rng = random.Random(2101)
     bases = base_documents()
     path = tmp_path / "input.json"
@@ -98,3 +118,8 @@ def test_mutated_documents_keep_the_exit_code_contract(capsys, tmp_path):
             if code == 2:
                 lines = err.splitlines()
                 assert len(lines) == 1 and lines[0].startswith("error: "), (argv[0], text, err)
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stderr", BrokenStderr())
+                assert main(argv) == code, (argv[0], text)
+    now = os.fstat(2)
+    assert (now.st_dev, now.st_ino) == (stderr_file.st_dev, stderr_file.st_ino)

@@ -1,7 +1,7 @@
 """The report writer: ``cli._json_text`` writes exactly the bytes of
 ``json.dumps(doc, indent=2, sort_keys=True)``, on every report the CLI
-writes and on seeded random documents, and rejects what ``json`` cannot
-write under the report contract."""
+writes and on seeded random documents of the types a report holds, and
+rejects any other value."""
 
 import json
 import math
@@ -39,9 +39,9 @@ def test_check_set_reports(monkeypatch, capsys, path):
     docs = []
     dump = cli._dump_json
 
-    def capture(doc, out_path, code):
+    def capture(doc, out_path):
         docs.append(doc)
-        return dump(doc, out_path, code)
+        dump(doc, out_path)
 
     monkeypatch.setattr(cli, "_dump_json", capture)
     assert cli.main(["check-set", str(path)]) in (0, 10)
@@ -78,7 +78,8 @@ def test_witness_reports(kind):
     assert {"violating_basis", "not_found"} <= outcomes
 
 
-# json writes subclasses by int.__repr__ and float.__repr__, not their own.
+# A report holds exact types only; json would write these subclasses by
+# int.__repr__ and float.__repr__, not their own.
 class IntSub(int):
     def __repr__(self):
         return "IntSub()"
@@ -89,7 +90,7 @@ class FloatSub(float):
         return "FloatSub()"
 
 
-FLOATS = (0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, math.nan, math.inf, -math.inf, 0.1, 1 / 3)
+FLOATS = (0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 0.1, 1 / 3)
 CHARS = ('"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f", "é", " ", "漢",
          "\U0001f600", "a", "Z", " ", "0")
 
@@ -99,7 +100,7 @@ def random_text(rng: random.Random) -> str:
 
 
 def random_scalar(rng: random.Random):
-    pick = rng.randrange(10)
+    pick = rng.randrange(8)
     if pick == 0:
         return random_text(rng)
     if pick == 1:
@@ -111,10 +112,6 @@ def random_scalar(rng: random.Random):
     if pick == 4:
         return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randrange(-300, 300)
     if pick == 5:
-        return IntSub(rng.choice((0, 1, rng.randrange(-1000, 1000))))
-    if pick == 6:
-        return FloatSub(rng.choice(FLOATS + (rng.uniform(-5.0, 5.0),)))
-    if pick == 7:
         return rng.randrange(-(10 ** 6), 10 ** 6)
     return rng.uniform(-1.0, 1.0)
 
@@ -138,8 +135,11 @@ def test_random_documents():
         assert _json_text(doc) == json_reference(doc), doc
 
 
-@pytest.mark.parametrize("doc", [{"a": {1, 2}}, [set()], {1: "a"}, {"a": [{2: 0}]}],
-                         ids=["set-value", "set-in-list", "int-key", "nested-int-key"])
+@pytest.mark.parametrize("doc", [{"a": {1, 2}}, [set()], {1: "a"}, {"a": [{2: 0}]},
+                                 {"a": IntSub(1)}, [0, FloatSub(0.5)], {"a": [math.nan]},
+                                 math.inf, [-math.inf]],
+                         ids=["set-value", "set-in-list", "int-key", "nested-int-key",
+                              "int-subclass", "float-subclass", "nan", "inf", "minus-inf"])
 def test_rejects_what_a_report_cannot_hold(doc):
     with pytest.raises(TypeError):
         _json_text(doc)
