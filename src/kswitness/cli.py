@@ -307,14 +307,25 @@ def cmd_geom(args) -> int:
 
 def _valuation_grid(oracle, lat_rows: int, lon_cols: int):
     """Equal-area grid avoiding the boundary arcs: the row latitudes, the
-    column longitudes, and the oracle's value at each cell, row by row,
-    from one ``evaluate_many`` call."""
+    column longitudes, and the oracle's int8 values, one per cell, row by
+    row, from one ``evaluate_many`` call."""
     from .sphere_geom import to_cartesian_grid  # a local import keeps sphere_geom off check-set
 
     thetas = [math.asin(-1.0 + (2 * i + 1) / lat_rows) for i in range(lat_rows)]
     phis = [-math.pi + 2.0 * math.pi * (j + 0.5) / lon_cols for j in range(lon_cols)]
     values = oracle.evaluate_many(to_cartesian_grid(thetas, phis))
-    return thetas, phis, values.tolist()
+    return thetas, phis, values
+
+
+def _pick_cells(pieces, values) -> list[list[str]]:
+    """``pieces[j][value]`` for every cell, as one list per grid row:
+    ``pieces`` holds a pair per column and ``values`` the cells row by
+    row.  numpy indexing picks them all at once."""
+    import numpy as np
+
+    table = np.empty((len(pieces), 2), dtype=object)
+    table[:] = pieces
+    return table[np.arange(len(pieces)), values.reshape(-1, len(pieces))].tolist()
 
 
 # The write buffer of a grid file, in bytes: rows are written one at a
@@ -323,21 +334,25 @@ def _valuation_grid(oracle, lat_rows: int, lon_cols: int):
 _GRID_BUFFER = 1 << 20
 
 
+def _grid_rows(head: str, lead: str, labels, cells, foot: str):
+    """``head``, a line per grid row, then ``foot``: a row is ``lead`` and
+    its label joined with its cells, so each label is formatted once, as
+    the row is read."""
+    yield head
+    for label, row in zip(labels, cells):
+        yield lead + label + label.join(row)
+    yield foot
+
+
 def _grid_csv(grid):
-    """One ``theta,phi,value`` line per cell, as csv.writer would write it,
-    yielded a grid row at a time.  A row is its latitude joined with
-    per-column pieces picked by value, so each latitude and longitude is
-    formatted once."""
+    """One ``theta,phi,value`` line per cell, as csv.writer would write it.
+    A row is its latitude joined with per-column pieces picked by value;
+    the pieces are picked here, and the rows formatted as they are read."""
     thetas, phis, values = grid
-    lon_cols = len(phis)
     # A cell is the row's latitude and tails[j][value].
     tails = [(f",{phi},0\r\n", f",{phi},1\r\n") for phi in map(_fmt, phis)]
-    yield "theta,phi,value\r\n"
-    for i, theta in enumerate(thetas):
-        row = _fmt(theta)
-        first = i * lon_cols
-        yield row + row.join([tail[value] for tail, value
-                              in zip(tails, values[first:first + lon_cols])])
+    return _grid_rows("theta,phi,value\r\n", "", map(_fmt, thetas),
+                      _pick_cells(tails, values), "")
 
 
 # What XML 1.0 forbids in a document: C0 controls but tab and the line
@@ -364,9 +379,10 @@ def _xml_text(text: str) -> str:
 
 
 def _grid_svg(grid, title: str):
-    """Equirectangular projection: one rect per grid cell, ones shaded dark,
-    yielded a grid row at a time.  A row is its y coordinate joined with
-    per-column pieces picked by value."""
+    """Equirectangular projection: one rect per grid cell, ones shaded dark.
+    A row is its y coordinate joined with per-column pieces picked by
+    value; the pieces are picked here, and the rows formatted as they are
+    read."""
     thetas, phis, values = grid
     lat_rows, lon_cols = len(thetas), len(phis)
     width, height, margin = 720, 360, 24
@@ -379,18 +395,15 @@ def _grid_svg(grid, title: str):
     tail = [f'" width="{cw + 0.35:.2f}" height="{ch + 0.35:.2f}" fill="{color}"/>\n'
             for color in ("#e8e4da", "#24476b")]
     between = [(tail[0] + head, tail[1] + head) for head in x_head[1:]]
-    yield (f'<svg xmlns="http://www.w3.org/2000/svg" '
-           f'width="{width + 2 * margin}" height="{height + 2 * margin + 18}">\n'
-           f'<text x="{margin}" y="16" font-family="monospace" font-size="13">'
-           f'{_xml_text(title)}</text>\n'
-           f'<g transform="translate({margin},{margin + 18})">\n')
-    for i in range(lat_rows):
-        y = f"{height - (i + 1) * ch:.2f}"
-        first = i * lon_cols
-        yield x_head[0] + y + y.join([piece[value] for piece, value
-                                      in zip(between, values[first:first + lon_cols])])
-    yield (f'<rect x="0" y="0" width="{width}" height="{height}" '
-           f'fill="none" stroke="#222" stroke-width="1"/>\n</g></svg>\n')
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" '
+            f'width="{width + 2 * margin}" height="{height + 2 * margin + 18}">\n'
+            f'<text x="{margin}" y="16" font-family="monospace" font-size="13">'
+            f'{_xml_text(title)}</text>\n'
+            f'<g transform="translate({margin},{margin + 18})">\n')
+    foot = (f'<rect x="0" y="0" width="{width}" height="{height}" '
+            f'fill="none" stroke="#222" stroke-width="1"/>\n</g></svg>\n')
+    ys = (f"{height - (i + 1) * ch:.2f}" for i in range(lat_rows))
+    return _grid_rows(head, x_head[0], ys, _pick_cells(between, values), foot)
 
 
 def _descent_curve(theta_p: float, phi_p: float, samples: int):
@@ -454,12 +467,12 @@ def cmd_plot(args) -> int:
             chunks = _curve_svg(rows, f"descent circle, apex ({args.theta_p:.4f}, {args.phi_p:.4f})")
         buffering = -1
     else:
-        try:
+        try:  # the grid and its picked cells are built before anything is written
             grid = _valuation_grid(oracle, lat_rows, lon_cols)
+            chunks = _grid_csv(grid) if args.format == "csv" else _grid_svg(grid, title)
         except MemoryError:
             raise _Error(EXIT_INPUT,
                          f"--grid {args.grid}: the grid does not fit in memory") from None
-        chunks = _grid_csv(grid) if args.format == "csv" else _grid_svg(grid, title)
         buffering = _GRID_BUFFER
     _write_out(args.out, chunks, "" if args.format == "csv" else None, buffering)
     return EXIT_OK
@@ -596,11 +609,17 @@ def main(argv=None) -> int:
     if parser is None:
         parser = _parsers[path] = build_parser(*path)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on bad flags, which matches the contract.
-        return int(exc.code or 0)
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits with 2 on bad flags, which matches the contract.
+            # It ignores a failed write of its usage, error or help, which the
+            # flush at exit would then meet again, so both streams are flushed
+            # here.  With stdout closed, argparse writes help to stderr.
+            if sys.stdout is not None:
+                _write_std("stdout", "")
+            _write_std("stderr", "")
+            return int(exc.code or 0)
         return args.func(args)
     except _Error as exc:
         _write_std("stderr", f"error: {exc}\n")

@@ -19,8 +19,11 @@ row tuples; functions taking a vector also accept any sequence or array of
 numbers.  Every product is plain float arithmetic summed left to right, so
 results do not depend on numpy or on the BLAS it calls.  Only the batch
 helpers (``to_cartesian_grid``, ``as_rows``, ``require_unit_rows``)
-compute on numpy arrays, and they sum the same products on columns; numpy
-is imported inside them, so the scalar geometry runs without it.
+compute on numpy arrays, and they sum the same products on columns;
+``to_cartesian_grid`` builds each coordinate column contiguous, with no
+SphPoint per angle, so a grid is checked and rotated column by column
+without a copy.  numpy is imported inside them, so the scalar geometry
+runs without it.
 
 All types are immutable values and every function is pure, so everything
 here is safe to share and call across threads.
@@ -104,6 +107,25 @@ def wrap_longitude(phi: float) -> float:
     return phi - math.pi
 
 
+def _latitude(theta) -> float:
+    """``theta`` as a float latitude, clamped to [-pi/2, pi/2]: DomainError
+    beyond 1e-12 of it, NaN included.  SphPoint's rule for theta."""
+    theta = float(theta)
+    if not abs(theta) <= HALF_PI + 1e-12:
+        raise DomainError(f"latitude {theta} outside [-pi/2, pi/2]")
+    return max(-HALF_PI, min(HALF_PI, theta))
+
+
+def _longitude(phi) -> float:
+    """``phi`` as a float longitude, wrapped to [-pi, pi): DomainError if it
+    is not finite.  SphPoint's rule for phi off the poles, where
+    it sets phi to 0."""
+    phi = float(phi)
+    if not math.isfinite(phi):
+        raise DomainError(f"longitude {phi} is not finite")
+    return wrap_longitude(phi)
+
+
 class SphPoint(_Frozen):
     """A point on S^2: latitude theta in [-pi/2, pi/2], longitude in [-pi, pi).
 
@@ -114,15 +136,10 @@ class SphPoint(_Frozen):
     _fields = ("theta", "phi")
 
     def __init__(self, theta: float, phi: float):
-        theta, phi = float(theta), float(phi)
-        if not abs(theta) <= HALF_PI + 1e-12:
-            raise DomainError(f"latitude {theta} outside [-pi/2, pi/2]")
-        if not math.isfinite(phi):
-            raise DomainError(f"longitude {phi} is not finite")
-        theta = max(-HALF_PI, min(HALF_PI, theta))
-        phi = 0.0 if abs(theta) == HALF_PI else wrap_longitude(phi)
+        theta, phi = float(theta), float(phi)  # both converted before either is checked
+        theta, phi = _latitude(theta), _longitude(phi)
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "phi", 0.0 if abs(theta) == HALF_PI else phi)
 
 
 def to_cartesian(p: SphPoint) -> tuple[float, float, float]:
@@ -133,20 +150,21 @@ def to_cartesian(p: SphPoint) -> tuple[float, float, float]:
 
 def to_cartesian_grid(thetas, phis):
     """``to_cartesian(SphPoint(theta, phi))`` for every theta in ``thetas``
-    and phi in ``phis``, as an (N, 3) array, row by row.  The angles are
-    normalized by SphPoint and the products are the ones to_cartesian
-    takes, so every coordinate has the same bits."""
+    and phi in ``phis``, as an (N, 3) array, row by row, whose columns are
+    each contiguous.  The angles are normalized by SphPoint's rules, and
+    the products are the ones to_cartesian takes, so every coordinate has
+    the same bits."""
     import numpy as np
 
-    lat = [SphPoint(theta, 0.0).theta for theta in thetas]
-    lon = [SphPoint(0.0, phi).phi for phi in phis]
+    lat = [_latitude(theta) for theta in thetas]
+    lon = [_longitude(phi) for phi in phis]
     pole = np.array([abs(theta) == HALF_PI for theta in lat])[:, None]
     cos_t = np.array([math.cos(theta) for theta in lat])[:, None]
-    grid = np.empty((len(lat), len(lon), 3))
-    grid[:, :, 0] = cos_t * np.where(pole, 1.0, [math.cos(phi) for phi in lon])
-    grid[:, :, 1] = cos_t * np.where(pole, 0.0, [math.sin(phi) for phi in lon])
-    grid[:, :, 2] = np.array([math.sin(theta) for theta in lat])[:, None]
-    return grid.reshape(-1, 3)
+    grid = np.empty((3, len(lat), len(lon)))
+    grid[0] = cos_t * np.where(pole, 1.0, [math.cos(phi) for phi in lon])
+    grid[1] = cos_t * np.where(pole, 0.0, [math.sin(phi) for phi in lon])
+    grid[2] = np.array([math.sin(theta) for theta in lat])[:, None]
+    return grid.reshape(3, -1).T
 
 
 def from_cartesian(v) -> SphPoint:

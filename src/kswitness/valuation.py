@@ -398,9 +398,11 @@ class RotatedValuation(Valuation):
     def evaluate_many(self, points):
         import numpy as np
 
+        # The rotated columns are the rows of one C-ordered array, so the
+        # base reads each as contiguous memory.
         x, y, z = as_rows(points).T
-        return self.base.evaluate_many(np.column_stack(
-            [a * x + b * y + c * z for a, b, c in self.rotation]))
+        return self.base.evaluate_many(np.array(
+            [a * x + b * y + c * z for a, b, c in self.rotation]).T)
 
     def to_oracle_dict(self) -> dict:
         if self.seed is None:

@@ -239,6 +239,20 @@ class TestPlot:
         assert err.startswith("error: --grid 100000") and len(err.splitlines()) == 1
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_cell_pick_out_of_memory_exits_2(self, capsys, monkeypatch, tmp_path, fmt):
+        # The cells are picked before the file is opened, so running out of
+        # memory there is the input error, not a traceback from the write.
+        def out_of_memory(pieces, values):
+            raise MemoryError
+        monkeypatch.setattr(cli, "_pick_cells", out_of_memory)
+        out_path = tmp_path / f"grid.{fmt}"
+        code, out, err = run_cli(capsys, "plot", "--figure", "four-segment", "--grid", "3",
+                                 "--format", fmt, "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert err == "error: --grid 3: the grid does not fit in memory\n"
+        assert not out_path.exists()
+
     def test_unwritable_path_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, "plot", "--figure", "four-segment",
                              "--out", "/nonexistent-dir/x.csv")
@@ -360,12 +374,14 @@ class TestOutputErrors:
         assert len(lines) == 1 and lines[0].startswith("error: cannot write ")
 
     @pytest.mark.parametrize("sink", ["/dev/full", "closed-pipe"])
-    @pytest.mark.parametrize("command", ["check-set", "witness", "geom"])
+    @pytest.mark.parametrize("command", ["check-set", "witness", "geom", "help", "witness-help"])
     def test_unwritable_stdout_exits_3(self, oracle_file, command, sink):
         argv = {
             "check-set": ["check-set", str(bundled_data_dir() / "peres33.json")],
             "witness": ["witness", oracle_file({"kind": "four_segment"})],
             "geom": ["geom", "descend", "--theta-p", "0.5", "--phi", "1"],
+            "help": ["-h"],
+            "witness-help": ["witness", "-h"],
         }[command]
         if sink == "/dev/full":
             stdout = dev_full()
@@ -380,13 +396,16 @@ class TestOutputErrors:
         assert result.returncode == 3, result.stderr
         assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout: ")
 
-    @pytest.mark.parametrize("command", ["check-set", "witness", "geom", "plot"])
+    @pytest.mark.parametrize("command", ["check-set", "witness", "geom", "plot",
+                                         "missing-argument", "unknown-flag"])
     def test_unwritable_stderr_keeps_exit_2(self, tmp_path, oracle_file, command):
         argv = {
             "check-set": ["check-set", str(tmp_path / "missing.json")],
             "witness": ["witness", oracle_file({"kind": "no_such_kind"})],
             "geom": ["geom", "descend", "--theta-p", "0", "--phi", "1"],
             "plot": ["plot", "--out", str(tmp_path / "x.csv")],
+            "missing-argument": ["check-set"],  # argparse's own usage error
+            "unknown-flag": ["check-set", "--bogus", "x"],
         }[command]
         stderr = dev_full()
         try:

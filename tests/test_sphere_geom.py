@@ -99,6 +99,25 @@ class TestCartesian:
         assert grid.shape == want.shape
         assert grid.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("theta, phi", [
+        (HALF_PI + 2e-12, 0.0), (-HALF_PI - 2e-12, 0.0), (NAN, 0.0),
+        (0.3, NAN), (0.3, math.inf), (0.3, -math.inf), (HALF_PI, math.inf),
+    ])
+    def test_grid_rejects_what_sphpoint_rejects(self, theta, phi):
+        with pytest.raises(DomainError) as want:
+            SphPoint(theta, phi)
+        with pytest.raises(DomainError) as got:
+            to_cartesian_grid([0.1, theta], [phi, 0.2])
+        assert str(got.value) == str(want.value)
+
+    def test_grid_columns_are_contiguous(self):
+        for rows, cols in ((1, 1), (1, 2), (3, 6), (64, 128)):
+            thetas = np.linspace(-1.5, 1.5, rows)
+            grid = to_cartesian_grid(thetas, np.linspace(-3.0, 3.0, cols))
+            assert grid.shape == (rows * cols, 3)
+            for k in range(3):
+                assert grid[:, k].flags.c_contiguous
+
     def test_unit_rows_check_names_the_bad_row(self):
         good = to_cartesian(SphPoint(0.3, 1.0))
         assert require_unit_rows([good, good]).shape == (2, 3)

@@ -3,6 +3,8 @@ adversarial oracles."""
 
 import json
 import math
+import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from kswitness.valuation import (
     random_rotation,
     step_profile,
 )
-from kswitness.sphere_geom import EPS_ORTHO, SphPoint, to_cartesian
+from kswitness.sphere_geom import EPS_ORTHO, SphPoint, dot, to_cartesian
 from kswitness.witness import (
     _ANCHOR,
     _APEX_GUARD,
@@ -416,6 +418,57 @@ class TestWebEndgame:
             assert oracle.evaluate(n) != oracle.evaluate([-c for c in n])
         else:
             assert sum(oracle.evaluate(v) for v in report.triad.vectors) != 1
+
+
+class AdaptiveAdversary:
+    """An oracle that tries to avoid a certificate: each new point gets a
+    bit that breaks no constraint among the points asked so far.  Fully
+    asked orthogonal triads sum to 1, orthogonal pairs are not both 1, and
+    a point and its antipode read the same.  Between two allowed bits it
+    picks ``prefer``, or by a seeded ``random.Random`` when that is None.
+    When neither bit is allowed it is ``forced`` and answers as it prefers.
+    """
+
+    def __init__(self, seed: int, prefer: int | None):
+        self.rng = random.Random(seed)
+        self.prefer = prefer
+        self.asked: list[tuple[tuple, int]] = []
+        self.forced = False
+
+    def __call__(self, n) -> int:
+        for m, bit in self.asked:
+            if abs(dot(m, n)) > 1.0 - 1e-9:  # n or its antipode, asked before
+                return bit
+        ortho = [(m, bit) for m, bit in self.asked if abs(dot(m, n)) <= EPS_ORTHO]
+        pairs = [b1 + b2 for (m1, b1), (m2, b2) in combinations(ortho, 2)
+                 if abs(dot(m1, m2)) <= EPS_ORTHO]
+        allowed = [bit for bit in (0, 1)
+                   if not (bit and any(b for _, b in ortho))
+                   and all(bit + rest == 1 for rest in pairs)]
+        if not allowed:
+            self.forced = True
+            allowed = [0, 1]
+        if len(allowed) == 2:
+            bit = self.rng.randrange(2) if self.prefer is None else self.prefer
+        else:
+            bit = allowed[0]
+        self.asked.append((n, bit))
+        return bit
+
+
+@pytest.mark.parametrize("prefer", [None, 0, 1], ids=["random", "zero", "one"])
+def test_adaptive_adversary_is_forced_within_the_call_bound(prefer):
+    # No valuation exists, so the adversary is cornered in every run, and
+    # the extractor's fixed web turns that into a violating basis.
+    for seed in range(100):
+        adversary = AdaptiveAdversary(seed, prefer)
+        oracle = FunctionValuation(3, adversary)
+        report = extract_witness(oracle, WitnessConfig(rng_seed=seed % 3))
+        assert report.outcome == "violating_basis", seed
+        assert report.stats["phase_reached"] == "competing_meridian", seed
+        assert report.stats["oracle_calls"] <= MAX_CALLS, seed
+        assert adversary.forced, seed
+        assert_certificate_valid(report, oracle)
 
 
 class CountingValuation(Valuation):
