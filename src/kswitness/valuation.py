@@ -84,12 +84,19 @@ def _bit(valuation: Valuation, n) -> int:
 
 # What a family's rule may call besides comparisons, ``& | ^``, ``abs`` and
 # ``divmod``: ``_One`` on one point's Python floats, ``_Many()`` on numpy
-# columns.  Both map the ``math`` asin and atan2, which numpy's can differ
-# from in the last bit.  ``_Many()`` maps them over memoryviews of the
-# columns, which yield plain Python floats: no ``np.float64`` is built per
-# element, and no batch-sized list of floats is held.
+# columns.  ``map(fn, breaks, *args)`` takes ``math.asin`` or ``math.atan2``
+# and the set of angles the rule compares the result against.  ``_One``
+# calls ``fn`` and ignores ``breaks``.  ``_Many()`` takes numpy's arcsin or
+# arctan2 of the whole columns, which may differ from ``math``'s in the
+# last bit, and re-reads with ``fn``, on the same Python floats, the rows
+# whose angle lies within ``_WINDOW`` of a breakpoint.  The two differ by
+# far less than ``_WINDOW`` (a test pins 1e-12), so an angle kept from
+# numpy is on the same side of every breakpoint as ``math``'s, and the rule
+# gives the scalar path's bit.
+_WINDOW = 1e-9
+
 _One = SimpleNamespace(
-    map=lambda fn, *args: fn(*args),
+    map=lambda fn, breaks, *args: fn(*args),
     where=lambda cond, a, b: a if cond else b,
     clip=lambda z: -1.0 if z < -1.0 else 1.0 if z > 1.0 else z,
     fmod=math.fmod,
@@ -105,9 +112,19 @@ def _Many() -> SimpleNamespace:
     imports numpy, and kept for the process."""
     import numpy as np
 
+    numpy_of = {math.asin: np.arcsin, math.atan2: np.arctan2}
+
+    def map_near(fn, breaks, *columns):
+        out = numpy_of[fn](*columns)
+        near = np.zeros(out.shape, bool)
+        for b in breaks:
+            near |= abs(out - b) <= _WINDOW
+        near = np.flatnonzero(near)
+        out[near] = list(map(fn, *(c[near].tolist() for c in columns)))
+        return out
+
     return SimpleNamespace(
-        map=lambda fn, *columns: np.fromiter(map(fn, *map(memoryview, columns)), float,
-                                             len(columns[0])),
+        map=map_near,
         where=np.where,
         clip=lambda z: np.clip(z, -1.0, 1.0),
         fmod=np.fmod,
@@ -120,8 +137,11 @@ def _Many() -> SimpleNamespace:
 class _RuleValuation(Valuation):
     """A family written once, as ``_bits(ops, *coordinates)``.  ``evaluate``
     runs the rule on one point's Python floats and ``evaluate_many`` on the
-    columns of a batch, so the two give the same bits by construction.
-    Either raises ``DomainError`` on a point off the unit sphere."""
+    columns of a batch.  Every angle the rule takes is numpy's in the batch,
+    except within ``_WINDOW`` of a breakpoint the rule compares it against,
+    where it is ``math``'s as in ``evaluate``; both are on the same side of
+    every breakpoint, so the two paths give the same bits.  Either raises
+    ``DomainError`` on a point off the unit sphere."""
 
     def _bits(self, ops, *coordinates):
         raise NotImplementedError
@@ -206,6 +226,8 @@ class Valuation2D(_RuleValuation):
 
     def __init__(self, generator: Generator2D):
         self.generator = generator
+        self._breaks = frozenset(k * HALF_PI + e for k in range(-2, 3)
+                                 for e in (0.0,) + generator._edges)
 
     def _at(self, ops, theta):
         t = ops.fmod(theta, 2.0 * PI)
@@ -224,7 +246,7 @@ class Valuation2D(_RuleValuation):
         return self._at(_Many(), np.asarray(theta, dtype=float))
 
     def _bits(self, ops, x, y):
-        return self._at(ops, ops.map(math.atan2, y, x))
+        return self._at(ops, ops.map(math.atan2, self._breaks, y, x))
 
 
 # --- three-dimensional near-miss constructions ----------------------------
@@ -284,9 +306,11 @@ class StepMeridianValuation(_RuleValuation):
         _validate_step_params(theta_star, boundary_variant)
         self.theta_star = float(theta_star)
         self.boundary_variant = boundary_variant
+        self._breaks = frozenset(s * b for s in (1.0, -1.0)
+                                 for b in (self.theta_star, self.theta_star - HALF_PI, HALF_PI))
 
     def _bits(self, ops, x, y, z):
-        theta = ops.map(math.asin, ops.clip(z))
+        theta = ops.map(math.asin, self._breaks, ops.clip(z))
         t = ops.where(_front_half(x, y), theta, -theta)
         value = step_profile(t, self.theta_star, self.boundary_variant)
         return ops.where(abs(theta) == HALF_PI, self.pole_value, value)

@@ -12,7 +12,7 @@ import pytest
 
 from kswitness.sphere_geom import DomainError, SphPoint, require_unit, rotate, to_cartesian
 from kswitness.valuation import (
-    BOUNDARY_VARIANTS, FunctionValuation, Generator2D, Valuation2D, _bit, build_oracle,
+    _WINDOW, BOUNDARY_VARIANTS, FunctionValuation, Generator2D, Valuation2D, _bit, build_oracle,
     random_rotation, reduce_dimension,
 )
 
@@ -180,6 +180,128 @@ def test_random_units_rotated(name, many_random_units):
     assert_same_bits(oracle_for(name, 3), many_random_units)
 
 
+# --- numpy's angles, re-read with math near the breakpoints ----------------
+
+def _ulps(x: float, count: int = 3) -> list[float]:
+    """``x`` and the ``count`` floats on either side of it."""
+    out, lo, hi = [x], x, x
+    for _ in range(count):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+def step_breaks(theta_star: float) -> list[float]:
+    """The latitudes a step-meridian rule compares asin's result against."""
+    return [s * b for s in (1.0, -1.0) for b in (theta_star, theta_star - HALF_PI, HALF_PI)]
+
+
+def generator_breaks(intervals) -> list[float]:
+    """The longitudes a spun-2D rule compares atan2's result against."""
+    edges = [e for iv in intervals for e in iv]
+    return [k * HALF_PI + e for k in range(-2, 3) for e in [0.0] + edges]
+
+
+def latitude_points(lats) -> np.ndarray:
+    """At each latitude's +-3-ulp neighbours, and at the +-3-ulp neighbours
+    of each one's sine, points on six meridians, phi = +-pi/2 among them."""
+    zs = {z for lat in lats for t in _ulps(lat) for z in _ulps(math.sin(t))}
+    lons = (0.0, HALF_PI, -HALF_PI, 1.0, -2.5, math.pi)
+    return np.array([(r * math.cos(phi), r * math.sin(phi), z) for z in sorted(zs)
+                     for r in [math.sqrt(max(0.0, 1.0 - z * z))] for phi in lons])
+
+
+def longitude_points(lons) -> np.ndarray:
+    """At each longitude's +-3-ulp neighbours, points on five circles of
+    latitude, the equator with either sign of zero among them, each also
+    with its y moved by up to 3 ulps."""
+    pts = []
+    for phi in {p for lon in lons for p in _ulps(lon)}:
+        for z in (0.0, -0.0, 0.3, -0.8, 0.999):
+            r = math.sqrt(1.0 - z * z)
+            pts += [(r * math.cos(phi), y, z) for y in _ulps(r * math.sin(phi))]
+    return np.array(pts)
+
+
+def _disputed_lower_step() -> float:
+    """A step whose lower edge, theta_star - pi/2, is an angle math.asin
+    gives and numpy's arcsin puts one float below, when there is one: the
+    one_at_step profile then tells them apart at that edge."""
+    for z in np.linspace(-0.9, -0.1, 1001):
+        edge = math.asin(z)
+        if np.arcsin(z) < edge and (edge + HALF_PI) - HALF_PI == edge:
+            return edge + HALF_PI
+    return THETA_STAR
+
+
+NARROW = [[0.5, 0.5 + 1e-12]]
+AT_QUARTER_TURNS = [[0.0, 1e-12], [HALF_PI - 1e-12, HALF_PI]]
+# Every step-meridian, four-segment and spun-2D spec, a step whose lower
+# edge is disputed, and breakpoints closer together than the window: a step
+# 1e-12 above the equator, generator intervals 1e-12 wide, and edges 1e-12
+# from a quarter turn.
+BREAKPOINT_SPECS = {
+    **{name: spec for name, spec in SPECS.items() if spec["kind"] != "polar_cap"},
+    "step_meridian-disputed_lower": {"kind": "step_meridian",
+                                     "theta_star": _disputed_lower_step()},
+    "step_meridian-close-one_at_step": {"kind": "step_meridian", "theta_star": 1e-12,
+                                        "boundary_variant": "one_at_step"},
+    "step_meridian-close-zero_at_step": {"kind": "step_meridian", "theta_star": 1e-12,
+                                         "boundary_variant": "zero_at_step"},
+    "valuation2d_rotated-narrow": {"kind": "valuation2d_rotated", "intervals": NARROW},
+    "valuation2d_rotated-quarter_turns": {"kind": "valuation2d_rotated",
+                                          "intervals": AT_QUARTER_TURNS},
+}
+
+
+def breakpoint_points(spec: dict) -> np.ndarray:
+    if spec["kind"] == "valuation2d_rotated":
+        return longitude_points(generator_breaks(spec["intervals"]))
+    return latitude_points(step_breaks(spec.get("theta_star", HALF_PI)))
+
+
+@pytest.mark.parametrize("seed", (None, 0, 1))
+@pytest.mark.parametrize("name", BREAKPOINT_SPECS)
+def test_breakpoints_and_their_neighbours(name, seed):
+    """Where numpy's angle may be re-read with math, the bits are the
+    scalar path's; rotated, at the breakpoints' preimages."""
+    spec, points = BREAKPOINT_SPECS[name], breakpoint_points(BREAKPOINT_SPECS[name])
+    if seed is not None:
+        spec, points = {**spec, "rotation_seed": seed}, points @ random_rotation(seed)
+    assert_same_bits(build_oracle(spec), points)
+
+
+@pytest.mark.parametrize("intervals", ([[EDGES[0], EDGES[1]]], NARROW, AT_QUARTER_TURNS),
+                         ids=("plain", "narrow", "quarter_turns"))
+def test_valuation_2d_at_breakpoints_and_the_atan2_branch_cut(intervals):
+    """On the circle at each breakpoint's neighbours, and at y = +-0.0 with
+    x < 0, where atan2 jumps from pi to -pi; spun about the pole, on that
+    half-plane at several heights."""
+    circle = [(math.cos(t), math.sin(t)) for b in generator_breaks(intervals) for t in _ulps(b)]
+    circle += [(x, y) for x in _ulps(-1.0) for y in (0.0, -0.0)]
+    assert_same_bits(Valuation2D(Generator2D(intervals)), np.array(circle))
+    cut = [(x, y, z) for z in (0.0, -0.0, 0.5, -0.5, 1.0, -1.0)
+           for x in _ulps(-math.sqrt(1.0 - z * z) or -5e-324) for y in (0.0, -0.0)]
+    assert_same_bits(build_oracle({"kind": "valuation2d_rotated", "intervals": intervals}),
+                     np.array(cut))
+
+
+def test_numpy_angles_stay_within_the_window_of_math():
+    """The window's premise: numpy's arcsin and arctan2 are within 1e-12 of
+    math's, far inside ``_WINDOW``; a last-bit difference is at most
+    4.4e-16 rad, next to pi.  A numpy kernel that broke the premise would
+    fail this test rather than flip a bit unseen."""
+    rng = np.random.default_rng(12)
+    sign = rng.choice([-1.0, 1.0], 20_000)
+    z = np.concatenate([rng.uniform(-1.0, 1.0, 80_000),
+                        sign[:10_000] * (1.0 - 10.0 ** rng.uniform(-16.0, -1.0, 10_000)),
+                        sign[10_000:] * 10.0 ** rng.uniform(-300.0, -1.0, 10_000)])
+    y, x = rng.normal(size=(2, 100_000)) * 10.0 ** rng.integers(-3, 4, (2, 100_000))
+    assert 1e-12 < _WINDOW
+    assert np.abs(np.arcsin(z) - [math.asin(c) for c in z.tolist()]).max() <= 1e-12
+    assert np.abs(np.arctan2(y, x) - list(map(math.atan2, y.tolist(), x.tolist()))).max() <= 1e-12
+
+
 def float32_units(count: int, seed: int) -> np.ndarray:
     """Points that float32 holds exactly and whose squared norm, summed in
     float64, is within the unit tolerance: (a, b, c) / 2**24 with signs and
@@ -209,7 +331,8 @@ def _read_only(points: np.ndarray) -> np.ndarray:
 
 
 # The memory layouts a batch may arrive in, each built from C-ordered
-# float64 points.  The batch rules iterate memoryviews of its columns.
+# float64 points.  The batch rules take numpy's angles of its columns and
+# re-read with math the rows near a breakpoint.
 LAYOUTS = {
     "fortran": np.asfortranarray,
     "strided": lambda p: np.repeat(p, 2, axis=0)[::2],  # every other row
