@@ -473,6 +473,10 @@ def cmd_plot(args) -> int:
         except MemoryError:
             raise _Error(EXIT_INPUT,
                          f"--grid {args.grid}: the grid does not fit in memory") from None
+        except ModuleNotFoundError as exc:
+            if exc.name != "numpy":
+                raise
+            raise _Error(EXIT_INPUT, "plot grids need numpy, which is not installed") from None
         buffering = _GRID_BUFFER
     _write_out(args.out, chunks, "" if args.format == "csv" else None, buffering)
     return EXIT_OK

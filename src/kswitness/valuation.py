@@ -82,8 +82,8 @@ def _bit(valuation: Valuation, n) -> int:
     return int(val)
 
 
-# What a family's rule may call besides comparisons, ``& | ^``, ``abs`` and
-# ``divmod``: ``_One`` on one point's Python floats, ``_Many()`` on numpy
+# What a family's rule may call besides arithmetic, comparisons, ``& | ^``
+# and ``abs``: ``_One`` on one point's Python floats, ``_Many()`` on numpy
 # columns.  ``map(fn, breaks, *args)`` takes ``math.asin`` or ``math.atan2``
 # and the set of angles the rule compares the result against.  ``_One``
 # calls ``fn`` and ignores ``breaks``.  ``_Many()`` takes numpy's arcsin or
@@ -92,7 +92,11 @@ def _bit(valuation: Valuation, n) -> int:
 # whose angle lies within ``_WINDOW`` of a breakpoint.  The two differ by
 # far less than ``_WINDOW`` (a test pins 1e-12), so an angle kept from
 # numpy is on the same side of every breakpoint as ``math``'s, and the rule
-# gives the scalar path's bit.
+# gives the scalar path's bit.  A rule passes only the breakpoints ``fn``
+# can reach: a row within ``_WINDOW`` of one past atan2's range [-pi, pi]
+# is also within it of +-pi.  No rule takes a float ``%`` or ``divmod``,
+# costly on numpy columns: the 2-D rule reads its quarter turn's parity
+# from comparisons on ``t - fmod(t, pi/2)``.
 _WINDOW = 1e-9
 
 _One = SimpleNamespace(
@@ -100,7 +104,6 @@ _One = SimpleNamespace(
     where=lambda cond, a, b: a if cond else b,
     clip=lambda z: -1.0 if z < -1.0 else 1.0 if z > 1.0 else z,
     fmod=math.fmod,
-    minimum=min,
     searchsorted=bisect.bisect_right,
     all=bool,
 )
@@ -128,7 +131,6 @@ def _Many() -> SimpleNamespace:
         where=np.where,
         clip=lambda z: np.clip(z, -1.0, 1.0),
         fmod=np.fmod,
-        minimum=np.minimum,
         searchsorted=lambda edges, t: np.searchsorted(edges, t, side="right"),
         all=np.all,
     )
@@ -195,7 +197,7 @@ class Generator2D(_Frozen):
         """Membership parity against the flattened endpoints."""
         if not ops.all((t >= 0.0) & (t < HALF_PI)):
             raise ValueError("generator argument outside [0, pi/2)")
-        return ops.searchsorted(self._edges, t) % 2
+        return ops.searchsorted(self._edges, t) & 1
 
     def to_dict(self) -> dict:
         return {"intervals": [list(iv) for iv in self.intervals]}
@@ -220,22 +222,33 @@ class Valuation2D(_RuleValuation):
 
     This satisfies v(t) = v(t + pi) and v(t) + v(t + pi/2) = 1 exactly, and
     makes the image automatically half zeros and half ones.
+
+    The rule reduces t to [0, 2 pi], takes its remainder on the quarter
+    turn with ``fmod`` and the quarter turn's parity from comparisons on
+    t minus that remainder.  Its breakpoints are the quarter turns and the
+    generator's edges shifted by them that atan2 can reach, in [-pi, pi].
     """
 
     dimension = 2
 
     def __init__(self, generator: Generator2D):
         self.generator = generator
-        self._breaks = frozenset(k * HALF_PI + e for k in range(-2, 3)
-                                 for e in (0.0,) + generator._edges)
+        breaks = (k * HALF_PI + e for k in range(-2, 3) for e in (0.0,) + generator._edges)
+        self._breaks = frozenset(b for b in breaks if -PI <= b <= PI)
 
     def _at(self, ops, theta):
         t = ops.fmod(theta, 2.0 * PI)
         t = ops.where(t < 0.0, t + 2.0 * PI, t)
-        branch, rem = divmod(t, HALF_PI)
-        branch = ops.minimum(branch, 3.0)
-        g = self.generator._lookup(ops, ops.minimum(rem, math.nextafter(HALF_PI, 0.0)))
-        return ops.where(branch % 2.0 == 0.0, g, 1 - g)
+        # rem is in [0, pi/2), or -0.0 at t = -0.0, which the lookup reads
+        # as 0.0.  t - rem is a whole number n of quarter turns up to one
+        # rounding, and n is even for n = 0 and n = 2 only.  t = 2 pi, where
+        # a tiny negative theta lands, is n = 4: odd, as the quarter turn
+        # [-pi/2, 0) that theta lies in.
+        rem = ops.fmod(t, HALF_PI)
+        whole = t - rem
+        even = (whole < PI / 4) | ((whole > 3 * PI / 4) & (whole < 5 * PI / 4))
+        g = self.generator._lookup(ops, rem)
+        return ops.where(even, g, 1 - g)
 
     def value_at_angle(self, theta: float) -> int:
         return self._at(_One, theta)

@@ -239,6 +239,25 @@ class TestPlot:
         assert err.startswith("error: --grid 100000") and len(err.splitlines()) == 1
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("figure", ["--oracle", "--figure"])
+    def test_grid_without_numpy_exits_2(self, tmp_path, oracle_file, figure):
+        # A fresh interpreter in which numpy cannot be imported.
+        source = oracle_file({"kind": "valuation2d_rotated", "intervals": [[0.2, 0.9]]})
+        if figure == "--figure":
+            source = "four-segment"
+        out_path = tmp_path / "grid.csv"
+        code = ("import sys\n"
+                "sys.modules['numpy'] = None\n"
+                "from kswitness import cli\n"
+                f"sys.exit(cli.main(['plot', {figure!r}, {source!r}, '--out', {str(out_path)!r}]))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=60)
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == "error: plot grids need numpy, which is not installed\n"
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("fmt", ["csv", "svg"])
     def test_cell_pick_out_of_memory_exits_2(self, capsys, monkeypatch, tmp_path, fmt):
         # The cells are picked before the file is opened, so running out of

@@ -3,6 +3,7 @@ oracle family must give the scalar path's bits, point for point, on the
 plot lattices, on random unit vectors and on the boundary arcs where a
 last-bit difference would flip a value."""
 
+import bisect
 import json
 import math
 import random
@@ -12,8 +13,8 @@ import pytest
 
 from kswitness.sphere_geom import DomainError, SphPoint, require_unit, rotate, to_cartesian
 from kswitness.valuation import (
-    _WINDOW, BOUNDARY_VARIANTS, FunctionValuation, Generator2D, Valuation2D, _bit, build_oracle,
-    random_rotation, reduce_dimension,
+    _WINDOW, BOUNDARY_VARIANTS, FunctionValuation, Generator2D, Valuation2D, _bit, _Many, _One,
+    build_oracle, random_rotation, reduce_dimension,
 )
 
 HALF_PI = math.pi / 2
@@ -426,6 +427,100 @@ def test_valuation_2d_rows_at_quarter_turns_and_signed_zeros():
             oracle.evaluate(np.array([1.0, 0.0, 0.0]))
         with pytest.raises(DomainError):
             oracle.evaluate_many(np.zeros((4, 3)))
+
+
+# --- the quarter-turn arithmetic of the 2-D rule ---------------------------
+
+def divmod_rule(generator: Generator2D, theta: float) -> int:
+    """The 2-D rule as it read with ``divmod``: branch and remainder from
+    float ``divmod``, the branch clamped to 3 and the remainder below pi/2,
+    parities by ``% 2``."""
+    t = math.fmod(theta, 2.0 * math.pi)
+    t = t + 2.0 * math.pi if t < 0.0 else t
+    branch, rem = divmod(t, HALF_PI)
+    branch, rem = min(branch, 3.0), min(rem, math.nextafter(HALF_PI, 0.0))
+    if not 0.0 <= rem < HALF_PI:
+        raise ValueError("generator argument outside [0, pi/2)")
+    g = bisect.bisect_right(generator._edges, rem) % 2
+    return g if branch % 2.0 == 0.0 else 1 - g
+
+
+def divmod_rule_many(generator: Generator2D, theta: np.ndarray) -> np.ndarray:
+    """``divmod_rule`` on numpy columns, with numpy's float divmod."""
+    t = np.fmod(theta, 2.0 * math.pi)
+    t = np.where(t < 0.0, t + 2.0 * math.pi, t)
+    branch, rem = np.divmod(t, HALF_PI)
+    branch, rem = np.minimum(branch, 3.0), np.minimum(rem, math.nextafter(HALF_PI, 0.0))
+    assert np.all((rem >= 0.0) & (rem < HALF_PI))
+    g = np.searchsorted(generator._edges, rem, side="right") % 2
+    return np.where(branch % 2.0 == 0.0, g, 1 - g)
+
+
+QUARTER_TURN_GENERATORS = [
+    Generator2D(((EDGES[0], EDGES[1]), (EDGES[2], EDGES[3]))),
+    Generator2D(tuple(map(tuple, NARROW))),
+    Generator2D(tuple(map(tuple, AT_QUARTER_TURNS))),
+    Generator2D(((math.nextafter(HALF_PI, 0.0), HALF_PI),)),
+    Generator2D(((0.0, HALF_PI),)),
+    Generator2D(),
+] + [Generator2D.random(random.Random(seed)) for seed in range(4)]
+
+
+def quarter_turn_angles(generator: Generator2D) -> list[float]:
+    """Every k*pi/2 + edge for k = -6..6 and the 4 floats on either side;
+    signed zeros and the tiny negatives for which t + 2 pi rounds to 2 pi;
+    exact multiples of pi/2; random angles, with |theta| up to 1e6."""
+    rng = np.random.default_rng(13)
+    thetas = [t for k in range(-6, 7) for e in (0.0,) + generator._edges
+              for t in _ulps(k * HALF_PI + e, 4)]
+    thetas += [0.0, -0.0, 5e-324, -5e-324, -1e-300, 1e-300, 2.0 * math.pi, -2.0 * math.pi]
+    thetas += [k * HALF_PI for k in range(-40, 41)]
+    thetas += rng.uniform(-20.0, 20.0, 5_000).tolist() + rng.uniform(-1e6, 1e6, 1_000).tolist()
+    return thetas + [1e6, -1e6, math.pi, -math.pi]
+
+
+@pytest.mark.parametrize("index", range(len(QUARTER_TURN_GENERATORS)))
+def test_quarter_turn_parity_keeps_the_divmod_bits(index):
+    """``fmod`` and comparisons give the bits ``divmod`` and ``%`` gave, on
+    the scalar and the batch path."""
+    generator = QUARTER_TURN_GENERATORS[index]
+    v, thetas = Valuation2D(generator), quarter_turn_angles(generator)
+    expected = [divmod_rule(generator, t) for t in thetas]
+    assert divmod_rule_many(generator, np.array(thetas)).tolist() == expected
+    assert [v.value_at_angle(t) for t in thetas] == expected
+    assert v.values_at_angles(np.array(thetas)).tolist() == expected
+    # The remainder needs no clamp below pi/2: fmod's is already below it.
+    t = np.fmod(thetas, 2.0 * math.pi)
+    t = np.where(t < 0.0, t + 2.0 * math.pi, t)
+    assert np.all(np.abs(np.fmod(t, HALF_PI)) < HALF_PI)
+    for call in (lambda: divmod_rule(generator, math.nan), lambda: v.value_at_angle(math.nan),
+                 lambda: v.values_at_angles(np.array([0.3, math.nan]))):
+        with pytest.raises(ValueError, match=r"^generator argument outside \[0, pi/2\)$"):
+            call()
+
+
+@pytest.mark.parametrize("index", range(len(QUARTER_TURN_GENERATORS)))
+def test_lookup_reads_negative_zero_as_zero(index):
+    """``fmod`` leaves -0.0 where ``divmod`` gave 0.0; the lookup reads both
+    alike, as one float and as a column."""
+    generator = QUARTER_TURN_GENERATORS[index]
+    assert generator._lookup(_One, -0.0) == generator._lookup(_One, 0.0)
+    assert generator._lookup(_Many(), np.array([-0.0, 0.0])).tolist() == \
+        [generator._lookup(_One, 0.0)] * 2
+
+
+@pytest.mark.parametrize("index", range(len(QUARTER_TURN_GENERATORS)))
+def test_breakpoints_are_those_atan2_can_reach(index):
+    """Of k*pi/2 + edge for k = -2..2, the rule keeps those in [-pi, pi],
+    +-pi among them, and drops only the ones past it."""
+    generator = QUARTER_TURN_GENERATORS[index]
+    every = set(generator_breaks(generator.intervals))
+    kept = Valuation2D(generator)._breaks
+    assert kept <= every and {math.pi, -math.pi} <= kept
+    assert all(-math.pi <= b <= math.pi for b in kept)
+    assert all(abs(b) > math.pi for b in every - kept)
+    if index == 0:  # four distinct edges inside (0, pi/2)
+        assert (len(every), len(kept)) == (25, 21)
 
 
 def test_step_meridian_rejects_non_unit_rows_as_evaluate_does():
