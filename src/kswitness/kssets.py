@@ -10,6 +10,13 @@ at most one 1 among any orthogonal pair and exactly one 1 in every listed
 basis.  The classic finite non-colorable sets (Cabello's 18 rays, Peres' 33
 and 24 rays, Kernaghan's 20-ray sub-configuration) ship as bundled JSON data.
 
+A set with no supplied bases has its bases enumerated as the d-cliques of
+its graph.  ``enumerate_ray_set_bases`` walks them on a copy of the graph
+renumbered by degree when the rays are not listed in that order already, as
+in {0,+-1}^d, where the walk then skips more empty subtrees than the copy
+costs.  A regular graph, such as E8's, is already in degree order, so it is
+walked as built.
+
 Ray sets and graphs are immutable once constructed; independent solver runs
 may proceed concurrently, a single search is sequential.
 """
@@ -195,8 +202,9 @@ class OrthoGraph:
 _FLAG_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
 
 
-def build_ortho_graph(ray_set: RaySet) -> OrthoGraph:
+def build_ortho_graph(ray_set: RaySet, order: list[int] | None = None) -> OrthoGraph:
     """Edges are decided by exact integer arithmetic; no tolerance exists.
+    With ``order``, vertex i of the graph is ray ``order[i]``.
 
     Each row of the graph is one big-int computation.  Coordinate column k
     is packed into one int with a lane of ``8 * m`` bits per ray:
@@ -211,7 +219,7 @@ def build_ortho_graph(ray_set: RaySet) -> OrthoGraph:
     (Lamport, CACM 18(8), 1975), and their flags are gathered into the
     row's bitset.
     """
-    rays = ray_set.rays
+    rays = ray_set.rays if order is None else [ray_set.rays[i] for i in order]
     n = len(rays)
     ma = max(abs(a) for ray in rays for a, _ in ray)
     mb = max(abs(b) for ray in rays for _, b in ray)
@@ -267,6 +275,9 @@ def enumerate_bases(graph: OrthoGraph, dimension: int) -> tuple[tuple[int, ...],
     SIAM J. Comput. 14, 1985).  With two members missing the candidates lie
     in a plane, and each candidate's lower neighbours finish a basis in
     place.  The bases are sorted once, at the end.
+
+    The walk's cost depends on the numbering: ``enumerate_ray_set_bases``
+    runs it in degree order when that order is not the identity.
     """
     if dimension < 0:
         raise ValueError(f"dimension {dimension} is negative")
@@ -300,6 +311,29 @@ def enumerate_bases(graph: OrthoGraph, dimension: int) -> tuple[tuple[int, ...],
                 extend((v,) + clique, common, count, need)
 
     extend((), (1 << n) - 1, n, dimension)
+    bases.sort()
+    return tuple(bases)
+
+
+def enumerate_ray_set_bases(ray_set: RaySet) -> tuple[tuple[int, ...], ...]:
+    """``enumerate_bases(ray_set.graph, ray_set.dimension)``, walked in
+    degree order.
+
+    The walk runs on the graph renumbered by degree, highest first and ties
+    in index order, so each basis grows from its member of lowest degree
+    and the walk skips more empty subtrees (the order of kClist: Danisch,
+    Balalau and Sozio, WWW 2018).  The bases are then mapped back to ray
+    indices and sorted.  Where the degree order is the identity, as for
+    every regular graph (E8's among them), the graph is walked as built and
+    no second one is made: on a regular graph a reorder is pure cost.
+    """
+    graph = ray_set.graph
+    degree = [row.bit_count() for row in graph.adjacency]
+    order = sorted(range(len(degree)), key=degree.__getitem__, reverse=True)
+    if order == list(range(len(degree))):
+        return enumerate_bases(graph, ray_set.dimension)
+    walked = enumerate_bases(build_ortho_graph(ray_set, order), ray_set.dimension)
+    bases = [tuple(sorted(map(order.__getitem__, basis))) for basis in walked]
     bases.sort()
     return tuple(bases)
 
@@ -526,9 +560,10 @@ def load_ray_set(path) -> RaySet:
 
 
 def load_bundled(name: str) -> RaySet:
-    path = bundled_data_dir() / f"{name}.json"
-    if not path.exists():
-        raise RaySetFormatError(
-            f"no bundled ray set {name!r}; available: {', '.join(available_sets())}"
-        )
-    return load_ray_set(path)
+    """The bundled set ``name``, one of ``available_sets()``; any other
+    name, a path included, is refused, never joined onto the data
+    directory."""
+    available = available_sets()
+    if name not in available:
+        raise RaySetFormatError(f"no bundled ray set {name!r}; available: {', '.join(available)}")
+    return load_ray_set(bundled_data_dir() / f"{name}.json")

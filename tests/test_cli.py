@@ -350,6 +350,13 @@ class TestCheckSetLayers:
         assert called == {"load_ray_set", "build_ortho_graph", "enumerate_bases",
                           "find_valuation", "verify_assignment"}
 
+    def test_uncolorable_enumerated_path_reaches_its_layers(self, monkeypatch, capsys):
+        # An uncolorable answer has no assignment to verify.
+        code, report, called = self.traced_calls(monkeypatch, capsys, "peres33")
+        assert code == 10 and report["bases"]["source"] == "enumerated"
+        assert called == {"load_ray_set", "build_ortho_graph", "enumerate_bases",
+                          "find_valuation"}
+
     def test_supplied_path_reaches_its_layers(self, monkeypatch, capsys):
         code, report, called = self.traced_calls(monkeypatch, capsys, "cabello18")
         assert code == 10 and report["bases"]["source"] == "supplied"

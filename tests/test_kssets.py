@@ -15,6 +15,7 @@ reports are pinned by golden files.
 import itertools
 import json
 import math
+import os
 import random
 import re
 from pathlib import Path
@@ -32,6 +33,7 @@ from kswitness.kssets import (
     build_ortho_graph,
     bundled_data_dir,
     enumerate_bases,
+    enumerate_ray_set_bases,
     find_valuation,
     load_bundled,
     load_ray_set,
@@ -433,6 +435,19 @@ class TestIngestion:
     def test_provenance_is_carried(self):
         for name in ("cabello18", "peres33", "peres24", "kernaghan20"):
             assert load_bundled(name).provenance
+
+    def test_load_bundled_reads_no_file_outside_the_data_directory(self, tmp_path):
+        # A valid ray-set file elsewhere, named by an absolute path or by a
+        # path that climbs out of the data directory, or a bundled set
+        # reached through another.
+        (tmp_path / "outside.json").write_text(json.dumps(
+            {"name": "outside", "dimension": 2, "vectors": [[1, 0], [0, 1]]}))
+        outside = tmp_path / "outside"
+        for name in (str(outside), os.path.relpath(outside, bundled_data_dir()),
+                     "cabello18/../peres33", "", "peres33.json"):
+            with pytest.raises(RaySetFormatError, match=re.escape(
+                    f"no bundled ray set {name!r}; available: {', '.join(available_sets())}")):
+                load_bundled(name)
 
 
 # --- fast paths against brute force -------------------------------------------
@@ -873,9 +888,10 @@ def test_enumerate_bases_matches_ascending_walk_on_large_families(family):
                                          list(rays))) for seed in (1, 2)]
     for rays in variants:
         rs = RaySet(family, len(rays[0]), rays)
-        bases = enumerate_bases(rs.graph, rs.dimension)
+        bases = reference_enumerate_bases(rs.graph, rs.dimension)
         assert len(bases) == count
-        assert bases == reference_enumerate_bases(rs.graph, rs.dimension)
+        assert enumerate_bases(rs.graph, rs.dimension) == bases
+        assert enumerate_ray_set_bases(rs) == bases
 
 
 @pytest.mark.parametrize("name", available_sets())
@@ -884,6 +900,7 @@ def test_enumerate_bases_matches_ascending_walk_on_bundled_sets(name):
     for dimension in range(1, rs.dimension + 2):
         assert enumerate_bases(rs.graph, dimension) == reference_enumerate_bases(
             rs.graph, dimension)
+    assert enumerate_ray_set_bases(rs) == reference_enumerate_bases(rs.graph, rs.dimension)
 
 
 def test_enumerate_bases_matches_brute_force_on_random_ray_sets():
@@ -921,8 +938,76 @@ def test_enumerate_bases_matches_brute_force_on_random_ray_sets():
     def check(rs):
         for dimension in (rs.dimension - 1, rs.dimension, rs.dimension + 1):
             assert enumerate_bases(rs.graph, dimension) == brute_force_cliques(rs.graph, dimension)
+        assert enumerate_ray_set_bases(rs) == brute_force_cliques(rs.graph, rs.dimension)
 
     check()
+
+
+def ray_set_path(tmp_path, name, rays=None):
+    """A bundled set's file, or ``rays`` written to a new schema-1 file."""
+    if rays is None:
+        return bundled_data_dir() / f"{name}.json"
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"name": name, "dimension": len(rays[0]),
+                                "vectors": [[[a, b] if b else a for a, b in ray]
+                                            for ray in rays]}))
+    return path
+
+
+def degree_order_rays(name):
+    """Rays for the sets named ``<family>-relabeled``, shuffled under an
+    isometry; None for a bundled set, read as it ships."""
+    family, _, relabel = name.partition("-")
+    if not relabel:
+        return None
+    rays = {"e8": lambda: e8_ray_set().rays, "peres33": lambda: load_bundled("peres33").rays,
+            "ternary5": lambda: ternary_rays(5)}[family]()
+    return tuple(relabeled(random.Random(f"kssets-degree-order:{family}"), list(rays)))
+
+
+# Enumerated sets, and whether their walk runs on the graph as built: E8
+# and peres24 are regular, peres33 lists its rays in degree order already,
+# and the rest are out of degree order.
+DEGREE_ORDER_CASES = {"e8-relabeled": True, "peres24": True, "peres33": True,
+                      "disjoint_bases3": False, "peres33-relabeled": False,
+                      "ternary5-relabeled": False}
+
+
+@pytest.mark.parametrize("name, same", DEGREE_ORDER_CASES.items(), ids=DEGREE_ORDER_CASES)
+def test_check_set_walks_a_copy_only_out_of_degree_order(name, same, monkeypatch, tmp_path):
+    from kswitness import kssets
+
+    path = ray_set_path(tmp_path, name, degree_order_rays(name))
+    # The ray set check-set loads and the graphs handed to enumerate_bases.
+    loaded, walked = [], []
+
+    def load(source, _load=kssets.load_ray_set):
+        loaded.append(_load(source))
+        return loaded[-1]
+
+    def walk(graph, dimension, _walk=kssets.enumerate_bases):
+        walked.append(graph)
+        return _walk(graph, dimension)
+
+    monkeypatch.setattr(kssets, "load_ray_set", load)
+    monkeypatch.setattr(kssets, "enumerate_bases", walk)
+    _, report = check_set_report(path, tmp_path)
+    assert json.loads(report)["bases"]["source"] == "enumerated"
+    [rs], [graph] = loaded, walked
+    degrees = [row.bit_count() for row in graph.adjacency]
+    assert degrees == sorted(degrees, reverse=True)
+    assert (graph is rs.graph) == same
+    assert (graph.vertex_count, graph.edge_count) == (len(rs), rs.graph.edge_count)
+
+
+def test_check_set_on_relabeled_ternary7(tmp_path):
+    # {0,+-1}^7 is Kochen-Specker in d = 7: 1 093 rays, 9 936 bases.
+    rays = relabeled(random.Random("kssets-ternary7"), ternary_rays(7))
+    code, report = check_set_report(ray_set_path(tmp_path, "ternary7", rays), tmp_path)
+    report = json.loads(report)
+    assert code == 10 and not report["coloring"]["colorable"]
+    assert report["rays"] == 1093
+    assert report["bases"] == {"count": 9936, "source": "enumerated"}
 
 
 # --- packed-lane graphs against pairwise exact inner products ----------------
