@@ -164,16 +164,16 @@ def _open_in_place(path: str, flags: int) -> int:
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
-def _write_out(out_path: str, chunks, newline: str | None = None, buffering: int = -1) -> None:
-    """Writes the strings ``chunks`` yields to ``out_path`` as UTF-8, with
-    ``open``'s ``newline`` and ``buffering``.  An existing file is written
+def _write_out(out_path: str, chunks, buffering: int = -1) -> None:
+    """Writes the strings ``chunks`` yields to ``out_path`` as UTF-8, newlines
+    untranslated, with ``open``'s ``buffering``.  An existing file is written
     over in place and, if it is a regular file, then cut to the written
     length: truncating it to zero first would make ext4 (``auto_da_alloc``)
     start writing it back on close.  If writing raises, a regular file is
     cut to zero length, so a failed run never leaves the old contents in
     place; an ``OSError`` ends the command with the I/O-error code."""
     try:
-        with open(out_path, "w", encoding="utf-8", newline=newline, buffering=buffering,
+        with open(out_path, "w", encoding="utf-8", newline="", buffering=buffering,
                   opener=_open_in_place) as fh:
             regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
             try:
@@ -478,7 +478,7 @@ def cmd_plot(args) -> int:
                 raise
             raise _Error(EXIT_INPUT, "plot grids need numpy, which is not installed") from None
         buffering = _GRID_BUFFER
-    _write_out(args.out, chunks, "" if args.format == "csv" else None, buffering)
+    _write_out(args.out, chunks, buffering)
     return EXIT_OK
 
 

@@ -272,9 +272,8 @@ def enumerate_bases(graph: OrthoGraph, dimension: int) -> tuple[tuple[int, ...],
     basis, so no extra geometric check is needed.  Each clique grows from
     its largest member down: a step takes the highest candidate v and keeps
     the candidates below v that are v's neighbours (Chiba and Nishizeki,
-    SIAM J. Comput. 14, 1985).  With two members missing the candidates lie
-    in a plane, and each candidate's lower neighbours finish a basis in
-    place.  The bases are sorted once, at the end.
+    SIAM J. Comput. 14, 1985).  With one member missing, each candidate
+    left finishes a basis.  The bases are sorted once, at the end.
 
     The walk's cost depends on the numbering: ``enumerate_ray_set_bases``
     runs it in degree order when that order is not the identity.
@@ -290,15 +289,11 @@ def enumerate_bases(graph: OrthoGraph, dimension: int) -> tuple[tuple[int, ...],
     def extend(clique: tuple[int, ...], candidates: int, left: int, need: int):
         # ``candidates``: the ``left`` common neighbours of ``clique`` below
         # its least member, of which ``need`` more must join it.
-        if need == 2:
+        if need == 1:
             while candidates:
                 v = candidates.bit_length() - 1
                 candidates &= below[v]
-                common = candidates & adjacency[v]
-                while common:
-                    w = common.bit_length() - 1
-                    common &= below[w]
-                    bases.append((w, v) + clique)
+                bases.append((v,) + clique)
             return
         need -= 1
         while left > need:
@@ -356,8 +351,7 @@ def validate_supplied_bases(graph: OrthoGraph, dimension: int,
 
 
 class ColoringResult:
-    """Outcome of the {0,1}-coloring search, equal to another with the same
-    four fields.
+    """Outcome of the {0,1}-coloring search.
 
     ``assignment`` maps ray index -> value for colorable sets and is always
     re-verified against both constraint families before being returned.
@@ -369,15 +363,6 @@ class ColoringResult:
         self.assignment = assignment
         self.nodes_explored = nodes_explored
         self.backtracks = backtracks
-
-    def __eq__(self, other):
-        if type(other) is not ColoringResult:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self):
-        return (f"ColoringResult(colorable={self.colorable!r}, assignment={self.assignment!r}, "
-                f"nodes_explored={self.nodes_explored!r}, backtracks={self.backtracks!r})")
 
     def to_json_dict(self) -> dict:
         assignment = None if self.assignment is None else list(self.assignment)

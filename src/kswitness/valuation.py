@@ -46,9 +46,9 @@ class OracleSpecError(ValueError):
 class Valuation:
     """Base oracle interface: ``evaluate`` maps a unit d-vector to 0 or 1,
     and ``evaluate_many`` maps an (N, d) array of them to an int8[N] array
-    of the same bits.  Unit d-vectors are the whole domain: ``_check`` and
-    ``_check_rows`` are ``require_unit`` and ``require_unit_rows``, and
-    raise ``DomainError`` on anything else, NaN and the zero vector
+    of the same bits.  Unit d-vectors are the whole domain: both paths
+    take their points through ``require_unit`` or ``require_unit_rows``,
+    which raise ``DomainError`` on anything else, NaN and the zero vector
     included.  Only the batch path imports numpy."""
 
     dimension: int = 3
@@ -62,14 +62,8 @@ class Valuation:
         columns instead (see ``_RuleValuation``)."""
         import numpy as np
 
-        points = self._check_rows(points)
+        points = require_unit_rows(points, self.dimension)
         return np.fromiter((_bit(self, n) for n in points), np.int8, len(points))
-
-    def _check(self, n) -> tuple[float, ...]:
-        return require_unit(n, self.dimension)
-
-    def _check_rows(self, points):
-        return require_unit_rows(points, self.dimension)
 
 
 def _bit(valuation: Valuation, n) -> int:
@@ -149,12 +143,12 @@ class _RuleValuation(Valuation):
         raise NotImplementedError
 
     def evaluate(self, n) -> int:
-        return int(self._bits(_One, *self._check(n)))
+        return int(self._bits(_One, *require_unit(n, self.dimension)))
 
     def evaluate_many(self, points):
         import numpy as np
 
-        return self._bits(_Many(), *self._check_rows(points).T).astype(np.int8)
+        return self._bits(_Many(), *require_unit_rows(points, self.dimension).T).astype(np.int8)
 
 
 class FunctionValuation(Valuation):
@@ -167,7 +161,7 @@ class FunctionValuation(Valuation):
         self._fn = fn
 
     def evaluate(self, n) -> int:
-        return self._fn(self._check(n))
+        return self._fn(require_unit(n, self.dimension))
 
 
 class Generator2D(_Frozen):
@@ -554,7 +548,7 @@ class ReducedValuation(Valuation):
         return [self.embed(u) for u in triad] + list(self.zeros)
 
     def evaluate(self, n) -> int:
-        return self.base.evaluate(self.embed(self._check(n)))
+        return self.base.evaluate(self.embed(require_unit(n, self.dimension)))
 
 
 class Reduction(_Frozen):

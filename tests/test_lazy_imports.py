@@ -253,7 +253,7 @@ class TestHarnessContract:
 # inside these alone.
 BATCH_PATH = {
     "sphere_geom": ("to_cartesian_grid", "as_rows", "require_unit_rows"),
-    "valuation": ("Valuation.evaluate_many", "Valuation._check_rows", "_Many",
+    "valuation": ("Valuation.evaluate_many", "_Many",
                   "_RuleValuation.evaluate_many", "Valuation2D.values_at_angles",
                   "RotatedValuation.evaluate_many"),
 }

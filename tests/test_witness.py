@@ -9,6 +9,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from kswitness import cli, witness
 from kswitness.valuation import (
     FourSegmentValuation,
     FunctionValuation,
@@ -351,6 +352,31 @@ class TestWebEndgame:
         assert report.stats == {"oracle_calls": 34, "cache_hits": 27,
                                 "phase_reached": "competing_meridian"}
         assert_certificate_valid(report, oracle)
+        doc = json.loads(cli._json_text(report.to_json_dict()))
+        assert doc["antipodal_point"] == list(report.antipodal_point)
+        assert sorted(doc["antipodal_values"]) == [0, 1]
+        assert doc["triad"] is None and doc["triad_sum"] is None
+
+    def test_anchor_drift_is_not_found(self, monkeypatch):
+        # The anchor moved to the pole's antipode: a point no earlier phase
+        # asks, which an antipodally symmetric oracle reads 1 at, as it
+        # reads the pole.
+        monkeypatch.setattr(witness, "_ANCHOR_VEC", (0.0, 0.0, -1.0))
+        base = StepMeridianValuation(0.8)
+        asked = []
+
+        def recording(n):
+            asked.append(n)
+            return base.evaluate(n)
+
+        report = extract_witness(FunctionValuation(3, recording), WitnessConfig(rng_seed=0))
+        assert report.outcome == "not_found"
+        assert report.stats["phase_reached"] == "standardize:anchor_drift"
+        anchor = asked[-1]
+        assert _key(anchor) not in {_key(n) for n in asked[:-1]}
+        assert base.evaluate(anchor) == 1
+        assert [t["step"] for t in report.trace] == [
+            "pole_basis", "rotate_to_pole", "equator_probe", "meridian_classification"]
 
     def test_antipodal_recheck_failure_is_not_found(self):
         # The web-consistent oracle, except that every repeated read answers
