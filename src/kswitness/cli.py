@@ -164,16 +164,21 @@ def _open_in_place(path: str, flags: int) -> int:
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
-def _write_out(out_path: str, chunks, buffering: int = -1) -> None:
+# The write buffer of every --out file, in bytes: a report, or a grid of a
+# few hundred kilobytes written a row at a time, takes one or two writes.
+_OUT_BUFFER = 1 << 20
+
+
+def _write_out(out_path: str, chunks) -> None:
     """Writes the strings ``chunks`` yields to ``out_path`` as UTF-8, newlines
-    untranslated, with ``open``'s ``buffering``.  An existing file is written
+    untranslated, through ``_OUT_BUFFER``.  An existing file is written
     over in place and, if it is a regular file, then cut to the written
     length: truncating it to zero first would make ext4 (``auto_da_alloc``)
     start writing it back on close.  If writing raises, a regular file is
     cut to zero length, so a failed run never leaves the old contents in
     place; an ``OSError`` ends the command with the I/O-error code."""
     try:
-        with open(out_path, "w", encoding="utf-8", newline="", buffering=buffering,
+        with open(out_path, "w", encoding="utf-8", newline="", buffering=_OUT_BUFFER,
                   opener=_open_in_place) as fh:
             regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
             try:
@@ -328,12 +333,6 @@ def _pick_cells(pieces, values) -> list[list[str]]:
     return table[np.arange(len(pieces)), values.reshape(-1, len(pieces))].tolist()
 
 
-# The write buffer of a grid file, in bytes: rows are written one at a
-# time, and a grid of a few hundred kilobytes reaches the file in one or two
-# writes.
-_GRID_BUFFER = 1 << 20
-
-
 def _grid_rows(head: str, lead: str, labels, cells, foot: str):
     """``head``, a line per grid row, then ``foot``: a row is ``lead`` and
     its label joined with its cells, so each label is formatted once, as
@@ -378,6 +377,19 @@ def _xml_text(text: str) -> str:
     return re.sub(_XML_FORBIDDEN, _readable, text)
 
 
+# Both SVG figures' plot width, height and margin in pixels; the title adds 18.
+_SVG_FRAME = (720, 360, 24)
+
+
+def _svg_head(title: str) -> str:
+    """Either figure's ``<svg>`` tag and title line, ``title`` XML-escaped."""
+    width, height, margin = _SVG_FRAME
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" '
+            f'width="{width + 2 * margin}" height="{height + 2 * margin + 18}">\n'
+            f'<text x="{margin}" y="16" font-family="monospace" font-size="13">'
+            f'{_xml_text(title)}</text>\n')
+
+
 def _grid_svg(grid, title: str):
     """Equirectangular projection: one rect per grid cell, ones shaded dark.
     A row is its y coordinate joined with per-column pieces picked by
@@ -385,7 +397,7 @@ def _grid_svg(grid, title: str):
     read."""
     thetas, phis, values = grid
     lat_rows, lon_cols = len(thetas), len(phis)
-    width, height, margin = 720, 360, 24
+    width, height, margin = _SVG_FRAME
     cw = width / lon_cols
     ch = height / lat_rows
     # A cell's rect is x_head[j] + y + tail[value], so a row is
@@ -395,11 +407,7 @@ def _grid_svg(grid, title: str):
     tail = [f'" width="{cw + 0.35:.2f}" height="{ch + 0.35:.2f}" fill="{color}"/>\n'
             for color in ("#e8e4da", "#24476b")]
     between = [(tail[0] + head, tail[1] + head) for head in x_head[1:]]
-    head = (f'<svg xmlns="http://www.w3.org/2000/svg" '
-            f'width="{width + 2 * margin}" height="{height + 2 * margin + 18}">\n'
-            f'<text x="{margin}" y="16" font-family="monospace" font-size="13">'
-            f'{_xml_text(title)}</text>\n'
-            f'<g transform="translate({margin},{margin + 18})">\n')
+    head = _svg_head(title) + f'<g transform="translate({margin},{margin + 18})">\n'
     foot = (f'<rect x="0" y="0" width="{width}" height="{height}" '
             f'fill="none" stroke="#222" stroke-width="1"/>\n</g></svg>\n')
     ys = (f"{height - (i + 1) * ch:.2f}" for i in range(lat_rows))
@@ -422,7 +430,7 @@ def _curve_csv(rows):
 
 
 def _curve_svg(rows, title: str):
-    width, height, margin = 720, 360, 24
+    width, height, margin = _SVG_FRAME
 
     def sx(phi):
         return margin + (phi + math.pi) / (2.0 * math.pi) * width
@@ -432,9 +440,6 @@ def _curve_svg(rows, title: str):
 
     pts = " ".join(f"{sx(phi):.2f},{sy(theta):.2f}" for phi, theta in rows)
     svg = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{width + 2 * margin}" height="{height + 2 * margin + 18}">',
-        f'<text x="{margin}" y="16" font-family="monospace" font-size="13">{title}</text>',
         f'<rect x="{margin}" y="{margin + 18}" width="{width}" height="{height}" '
         f'fill="#fcfbf7" stroke="#222"/>',
         f'<line x1="{sx(-math.pi):.2f}" y1="{sy(0):.2f}" x2="{sx(math.pi):.2f}" '
@@ -442,7 +447,7 @@ def _curve_svg(rows, title: str):
         f'<polyline fill="none" stroke="#a33" stroke-width="1.6" points="{pts}"/>',
         "</svg>",
     ]
-    yield "\n".join(svg) + "\n"
+    yield _svg_head(title) + "\n".join(svg) + "\n"
 
 
 def cmd_plot(args) -> int:
@@ -465,7 +470,6 @@ def cmd_plot(args) -> int:
             chunks = _curve_csv(rows)
         else:
             chunks = _curve_svg(rows, f"descent circle, apex ({args.theta_p:.4f}, {args.phi_p:.4f})")
-        buffering = -1
     else:
         try:  # the grid and its picked cells are built before anything is written
             grid = _valuation_grid(oracle, lat_rows, lon_cols)
@@ -477,8 +481,7 @@ def cmd_plot(args) -> int:
             if exc.name != "numpy":
                 raise
             raise _Error(EXIT_INPUT, "plot grids need numpy, which is not installed") from None
-        buffering = _GRID_BUFFER
-    _write_out(args.out, chunks, buffering)
+    _write_out(args.out, chunks)
     return EXIT_OK
 
 

@@ -102,23 +102,15 @@ def _parse_entry(raw) -> tuple[Entry, int]:
     raise RaySetFormatError(f"unsupported coordinate entry {raw!r}")
 
 
-def _parse_ray(raw_vector, dimension: int) -> tuple[Entry, ...]:
+def _parse_ray(raw_vector) -> tuple[Entry, ...]:
     if not isinstance(raw_vector, list):
         raise RaySetFormatError(f"vector {raw_vector!r} must be a list of coordinates")
-    if len(raw_vector) != dimension:
-        raise RaySetFormatError(
-            f"vector {raw_vector!r} has length {len(raw_vector)}, expected {dimension}"
-        )
     parsed = [_parse_entry(e) for e in raw_vector]
     # Clear rational denominators for the whole ray (rays are projective).
     denom = lcm(*(den for _, den in parsed))
     if denom == 1:
-        ray = tuple(e for e, _ in parsed)
-    else:
-        ray = tuple((a * (denom // den), b * (denom // den)) for (a, b), den in parsed)
-    if all(e == (0, 0) for e in ray):
-        raise RaySetFormatError(f"zero vector {raw_vector!r} is not a ray")
-    return ray
+        return tuple(e for e, _ in parsed)
+    return tuple((a * (denom // den), b * (denom // den)) for (a, b), den in parsed)
 
 
 class RaySet:
@@ -137,11 +129,11 @@ class RaySet:
             raise RaySetFormatError("dimension must be at least 2")
         if not rays:
             raise RaySetFormatError("ray set is empty")
-        for ray in rays:
+        for i, ray in enumerate(rays):
             if len(ray) != dimension:
-                raise RaySetFormatError("ray length does not match dimension")
+                raise RaySetFormatError(f"ray {i} has length {len(ray)}, expected {dimension}")
             if all(e == (0, 0) for e in ray):
-                raise RaySetFormatError("the zero vector is not a ray")
+                raise RaySetFormatError(f"ray {i} is the zero vector, which is not a ray")
         self.name = name
         self.dimension = dimension
         self.rays = rays = tuple(map(_normal_form, rays))
@@ -516,9 +508,9 @@ def ray_set_from_dict(doc: dict) -> RaySet:
     if not isinstance(doc.get("provenance", ""), str):
         raise RaySetFormatError("'provenance' must be a string")
     vectors = doc["vectors"]
-    if not isinstance(vectors, list) or not vectors:
-        raise RaySetFormatError("'vectors' must be a nonempty list")
-    rays = tuple(_parse_ray(v, dimension) for v in vectors)
+    if not isinstance(vectors, list):
+        raise RaySetFormatError("'vectors' must be a list")
+    rays = tuple(map(_parse_ray, vectors))
     bases = None
     if doc.get("bases") is not None:
         raw_bases = doc["bases"]
@@ -526,10 +518,8 @@ def ray_set_from_dict(doc: dict) -> RaySet:
             raise RaySetFormatError("'bases' must be a list of index lists")
         bases = tuple(tuple(b) for b in raw_bases)
         for basis in bases:
-            if len(basis) != dimension or any(
-                not isinstance(i, int) or isinstance(i, bool) for i in basis
-            ):
-                raise RaySetFormatError(f"basis {basis!r} must be {dimension} integer indices")
+            if any(not isinstance(i, int) or isinstance(i, bool) for i in basis):
+                raise RaySetFormatError(f"basis {basis!r} must hold integer indices")
     return RaySet(name, dimension, rays, doc.get("provenance", ""), bases)
 
 

@@ -188,11 +188,11 @@ def as_vector(v, dimension: int = 3) -> tuple[float, ...]:
 
 
 def _square_norm(v) -> float:
-    """Sum of the squared coordinates, left to right, as
-    ``require_unit_rows`` sums its columns.  (``sum`` is compensated
-    from Python 3.12 on, so it would not give these bits.)  The bits of
-    ``dot(v, v)``, kept apart because every oracle call makes this check
-    and a loop over one sequence is faster than a zip of two."""
+    """Sum of the squared coordinates, left to right; given the columns of
+    an array, the squared norms of its rows, with the same bits.  (``sum``
+    is compensated from Python 3.12 on, so it would not give these bits.)
+    The bits of ``dot(v, v)``, kept apart because every oracle call makes
+    this check and a loop over one sequence is faster than a zip of two."""
     sq = 0.0
     for c in v:
         sq += c * c
@@ -225,9 +225,7 @@ def require_unit_rows(points, dimension: int = 3):
     import numpy as np
 
     p = as_rows(points, dimension)
-    sq = p[:, 0] * p[:, 0]
-    for j in range(1, dimension):
-        sq += p[:, j] * p[:, j]
+    sq = _square_norm(p.T)  # the columns' squares summed as a point's are
     bad = ~(np.abs(sq - 1.0) <= 2.0 * EPS_NORM)
     if bad.any():
         raise DomainError(f"vector {p[bad.argmax()]} is not unit within {EPS_NORM}")
@@ -259,8 +257,8 @@ def dot(a, b) -> float:
 
 
 def rotate(rows, v) -> tuple[float, float, float]:
-    """``rows @ v`` for a 3 x 3 matrix given as three row tuples: each
-    component is ``dot(row, v)``."""
+    """``rows @ v`` for a 3 x 3 matrix given as three row tuples and ``v`` a
+    3-vector or three coordinate columns: each component is ``dot(row, v)``."""
     x, y, z = v
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
     return (a0 * x + a1 * y + a2 * z, b0 * x + b1 * y + b2 * z, c0 * x + c1 * y + c2 * z)
@@ -354,8 +352,7 @@ def two_step_chain(p: SphPoint, theta_q: float) -> tuple[SphPoint, SphPoint]:
     share p's hemisphere and satisfy 0 < |theta_q| <= |theta_p| (equality
     gives the degenerate chain r = q = p).
     """
-    if p.theta == 0.0 or abs(p.theta) == HALF_PI:
-        raise DomainError("two-step descent needs p strictly between equator and pole")
+    DescentCircle(p)  # DomainError unless p is strictly between equator and pole
     if theta_q == 0.0 or theta_q * p.theta < 0.0:
         raise DomainError(
             f"target latitude {theta_q} must be nonzero in p's hemisphere"

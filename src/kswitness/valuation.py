@@ -409,11 +409,11 @@ def random_rotation(seed: int) -> tuple:
 
 class RotatedValuation(Valuation):
     """A 3-D base composed with a fixed rotation: v(n) = base(R @ n).
-    ``evaluate`` sums each row's products left to right on Python floats
-    and ``evaluate_many`` sums the same products on columns, so the two
-    give the same bits.  The rows must pass ``require_orthonormal``, so R
-    maps the sphere onto itself, and the unit check is left to the base:
-    a point is rejected exactly when ``R @ n`` is."""
+    ``evaluate`` applies ``rotate`` to a point's Python floats and
+    ``evaluate_many`` to the coordinate columns, so the two give the same
+    bits.  The rows must pass ``require_orthonormal``, so R maps the sphere
+    onto itself, and the unit check is left to the base: a point is
+    rejected exactly when ``R @ n`` is."""
 
     def __init__(self, base: Valuation, rotation, seed: int | None = None):
         rotation = tuple(require_orthonormal(rotation))
@@ -431,9 +431,7 @@ class RotatedValuation(Valuation):
 
         # The rotated columns are the rows of one C-ordered array, so the
         # base reads each as contiguous memory.
-        x, y, z = as_rows(points).T
-        return self.base.evaluate_many(np.array(
-            [a * x + b * y + c * z for a, b, c in self.rotation]).T)
+        return self.base.evaluate_many(np.array(rotate(self.rotation, as_rows(points).T)).T)
 
     def to_oracle_dict(self) -> dict:
         if self.seed is None:

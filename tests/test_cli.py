@@ -138,6 +138,21 @@ class TestGeom:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    @pytest.mark.parametrize("theta_p", ["0", "1.5707963267948966"])
+    def test_chain_apex_on_equator_or_pole_exits_2(self, capsys, theta_p):
+        code, out, err = run_cli(capsys, "geom", "chain", "--theta-p", theta_p, "--theta-q", "0.3")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: descent circle apex ")
+
+    @pytest.mark.parametrize("theta_p", ["0", "1.5707963267948966"])
+    def test_descent_figure_apex_on_equator_or_pole_exits_2(self, capsys, tmp_path, theta_p):
+        out_path = tmp_path / "curve.csv"
+        code, out, err = run_cli(capsys, "plot", "--figure", "descent-circle",
+                                 "--theta-p", theta_p, "--out", str(out_path))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: descent circle apex ")
+        assert not out_path.exists()
+
     def test_chain_output(self, capsys):
         code, out, _ = run_cli(capsys, "geom", "chain", "--theta-p", repr(math.pi / 4),
                                "--theta-q", repr(math.atan(0.5)))
@@ -551,11 +566,11 @@ class TestOutFile:
         assert write(out) == (code, "")
         write_out = cli._write_out
 
-        def failing(out_path, chunks, *args):
+        def failing(out_path, chunks):
             def first_then_fail():
                 yield next(iter(chunks))
                 raise OSError(errno.EIO, "forced failure")
-            write_out(out_path, first_then_fail(), *args)
+            write_out(out_path, first_then_fail())
         monkeypatch.setattr(cli, "_write_out", failing)
         self.assert_exit_3(write(out), out)
         assert out.read_bytes() == b""
@@ -635,6 +650,21 @@ class TestInputErrors:
         pytest.param("check-set", json.dumps({**VALID, "vectors": [["1.5", 0, 0],
                                                                    [0, 1, 0], [0, 0, 1]]}),
                      id="coordinate-decimal"),
+        # A "p/q" string of more digits than int() converts: json.load takes it.
+        pytest.param("check-set", json.dumps({**VALID, "vectors": [["1" + "0" * 4399, 0, 0],
+                                                                   [0, 1, 0], [0, 0, 1]]}),
+                     id="coordinate-string-past-digit-limit"),
+        pytest.param("check-set", "[]", id="set-not-an-object"),
+        pytest.param("witness", "[]", id="spec-not-an-object"),
+        pytest.param("plot", "[]", id="plot-spec-not-an-object"),
+        pytest.param("check-set", json.dumps({"name": "x", "dimension": 1, "vectors": [[1]]}),
+                     id="dimension-1"),
+        pytest.param("check-set", json.dumps({**VALID, "bases": [[0, 0, 1]]}),
+                     id="basis-repeats-a-ray"),
+        pytest.param("check-set", json.dumps({**VALID, "vectors": [[1, 0, 0], [0, 1], [0, 0, 1]]}),
+                     id="short-vector"),
+        pytest.param("check-set", json.dumps({**VALID, "vectors": [[1, 0, 0], [0, 0, 0], [0, 0, 1]]}),
+                     id="zero-vector"),
     ]
 
     @pytest.mark.parametrize("command,payload", CASES)
@@ -649,6 +679,18 @@ class TestInputErrors:
         lines = err.splitlines()
         assert code == 2 and stdout == ""
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["witness", "plot"])
+    def test_missing_spec_file_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "missing.json"
+        if command == "plot":
+            argv = ["plot", "--oracle", str(path), "--out", str(tmp_path / "grid.csv")]
+        else:
+            argv = [command, str(path)]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 2 and stdout == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot read {path}: ")
+        assert not (tmp_path / "grid.csv").exists()
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

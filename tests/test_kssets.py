@@ -274,6 +274,12 @@ class TestVerifyAssignment:
         bases = enumerate_bases(g, 3)
         assert not verify_assignment(g, bases, [1, 1, 0])
 
+    @pytest.mark.parametrize("assignment", [[1, 0], [2, 0, 0]], ids=["short", "not-a-bit"])
+    def test_malformed_assignment_fails(self, assignment):
+        rs = load_bundled("single_basis3")
+        g = build_ortho_graph(rs)
+        assert not verify_assignment(g, enumerate_bases(g, 3), assignment)
+
 
 class TestSolver:
     def test_single_basis_has_exactly_three_colorings(self):
@@ -419,12 +425,12 @@ class TestIngestion:
             ray_set_from_dict({"name": "x", "vectors": [[1, 0]]})
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(RaySetFormatError):
-            ray_set_from_dict({"name": "x", "dimension": 2, "vectors": [[0, 0]]})
+        with pytest.raises(RaySetFormatError, match="ray 1 is the zero vector"):
+            ray_set_from_dict({"name": "x", "dimension": 2, "vectors": [[1, 0], [0, 0]]})
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(RaySetFormatError):
-            ray_set_from_dict({"name": "x", "dimension": 3, "vectors": [[1, 0]]})
+        with pytest.raises(RaySetFormatError, match="ray 1 has length 2, expected 3"):
+            ray_set_from_dict({"name": "x", "dimension": 3, "vectors": [[1, 0, 0], [1, 0]]})
 
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "bad.json"

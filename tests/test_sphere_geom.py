@@ -21,6 +21,7 @@ from kswitness.sphere_geom import (
     descent_theta,
     equator_crossings,
     from_cartesian,
+    normalized,
     perp_of_apex,
     require_unit,
     require_unit_rows,
@@ -288,6 +289,11 @@ class TestTwoStepChain:
         with pytest.raises(DomainError):
             two_step_chain(SphPoint(0.8, 0.0), -0.3)
 
+    @pytest.mark.parametrize("theta_p,message", [(0.0, "on the equator"), (HALF_PI, "at a pole")])
+    def test_apex_checked_as_a_descent_circle(self, theta_p, message):
+        with pytest.raises(DomainError, match=f"descent circle apex {message}"):
+            two_step_chain(SphPoint(theta_p, 0.0), 0.3)
+
 
 class TestRotations:
     def test_pole_to_pole_is_identity(self):
@@ -340,6 +346,11 @@ class TestCross:
     def test_accepts_sequences(self):
         c = cross([1, 0, 0], np.array([0, 1, 0]))
         assert c == (0.0, 0.0, 1.0) and all(type(x) is float for x in c)
+
+
+def test_normalized_rejects_the_zero_vector():
+    with pytest.raises(DomainError, match="cannot normalize the zero vector"):
+        normalized((0.0, 0.0, 0.0))
 
 
 class TestTriadCompletion:

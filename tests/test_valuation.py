@@ -293,6 +293,11 @@ class TestOtherFamilies:
         v = build_oracle({"kind": "four_segment", "rotation_seed": 9})
         assert isinstance(v, RotatedValuation)
 
+    def test_unseeded_rotation_does_not_serialize(self):
+        v = RotatedValuation(FourSegmentValuation(), random_rotation(3))
+        with pytest.raises(OracleSpecError, match="only seed-derived rotations serialize"):
+            v.to_oracle_dict()
+
 
 # Squared norms 1 + 1.99996e-12, just inside the unit tolerance when summed
 # left to right, and 1 - 2.00007e-12, just outside it (np.dot can put the
