@@ -27,6 +27,7 @@ import json
 import re
 import sys
 from functools import cached_property
+from itertools import chain, repeat
 from math import gcd, lcm
 from pathlib import Path
 
@@ -52,12 +53,18 @@ def _normal_form(ray: tuple[Entry, ...]) -> tuple[Entry, ...]:
     sqrt(2) is irrational.  If s = l*r for l in Q(sqrt2), the scaled rays
     then differ by the rational l * conj(l), which dividing out the content
     and fixing the sign of the first nonzero entry removes.
+
+    A ray whose content is already 1 and whose first nonzero entry is
+    already positive is its own normal form, and is returned as a tuple
+    without the division.
     """
     a, b = next(e for e in ray if e != (0, 0))
     if b:
         ray = tuple((x * a - 2 * y * b, y * a - x * b) for x, y in ray)
         a = a * a - 2 * b * b
-    g = gcd(*(c for e in ray for c in e))
+    g = gcd(*chain.from_iterable(ray))
+    if g == 1 and a > 0:
+        return tuple(ray)
     if a < 0:
         g = -g
     return tuple((x // g, y // g) for x, y in ray)
@@ -103,8 +110,18 @@ def _parse_entry(raw) -> tuple[Entry, int]:
 
 
 def _parse_ray(raw_vector) -> tuple[Entry, ...]:
+    """One JSON vector as a ray of exact entries, rational denominators
+    cleared.
+
+    A vector of plain ints, the common case, is read in one pass.  Any other
+    entry (a bool, a float, a 'p/q' string or an [a, b] pair) sends the
+    whole vector through ``_parse_entry``, which checks each entry and
+    words each error.
+    """
     if not isinstance(raw_vector, list):
         raise RaySetFormatError(f"vector {raw_vector!r} must be a list of coordinates")
+    if set(map(type, raw_vector)) == {int}:  # not isinstance: a bool is refused
+        return tuple(zip(raw_vector, repeat(0)))
     parsed = [_parse_entry(e) for e in raw_vector]
     # Clear rational denominators for the whole ray (rays are projective).
     denom = lcm(*(den for _, den in parsed))
@@ -403,13 +420,20 @@ def find_valuation(graph: OrthoGraph, bases) -> ColoringResult:
     top bit: one byte up to 10 members.  ``H`` costs rays x bases lanes,
     240 KB for E8 and 0.5 MB for {0,+-1}^6.  A node's snapshot is its three
     ints, so a failed branch has nothing to undo.
+
+    A node picks its branching basis with byte searches over ``score``'s
+    bytes: for each value from 0 up to ``full - 1``, the first hit of that
+    value's lane bytes at a lane boundary.  The first value found is the
+    least, and its lane the first holding it; none found means every basis
+    holds a 1.
     """
     n = graph.vertex_count
     bases = [tuple(b) for b in bases]
     full = max(map(len, bases), default=0) + 1
     width = next(w for w in (1, 2, 4, 8) if full * (full - 1) < 1 << 8 * w - 1)
     fmt, size = "BHIQ"[width.bit_length() - 1], width * len(bases)
-    # Lanes go through a native cast, so the ints use the machine's byte order.
+    # H is written through a native cast, so every lane int, and each lane
+    # value the search looks for, uses the machine's byte order.
     incidence = [memoryview(bytearray(size)).cast(fmt) for _ in range(n)]
     for k, basis in enumerate(bases):
         for i in basis:
@@ -459,11 +483,17 @@ def find_valuation(graph: OrthoGraph, bases) -> ColoringResult:
 
     def search(ones: int, zeros: int, score: int) -> int | None:
         stats["nodes"] += 1
-        lanes = memoryview(score.to_bytes(size, sys.byteorder)).cast(fmt).tolist()
-        best = min(lanes, default=full)
-        if best >= full:
-            return ones
-        for candidate in bases[lanes.index(best)]:
+        flags = score.to_bytes(size, sys.byteorder)
+        for value in range(full):
+            lane = value.to_bytes(width, sys.byteorder)
+            at = flags.find(lane)
+            while at >= 0 and at % width:  # a hit across two lanes
+                at = flags.find(lane, at + 1)
+            if at >= 0:
+                break
+        else:
+            return ones  # every basis holds a 1
+        for candidate in bases[at // width]:
             if (ones | zeros) >> candidate & 1:
                 continue
             state = propagate(ones, zeros, score, 1 << candidate)

@@ -29,6 +29,9 @@ from kswitness.kssets import (
     OrthoGraph,
     RaySet,
     RaySetFormatError,
+    _normal_form,
+    _parse_entry,
+    _parse_ray,
     available_sets,
     build_ortho_graph,
     bundled_data_dir,
@@ -381,6 +384,57 @@ class TestIngestion:
         with pytest.raises(RaySetFormatError, match="bad rational coordinate"):
             ray_set_from_dict({"name": "x", "dimension": 2, "vectors": [[raw, 1]]})
 
+    def test_parse_ray_matches_per_entry_path(self):
+        # Plain-int vectors take their own pass; every vector must come out
+        # as the per-entry path makes it, or fail with its message.
+        pool = {
+            "int": [0, 1, -1, 2, -3, 7, 10**30, -10**30],
+            "bool": [True, False],
+            "float": [0.0, -0.0, 2.0, -5.0, 1e20, 0.5, float("inf"), float("nan")],
+            "str": ["0", "1/2", "-3/4", "+5", "-0/7", "6/4", "1/0", "x", "10" * 20],
+            "pair": [[1, 1], [0, -2], [10**30, 3], [True, 1], [1.0, 2], [1, 2, 3]],
+        }
+        rng = random.Random("kssets-parse-ray")
+        outcomes = set()
+        for _ in range(600):
+            kinds = rng.choice([["int"], ["int"], ["bool"], ["float"], ["str"], ["pair"],
+                                ["int", "bool"], ["int", "float"], ["int", "str"],
+                                ["int", "pair"], list(pool)])
+            vector = [rng.choice(pool[rng.choice(kinds)]) for _ in range(rng.randint(0, 6))]
+            try:
+                want = per_entry_parse_ray(vector)
+            except RaySetFormatError as exc:
+                with pytest.raises(RaySetFormatError) as got:
+                    _parse_ray(vector)
+                assert str(got.value) == str(exc)
+                outcomes.add("error")
+            else:
+                got = _parse_ray(vector)
+                assert got == want and all(type(e) is tuple for e in got)
+                outcomes.add("plain" if all(type(e) is int for e in vector) else "per-entry")
+        assert outcomes == {"plain", "per-entry", "error"}
+
+    def test_normal_form_matches_dividing_formula(self):
+        # Seeded integer and Z[sqrt2] rays, scaled by a content and a sign,
+        # some with leading zeros: primitive ones with a positive lead take
+        # the early return, the rest the division.
+        rng = random.Random("kssets-normal-form-formula")
+        paths = set()
+        for _ in range(600):
+            sqrt2 = rng.random() < 0.4
+            ray = [(rng.randint(-4, 4), rng.randint(-3, 3) if sqrt2 else 0)
+                   for _ in range(rng.randint(2, 6))]
+            lead = rng.randrange(len(ray))
+            ray[:lead] = [(0, 0)] * lead
+            ray[lead] = (rng.choice((1, -1, 2, -3)), ray[lead][1])
+            scale = rng.choice((1, 1, -1, 2, -2, 6, 10**20))
+            ray = tuple((scale * a, scale * b) for a, b in ray)
+            want = reference_normal_form(ray)
+            got = _normal_form(ray)
+            assert got == want and type(got) is tuple
+            paths.add(got == ray)
+        assert paths == {True, False}
+
     def test_non_integral_float_rejected(self):
         with pytest.raises(RaySetFormatError):
             ray_set_from_dict({"name": "x", "dimension": 2, "vectors": [[0.5, 1]]})
@@ -683,6 +737,31 @@ def trail_find_valuation(graph, bases):
     return (False, None, stats["nodes"], stats["backtracks"])
 
 
+def per_entry_parse_ray(raw_vector):
+    """The ray parser as it stood before its plain-int pass: every entry
+    through ``_parse_entry``.  The reference for vectors of any entry type."""
+    if not isinstance(raw_vector, list):
+        raise RaySetFormatError(f"vector {raw_vector!r} must be a list of coordinates")
+    parsed = [_parse_entry(e) for e in raw_vector]
+    denom = math.lcm(*(den for _, den in parsed))
+    if denom == 1:
+        return tuple(e for e, _ in parsed)
+    return tuple((a * (denom // den), b * (denom // den)) for (a, b), den in parsed)
+
+
+def reference_normal_form(ray):
+    """The normal form as it stood before its early return: the content is
+    always divided out."""
+    a, b = next(e for e in ray if e != (0, 0))
+    if b:
+        ray = tuple((x * a - 2 * y * b, y * a - x * b) for x, y in ray)
+        a = a * a - 2 * b * b
+    g = math.gcd(*(c for e in ray for c in e))
+    if a < 0:
+        g = -g
+    return tuple((x // g, y // g) for x, y in ray)
+
+
 def as_tuple(result):
     return (result.colorable, result.assignment, result.nodes_explored, result.backtracks)
 
@@ -782,11 +861,15 @@ def test_packed_solver_matches_trail_solver_on_scale_kinds(kind):
         assert result[0] == (style == "planted")
 
 
-@pytest.mark.parametrize("size", [10, 11, 64, 200])
+@pytest.mark.parametrize("size", [10, 11, 64, 200, 256, 300])
 def test_packed_solver_matches_trail_solver_on_wide_bases(size):
     # A lane holds up to full * (full - 1), full being one more than the
     # largest basis: one byte takes bases of up to 10 members, 11 and 64
-    # need two bytes and 200 needs four.  Each family is a planted sample
+    # need two bytes and 200 up need four.  From 256 on, lane values pass
+    # 255, so the bytes of a lane value can also occur across a lane
+    # boundary, before the first lane that holds it: at 256 the root's wide
+    # lanes read 256, whose low byte 0 ends a zero pattern begun in the
+    # lane before, and the branch pick must skip that hit.  Each family is a planted sample
     # of the {0,+-1}^6 bases plus wide bases of random rays: in odd trials
     # each holds one planted ray, so the family stays colorable.
     g = build_ortho_graph(RaySet("ternary6", 6, tuple(ternary_rays(6))))
