@@ -32,8 +32,7 @@ from . import kssets
 # globals, where a tracer may have swapped them.
 _FLOAT_NAMES = (
     "DescentCircle", "DomainError", "SphPoint", "descent_theta", "equator_crossings",
-    "to_cartesian", "two_step_chain", "two_step_delta_phi",
-    "OracleSpecError", "build_oracle",
+    "to_cartesian", "two_step_chain", "two_step_delta_phi", "build_oracle",
     "WitnessConfig", "extract_witness",
 )
 _float_stack_bound = False
@@ -265,16 +264,14 @@ def _load_oracle(path: str):
     a file that cannot be read or a bad spec is an input error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            try:
-                spec = json.load(fh)
-            # ValueError covers bad JSON, bad UTF-8 and an integer literal longer
-            # than int() converts; RecursionError, arrays or objects nested too deep.
-            except (ValueError, RecursionError) as exc:
-                raise OracleSpecError(str(exc)) from exc
+            spec = json.load(fh)
         return build_oracle(spec)
     except OSError as exc:
         raise _Error(EXIT_INPUT, f"cannot read {path}: {exc}") from exc
-    except OracleSpecError as exc:
+    # OracleSpecError is a ValueError; so are bad JSON, bad UTF-8 and an integer
+    # literal longer than int() converts.  RecursionError: arrays or objects
+    # nested too deep.
+    except (ValueError, RecursionError) as exc:
         raise _Error(EXIT_INPUT, f"bad oracle spec: {exc}") from exc
 
 
@@ -506,45 +503,24 @@ def _add_witness(sub) -> None:
     p_wit.set_defaults(func=cmd_witness)
 
 
-def _add_geom(sub, *path: str) -> None:
+def _add_geom(sub) -> None:
     p_geom = sub.add_parser("geom", help="descent-circle geometry queries")
-    _add_subcommands(p_geom, "geom_command", _GEOM_COMMANDS, path)
-    p_geom.set_defaults(func=cmd_geom)
-
-
-def _add_descend(sub) -> None:
-    g_desc = sub.add_parser("descend", help="latitude of a descent circle at a longitude")
+    geom_sub = p_geom.add_subparsers(dest="geom_command", required=True)
+    g_desc = geom_sub.add_parser("descend", help="latitude of a descent circle at a longitude")
     g_desc.add_argument("--theta-p", type=float, required=True, help="apex latitude")
     g_desc.add_argument("--phi-p", type=float, default=0.0, help="apex longitude")
     g_desc.add_argument("--phi", type=float, required=True, help="query longitude")
-
-
-def _add_delta_phi(sub) -> None:
-    g_delta = sub.add_parser("delta-phi", help="two-step descent azimuth offset")
+    g_delta = geom_sub.add_parser("delta-phi", help="two-step descent azimuth offset")
     g_delta.add_argument("--theta-p", type=float, required=True, help="start latitude")
     g_delta.add_argument("--theta-q", type=float, required=True, help="target latitude")
-
-
-def _add_chain(sub) -> None:
-    g_chain = sub.add_parser("chain", help="two-step descent points r and q")
+    g_chain = geom_sub.add_parser("chain", help="two-step descent points r and q")
     g_chain.add_argument("--theta-p", type=float, required=True)
     g_chain.add_argument("--phi-p", type=float, default=0.0)
     g_chain.add_argument("--theta-q", type=float, required=True)
-
-
-def _add_crossings(sub) -> None:
-    g_cross = sub.add_parser("crossings", help="equator crossings of a descent circle")
+    g_cross = geom_sub.add_parser("crossings", help="equator crossings of a descent circle")
     g_cross.add_argument("--theta-p", type=float, required=True)
     g_cross.add_argument("--phi-p", type=float, default=0.0)
-
-
-# Geom subcommand name -> the function adding its parser, in help order.
-_GEOM_COMMANDS = {
-    "descend": _add_descend,
-    "delta-phi": _add_delta_phi,
-    "chain": _add_chain,
-    "crossings": _add_crossings,
-}
+    p_geom.set_defaults(func=cmd_geom)
 
 
 def _add_plot(sub) -> None:
@@ -561,63 +537,34 @@ def _add_plot(sub) -> None:
     p_plot.set_defaults(func=cmd_plot)
 
 
-# Subcommand name -> the function adding its parser, in the order help lists them.
-_SUBCOMMANDS = {
-    "check-set": _add_check_set,
-    "witness": _add_witness,
-    "geom": _add_geom,
-    "plot": _add_plot,
-}
-
-
-def _add_subcommands(parser, dest: str, table: dict, path: tuple[str, ...]) -> None:
-    """Adds every subcommand of ``table`` to ``parser`` or, given a path,
-    only the one it names, passing it the rest of the path.  The latter
-    names every subcommand in its usage line, so an error reads the same
-    from either."""
-    if not path:
-        sub = parser.add_subparsers(dest=dest, required=True)
-        for add in table.values():
-            add(sub)
-        return
-    # Set only here: in the full parser a metavar would also stand in for
-    # the choices in the "required" and "invalid choice" messages.
-    sub = parser.add_subparsers(dest=dest, required=True, metavar="{" + ",".join(table) + "}")
-    table[path[0]](sub, *path[1:])
-
-
-def build_parser(*path: str) -> argparse.ArgumentParser:
-    """A new full parser or, given a subcommand name (and after ``geom``, a
-    geom subcommand name), one holding that path alone."""
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser holding every subcommand."""
     parser = argparse.ArgumentParser(
         prog="kswitness",
         description="Valuations, descent-circle witnesses, and exact ray-set colorability. "
                     "All angles are radians.",
     )
-    _add_subcommands(parser, "command", _SUBCOMMANDS, path)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for add in (_add_check_set, _add_witness, _add_geom, _add_plot):
+        add(sub)
     return parser
 
 
-# main's parsers, by argv path, each built on first use.  A path is empty or
-# keys of _SUBCOMMANDS and _GEOM_COMMANDS, so at most nine are kept.
-_parsers: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+# main's parser, built on its first call and reused by every later one.
+_parser: argparse.ArgumentParser | None = None
 
 
 def main(argv=None) -> int:
+    """Runs the command ``argv`` names (``sys.argv[1:]`` by default) and
+    returns its exit code.  The parser is built on the first call and
+    reused by every later call in the process."""
+    global _parser
     argv = sys.argv[1:] if argv is None else list(argv)
-    # One call runs one subcommand, so only its parser is needed, and for
-    # geom only the named geom subcommand's; anything else (help, no argv,
-    # a flag or an unknown word) gets the full parser at that level and
-    # argparse's own message.
-    path = tuple(argv[:1]) if argv and argv[0] in _SUBCOMMANDS else ()
-    if path == ("geom",) and len(argv) > 1 and argv[1] in _GEOM_COMMANDS:
-        path += (argv[1],)
-    parser = _parsers.get(path)
-    if parser is None:
-        parser = _parsers[path] = build_parser(*path)
+    if _parser is None:
+        _parser = build_parser()
     try:
         try:
-            args = parser.parse_args(argv)
+            args = _parser.parse_args(argv)
         except SystemExit as exc:
             # argparse exits with 2 on bad flags, which matches the contract.
             # It ignores a failed write of its usage, error or help, which the

@@ -733,16 +733,14 @@ class TestRecursionLimit:
 
 @pytest.fixture
 def fresh_parsers(monkeypatch):
-    """An empty parser memo for ``main``; the old one is put back after."""
-    parsers = {}
-    monkeypatch.setattr(cli, "_parsers", parsers)
-    return parsers
+    """``main`` with no parser built yet; the old one is put back after."""
+    monkeypatch.setattr(cli, "_parser", None)
 
 
 class TestParserPerSubcommand:
-    """``main`` builds only the invoked subcommand's parser, and for
-    ``geom`` only the named geom subcommand's, once per process; every
-    message argparse prints is the one the full parser prints."""
+    """``main`` builds the full parser on its first call and reuses it for
+    every later call in the process; every message argparse prints is the
+    one a new full parser prints."""
 
     SUBCOMMANDS = ("check-set", "witness", "geom", "plot")
     GEOM_COMMANDS = ("descend", "delta-phi", "chain", "crossings")
@@ -786,25 +784,24 @@ class TestParserPerSubcommand:
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
         main(list(argv))
         capsys.readouterr()
-        first = {dest: list(names) for dest, names in added.items()}
-        # A second identical call reuses the parser and adds no subparser.
-        main(list(argv))
+        # Whatever the argv, the first call adds every subcommand once.
+        every = {"command": list(self.SUBCOMMANDS), "geom_command": list(self.GEOM_COMMANDS)}
+        assert added == every
+        # Later calls, with any argv, reuse that parser and add none.
+        for later in self.ARGVS:
+            main(list(later))
         capsys.readouterr()
-        assert added == first
-        assert len(fresh_parsers) == 1
-        named = argv[:1] if argv and argv[0] in self.SUBCOMMANDS else []
-        assert added["command"] == (named or list(self.SUBCOMMANDS))
-        # Geom builds only the geom subcommand named next, and all four
-        # when none is named; the full parser builds all four too.
-        if named == ["geom"] and argv[1:2] and argv[1] in self.GEOM_COMMANDS:
-            geom = argv[1:2]
-        elif named in ([], ["geom"]):
-            geom = list(self.GEOM_COMMANDS)
-        else:
-            geom = []
-        assert added["geom_command"] == geom
+        assert added == every
 
-    def test_reused_parsers_leak_no_state(self, capsys, tmp_path, oracle_file, fresh_parsers):
+    def test_reused_parsers_leak_no_state(self, monkeypatch, capsys, tmp_path, oracle_file,
+                                          fresh_parsers):
+        built = []
+
+        def counted_build_parser():
+            built.append(build_parser())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counted_build_parser)
         spec = oracle_file({"kind": "step_meridian", "theta_star": 0.7, "rotation_seed": 5})
         out = tmp_path / "figure"
         descend = ["geom", "descend", "--theta-p", "0.3", "--phi", "2"]
@@ -831,4 +828,4 @@ class TestParserPerSubcommand:
         # at its default, so a value carried over would show.
         assert [code for code, *_ in seen] == [0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0]
         assert seen[0] != seen[1] and seen[6] != seen[7] and seen[9] != seen[11]
-        assert set(fresh_parsers) == {(), ("witness",), ("geom", "descend"), ("plot",)}
+        assert len(built) == 1

@@ -861,6 +861,25 @@ def test_packed_solver_matches_trail_solver_on_scale_kinds(kind):
         assert result[0] == (style == "planted")
 
 
+def chain_family(rng, size, colorable):
+    """An edgeless graph, a wide basis of ``size`` members and pair bases
+    ``(x, w)``, each ``w`` a member of the wide basis and each ``x`` in no
+    other basis.  The first pair comes first, the wide basis second.  The
+    search branches on the pairs in order and values each ``x`` 1, zeroing
+    its ``w``, so the wide lane reads one less at each node, down from
+    ``size``.  Uncolorable families end in three pairs that close an odd
+    cycle, which fails only once every pair is valued, so the search then
+    backtracks through each pair."""
+    wide = rng.sample(range(size), size)
+    pairs = [(size + i, w) for i, w in enumerate(wide[:rng.randint(size // 2, size - 2)])]
+    bases = [pairs[0], tuple(wide), *pairs[1:]]
+    n = size + len(pairs)
+    if not colorable:
+        bases += [(n, n + 1), (n + 1, n + 2), (n + 2, n)]
+        n += 3
+    return OrthoGraph(n, (0,) * n), bases
+
+
 @pytest.mark.parametrize("size", [10, 11, 64, 200, 256, 300])
 def test_packed_solver_matches_trail_solver_on_wide_bases(size):
     # A lane holds up to full * (full - 1), full being one more than the
@@ -890,6 +909,17 @@ def test_packed_solver_matches_trail_solver_on_wide_bases(size):
         assert result == trail_find_valuation(g, bases)
         verdicts.add(result[0])
     assert verdicts == {True, False}
+    # These families solve in a few nodes, and at 300 no node sees a wide
+    # lane at 256.  A chain family walks its wide lane down from size, one
+    # value a node.  At 300, where it reads 256, the lane before it reads
+    # 301, a pair holding its 1: that lane's upper bytes 1 0 0 and the low
+    # byte 0 of 256 read as the value 1 across the boundary, a hit the
+    # branch pick must skip.
+    for trial in range(4):
+        chain_graph, bases = chain_family(rng, size, colorable=trial % 2 == 0)
+        result = as_tuple(find_valuation(chain_graph, bases))
+        assert result == trail_find_valuation(chain_graph, bases)
+        assert result[0] == (trial % 2 == 0)
 
 
 @pytest.mark.parametrize("bases", [
