@@ -8,14 +8,14 @@ solver proves no assignment exists, which is the finite, checkable form of
 the no-valuation theorem.
 """
 
-from kswitness import build_ortho_graph, enumerate_bases, find_valuation, load_bundled
+from kswitness import enumerate_bases, find_valuation, load_bundled
 
 print("set             rays  edges  bases  colorable  nodes")
 print("-" * 56)
 for name in ("single_basis3", "disjoint_bases3", "cabello18",
              "kernaghan20", "peres24", "peres33"):
     rs = load_bundled(name)
-    graph = build_ortho_graph(rs)
+    graph = rs.graph
     bases = rs.bases if rs.bases is not None else enumerate_bases(graph, rs.dimension)
     result = find_valuation(graph, bases)
     print(f"{name:15s} {len(rs):4d}  {graph.edge_count:5d}  {len(bases):5d}"

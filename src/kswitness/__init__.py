@@ -35,8 +35,8 @@ _EXPORTS = {
     "witness": ("WitnessConfig", "WitnessReport", "extract_witness"),
     "kssets": (
         "ColoringResult", "DuplicateRay", "OrthoGraph", "RaySet", "RaySetFormatError",
-        "build_ortho_graph", "enumerate_bases", "enumerate_ray_set_bases", "find_valuation",
-        "load_bundled", "load_ray_set", "verify_assignment",
+        "build_ortho_graph", "enumerate_bases", "find_valuation", "load_bundled",
+        "load_ray_set", "verify_assignment",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

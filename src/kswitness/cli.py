@@ -237,7 +237,7 @@ def cmd_check_set(args) -> int:
             bases = ray_set.bases
             source = "supplied"
         else:
-            bases = kssets.enumerate_ray_set_bases(ray_set)
+            bases = kssets.enumerate_bases(graph, ray_set.dimension)
             source = "enumerated"
         result = kssets.find_valuation(graph, bases)
     except RecursionError:

@@ -11,11 +11,8 @@ basis.  The classic finite non-colorable sets (Cabello's 18 rays, Peres' 33
 and 24 rays, Kernaghan's 20-ray sub-configuration) ship as bundled JSON data.
 
 A set with no supplied bases has its bases enumerated as the d-cliques of
-its graph.  ``enumerate_ray_set_bases`` walks them on a copy of the graph
-renumbered by degree when the rays are not listed in that order already, as
-in {0,+-1}^d, where the walk then skips more empty subtrees than the copy
-costs.  A regular graph, such as E8's, is already in degree order, so it is
-walked as built.
+its graph, walked in degree order: ``enumerate_bases`` renumbers the rows
+by degree, with one bit transpose, when they are not in that order already.
 
 Ray sets and graphs are immutable once constructed; independent solver runs
 may proceed concurrently, a single search is sequential.
@@ -196,7 +193,9 @@ def _bits(mask: int) -> list[int]:
 class OrthoGraph:
     """Orthogonality graph: one vertex per ray, an edge per exactly
     orthogonal pair.  ``adjacency[i]`` is a bitset whose bit j is set iff
-    rays i and j are orthogonal."""
+    rays i and j are orthogonal, so ``adjacency`` is symmetric with no
+    self-loops (a nonzero ray is not orthogonal to itself);
+    ``enumerate_bases`` relies on both."""
 
     def __init__(self, vertex_count: int, adjacency: tuple[int, ...]):
         self.vertex_count = vertex_count
@@ -211,9 +210,8 @@ class OrthoGraph:
 _FLAG_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
 
 
-def build_ortho_graph(ray_set: RaySet, order: list[int] | None = None) -> OrthoGraph:
+def build_ortho_graph(ray_set: RaySet) -> OrthoGraph:
     """Edges are decided by exact integer arithmetic; no tolerance exists.
-    With ``order``, vertex i of the graph is ray ``order[i]``.
 
     Each row of the graph is one big-int computation.  Coordinate column k
     is packed into one int with a lane of ``8 * m`` bits per ray:
@@ -228,7 +226,7 @@ def build_ortho_graph(ray_set: RaySet, order: list[int] | None = None) -> OrthoG
     (Lamport, CACM 18(8), 1975), and their flags are gathered into the
     row's bitset.
     """
-    rays = ray_set.rays if order is None else [ray_set.rays[i] for i in order]
+    rays = ray_set.rays
     n = len(rays)
     ma = max(abs(a) for ray in rays for a, _ in ray)
     mb = max(abs(b) for ray in rays for _, b in ray)
@@ -274,6 +272,21 @@ def build_ortho_graph(ray_set: RaySet, order: list[int] | None = None) -> OrthoG
     return OrthoGraph(n, tuple(adjacency))
 
 
+def _degree_order(adjacency: tuple[int, ...]) -> tuple[list[int], tuple[int, ...]]:
+    """The vertices by degree, highest first and ties in index order, and
+    the rows renumbered so that new vertex i is old vertex ``order[i]``:
+    ``adjacency`` itself where that order is the identity.  The rows in the
+    new order, as LSB-first bit strings joined end to end, are transposed:
+    a symmetric graph's column v, read down, is row v in the new order."""
+    n = len(adjacency)
+    degree = [row.bit_count() for row in adjacency]
+    order = sorted(range(n), key=degree.__getitem__, reverse=True)
+    if order == list(range(n)):
+        return order, adjacency
+    bits = "".join(format(adjacency[v], f"0{n}b")[::-1] for v in order)
+    return order, tuple(int(bits[v::n][::-1], 2) for v in order)
+
+
 def enumerate_bases(graph: OrthoGraph, dimension: int) -> tuple[tuple[int, ...], ...]:
     """All d-cliques of the orthogonality graph, in lexicographic order.
 
@@ -282,16 +295,20 @@ def enumerate_bases(graph: OrthoGraph, dimension: int) -> tuple[tuple[int, ...],
     its largest member down: a step takes the highest candidate v and keeps
     the candidates below v that are v's neighbours (Chiba and Nishizeki,
     SIAM J. Comput. 14, 1985).  With one member missing, each candidate
-    left finishes a basis.  The bases are sorted once, at the end.
+    left finishes a basis.
 
-    The walk's cost depends on the numbering: ``enumerate_ray_set_bases``
-    runs it in degree order when that order is not the identity.
+    The walk runs on the rows renumbered by degree, highest first, so each
+    basis grows from its member of lowest degree and more empty subtrees
+    are skipped (the order of kClist: Danisch, Balalau and Sozio, WWW
+    2018); each basis is mapped back, its members sorted.  A regular graph,
+    such as E8's, is walked as built.  The bases are sorted once, at the end.
     """
     if dimension < 0:
         raise ValueError(f"dimension {dimension} is negative")
-    n, adjacency = graph.vertex_count, graph.adjacency
+    n = graph.vertex_count
     if dimension < 2:
         return ((),) if dimension == 0 else tuple((v,) for v in range(n))
+    order, adjacency = _degree_order(graph.adjacency)
     below = [(1 << v) - 1 for v in range(n)]  # the bits under bit v
     bases: list[tuple[int, ...]] = []
 
@@ -315,29 +332,8 @@ def enumerate_bases(graph: OrthoGraph, dimension: int) -> tuple[tuple[int, ...],
                 extend((v,) + clique, common, count, need)
 
     extend((), (1 << n) - 1, n, dimension)
-    bases.sort()
-    return tuple(bases)
-
-
-def enumerate_ray_set_bases(ray_set: RaySet) -> tuple[tuple[int, ...], ...]:
-    """``enumerate_bases(ray_set.graph, ray_set.dimension)``, walked in
-    degree order.
-
-    The walk runs on the graph renumbered by degree, highest first and ties
-    in index order, so each basis grows from its member of lowest degree
-    and the walk skips more empty subtrees (the order of kClist: Danisch,
-    Balalau and Sozio, WWW 2018).  The bases are then mapped back to ray
-    indices and sorted.  Where the degree order is the identity, as for
-    every regular graph (E8's among them), the graph is walked as built and
-    no second one is made: on a regular graph a reorder is pure cost.
-    """
-    graph = ray_set.graph
-    degree = [row.bit_count() for row in graph.adjacency]
-    order = sorted(range(len(degree)), key=degree.__getitem__, reverse=True)
-    if order == list(range(len(degree))):
-        return enumerate_bases(graph, ray_set.dimension)
-    walked = enumerate_bases(build_ortho_graph(ray_set, order), ray_set.dimension)
-    bases = [tuple(sorted(map(order.__getitem__, basis))) for basis in walked]
+    if adjacency is not graph.adjacency:
+        bases = [tuple(sorted(map(order.__getitem__, basis))) for basis in bases]
     bases.sort()
     return tuple(bases)
 

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the library."""
+"""Every demo script runs to completion against the library, and the
+deterministic ones print their pinned text."""
 
 import ast
 import os
@@ -52,3 +53,9 @@ padded back to a 5-basis: sum = 2 (needs 1)
 def test_dimension_reduction_prints_the_pinned_text(tmp_path):
     result = run_demo(ROOT / "demos" / "dimension_reduction.py", tmp_path)
     assert result.stdout == DIMENSION_REDUCTION_STDOUT
+
+
+def test_finite_ray_sets_prints_the_golden_text(tmp_path):
+    result = run_demo(ROOT / "demos" / "finite_ray_sets.py", tmp_path)
+    golden = ROOT / "tests" / "golden" / "demos" / "finite_ray_sets.txt"
+    assert result.stdout == golden.read_text(encoding="utf-8")

@@ -6,10 +6,11 @@ enumerator with no propagation for the larger ones.  It must also match,
 node for node, two test-local copies of earlier solvers: the original one
 that rescans every basis, and the indexed one that undoes its counts from a
 trail.  Basis enumeration is checked against brute-force cliques and a
-test-local copy of the earlier ascending walk.  The packed-lane graph
-construction is checked bit for bit against a pairwise exact inner product,
-the duplicate-ray check against pairwise 2x2 minors, and the check-set
-reports are pinned by golden files.
+test-local copy of the earlier ascending walk, and its degree-order
+renumbering against the graph rebuilt from the reordered rays.  The
+packed-lane graph construction is checked bit for bit against a pairwise
+exact inner product, the duplicate-ray check against pairwise 2x2 minors,
+and the check-set reports are pinned by golden files.
 """
 
 import itertools
@@ -29,6 +30,7 @@ from kswitness.kssets import (
     OrthoGraph,
     RaySet,
     RaySetFormatError,
+    _degree_order,
     _normal_form,
     _parse_entry,
     _parse_ray,
@@ -36,7 +38,6 @@ from kswitness.kssets import (
     build_ortho_graph,
     bundled_data_dir,
     enumerate_bases,
-    enumerate_ray_set_bases,
     find_valuation,
     load_bundled,
     load_ray_set,
@@ -1010,7 +1011,6 @@ def test_enumerate_bases_matches_ascending_walk_on_large_families(family):
         bases = reference_enumerate_bases(rs.graph, rs.dimension)
         assert len(bases) == count
         assert enumerate_bases(rs.graph, rs.dimension) == bases
-        assert enumerate_ray_set_bases(rs) == bases
 
 
 @pytest.mark.parametrize("name", available_sets())
@@ -1019,7 +1019,6 @@ def test_enumerate_bases_matches_ascending_walk_on_bundled_sets(name):
     for dimension in range(1, rs.dimension + 2):
         assert enumerate_bases(rs.graph, dimension) == reference_enumerate_bases(
             rs.graph, dimension)
-    assert enumerate_ray_set_bases(rs) == reference_enumerate_bases(rs.graph, rs.dimension)
 
 
 def test_enumerate_bases_matches_brute_force_on_random_ray_sets():
@@ -1057,7 +1056,6 @@ def test_enumerate_bases_matches_brute_force_on_random_ray_sets():
     def check(rs):
         for dimension in (rs.dimension - 1, rs.dimension, rs.dimension + 1):
             assert enumerate_bases(rs.graph, dimension) == brute_force_cliques(rs.graph, dimension)
-        assert enumerate_ray_set_bases(rs) == brute_force_cliques(rs.graph, rs.dimension)
 
     check()
 
@@ -1079,14 +1077,18 @@ def degree_order_rays(name):
     family, _, relabel = name.partition("-")
     if not relabel:
         return None
-    rays = {"e8": lambda: e8_ray_set().rays, "peres33": lambda: load_bundled("peres33").rays,
-            "ternary5": lambda: ternary_rays(5)}[family]()
+    if family.startswith("ternary"):
+        rays = ternary_rays(int(family[len("ternary"):]))
+    elif family == "e8":
+        rays = e8_ray_set().rays
+    else:
+        rays = load_bundled(family).rays
     return tuple(relabeled(random.Random(f"kssets-degree-order:{family}"), list(rays)))
 
 
-# Enumerated sets, and whether their walk runs on the graph as built: E8
+# Enumerated sets, and whether their walk runs on the graph's own rows: E8
 # and peres24 are regular, peres33 lists its rays in degree order already,
-# and the rest are out of degree order.
+# and the rest are out of degree order, so their rows are renumbered.
 DEGREE_ORDER_CASES = {"e8-relabeled": True, "peres24": True, "peres33": True,
                       "disjoint_bases3": False, "peres33-relabeled": False,
                       "ternary5-relabeled": False}
@@ -1097,8 +1099,9 @@ def test_check_set_walks_a_copy_only_out_of_degree_order(name, same, monkeypatch
     from kswitness import kssets
 
     path = ray_set_path(tmp_path, name, degree_order_rays(name))
-    # The ray set check-set loads and the graphs handed to enumerate_bases.
-    loaded, walked = [], []
+    # The ray set check-set loads, the graphs it hands to enumerate_bases,
+    # and the rows the walk runs on.
+    loaded, walked, renumbered = [], [], []
 
     def load(source, _load=kssets.load_ray_set):
         loaded.append(_load(source))
@@ -1108,15 +1111,67 @@ def test_check_set_walks_a_copy_only_out_of_degree_order(name, same, monkeypatch
         walked.append(graph)
         return _walk(graph, dimension)
 
+    def order(adjacency, _order=kssets._degree_order):
+        renumbered.append(_order(adjacency))
+        return renumbered[-1]
+
     monkeypatch.setattr(kssets, "load_ray_set", load)
     monkeypatch.setattr(kssets, "enumerate_bases", walk)
+    monkeypatch.setattr(kssets, "_degree_order", order)
     _, report = check_set_report(path, tmp_path)
     assert json.loads(report)["bases"]["source"] == "enumerated"
-    [rs], [graph] = loaded, walked
-    degrees = [row.bit_count() for row in graph.adjacency]
+    [rs], [graph], [(_, rows)] = loaded, walked, renumbered
+    assert graph is rs.graph
+    assert (rows is rs.graph.adjacency) == same
+    degrees = [row.bit_count() for row in rows]
     assert degrees == sorted(degrees, reverse=True)
-    assert (graph is rs.graph) == same
-    assert (graph.vertex_count, graph.edge_count) == (len(rs), rs.graph.edge_count)
+
+
+@pytest.mark.parametrize("name", ["ternary4-relabeled", "ternary5-relabeled",
+                                  "ternary6-relabeled", "peres33-relabeled", "disjoint_bases3"])
+def test_degree_order_transpose_matches_the_rebuilt_graph(name):
+    # Ray sets out of degree order, against their rows rebuilt from the
+    # rays in degree order.
+    rays = degree_order_rays(name) or load_bundled(name).rays
+    rs = RaySet(name, len(rays[0]), rays)
+    adjacency = rs.graph.adjacency
+    order, rows = _degree_order(adjacency)
+    assert sorted(order) == list(range(len(rs))) and order != sorted(order)
+    rebuilt = build_ortho_graph(RaySet(name, rs.dimension, tuple(rs.rays[i] for i in order)))
+    assert rows == rebuilt.adjacency
+    degrees = [row.bit_count() for row in rows]
+    assert degrees == sorted(degrees, reverse=True)
+    assert degrees == [adjacency[v].bit_count() for v in order]
+
+
+def test_degree_order_leaves_relabeled_e8_as_built():
+    rs = RaySet("e8", 8, degree_order_rays("e8-relabeled"))
+    order, rows = _degree_order(rs.graph.adjacency)
+    assert order == list(range(120)) and rows is rs.graph.adjacency
+
+
+def random_symmetric_graph(rng, n, density):
+    """A graph on ``n`` vertices with each pair an edge with probability
+    ``density``, built from its edges, not from rays."""
+    rows = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return OrthoGraph(n, tuple(rows))
+
+
+@pytest.mark.parametrize("density", [0.2, 0.5, 0.8])
+def test_enumerate_bases_on_random_symmetric_graphs(density):
+    rng = random.Random(f"kssets-symmetric:{density}")
+    for trial in range(24):
+        graph = random_symmetric_graph(rng, rng.randint(0, 40) if trial % 2 else
+                                       rng.randint(0, 14), density)
+        for dimension in range(2, 6):
+            bases = enumerate_bases(graph, dimension)
+            assert bases == reference_enumerate_bases(graph, dimension)
+            if graph.vertex_count <= 14:
+                assert bases == brute_force_cliques(graph, dimension)
 
 
 def test_check_set_on_relabeled_ternary7(tmp_path):
