@@ -478,6 +478,9 @@ def cmd_plot(args) -> int:
             if exc.name != "numpy":
                 raise
             raise _Error(EXIT_INPUT, "plot grids need numpy, which is not installed") from None
+        except ImportError as exc:  # numpy is installed but fails to import
+            reason = str(exc).partition("\n")[0]
+            raise _Error(EXIT_INPUT, f"plot grids need numpy, which fails to import: {reason}") from None
     _write_out(args.out, chunks)
     return EXIT_OK
 

@@ -24,7 +24,7 @@ import json
 import re
 import sys
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import gcd, lcm
 from pathlib import Path
 
@@ -163,12 +163,6 @@ class RaySet:
                 f"rays {clash[0]} and {clash[1]} of {self.name!r} are scalar multiples"
             )
         if self.bases is not None:
-            for basis in self.bases:
-                if len(set(basis)) != self.dimension:
-                    raise RaySetFormatError(f"basis {basis!r} must hold {self.dimension} distinct rays")
-                for idx in basis:
-                    if not 0 <= idx < len(self.rays):
-                        raise RaySetFormatError(f"basis index {idx} out of range")
             validate_supplied_bases(self.graph, self.dimension, self.bases)
 
     def __len__(self) -> int:
@@ -178,16 +172,6 @@ class RaySet:
     def graph(self) -> OrthoGraph:
         """The orthogonality graph, built on first use and then kept."""
         return build_ortho_graph(self)
-
-
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 class OrthoGraph:
@@ -208,6 +192,7 @@ class OrthoGraph:
 
 # Maps a lane's top byte, 0x00 or 0x80 after the zero test, to a binary digit.
 _FLAG_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
+_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to ``compress`` selectors
 
 
 def build_ortho_graph(ray_set: RaySet) -> OrthoGraph:
@@ -295,7 +280,7 @@ def enumerate_bases(graph: OrthoGraph, dimension: int) -> tuple[tuple[int, ...],
     its largest member down: a step takes the highest candidate v and keeps
     the candidates below v that are v's neighbours (Chiba and Nishizeki,
     SIAM J. Comput. 14, 1985).  With one member missing, each candidate
-    left finishes a basis.
+    left finishes a basis.  The members fill d slots of one list, top down.
 
     The walk runs on the rows renumbered by degree, highest first, so each
     basis grows from its member of lowest degree and more empty subtrees
@@ -311,15 +296,16 @@ def enumerate_bases(graph: OrthoGraph, dimension: int) -> tuple[tuple[int, ...],
     order, adjacency = _degree_order(graph.adjacency)
     below = [(1 << v) - 1 for v in range(n)]  # the bits under bit v
     bases: list[tuple[int, ...]] = []
+    clique = [0] * dimension  # slots ``need`` and up hold the members so far
 
-    def extend(clique: tuple[int, ...], candidates: int, left: int, need: int):
-        # ``candidates``: the ``left`` common neighbours of ``clique`` below
+    def extend(candidates: int, left: int, need: int):
+        # ``candidates``: the ``left`` common neighbours of the clique below
         # its least member, of which ``need`` more must join it.
         if need == 1:
             while candidates:
-                v = candidates.bit_length() - 1
+                clique[0] = v = candidates.bit_length() - 1
                 candidates &= below[v]
-                bases.append((v,) + clique)
+                bases.append(tuple(clique))
             return
         need -= 1
         while left > need:
@@ -329,9 +315,10 @@ def enumerate_bases(graph: OrthoGraph, dimension: int) -> tuple[tuple[int, ...],
             common = candidates & adjacency[v]
             count = common.bit_count()
             if count >= need:
-                extend((v,) + clique, common, count, need)
+                clique[need] = v
+                extend(common, count, need)
 
-    extend((), (1 << n) - 1, n, dimension)
+    extend((1 << n) - 1, n, dimension)
     if adjacency is not graph.adjacency:
         bases = [tuple(sorted(map(order.__getitem__, basis))) for basis in bases]
     bases.sort()
@@ -340,16 +327,21 @@ def enumerate_bases(graph: OrthoGraph, dimension: int) -> tuple[tuple[int, ...],
 
 def validate_supplied_bases(graph: OrthoGraph, dimension: int,
                             supplied: tuple[tuple[int, ...], ...]) -> None:
-    """Supplied bases must be d-cliques of distinct rays: every pair in each
-    is an edge.  The members' mask must lie inside every member's row with
-    its own bit added, so one AND of those rows checks all pairs in d steps."""
+    """Supplied bases must be d-cliques: d indices in range, distinct (the
+    members' mask has d bits), every pair an edge (the mask lies inside each
+    member's row with its own bit added, so one AND checks all pairs)."""
     adjacency = graph.adjacency
     for basis in supplied:
+        if len(basis) != dimension:
+            raise RaySetFormatError(f"basis {basis!r} must hold {dimension} distinct rays")
+        lo, hi = min(basis, default=0), max(basis, default=0)
+        if lo < 0 or hi >= graph.vertex_count:
+            raise RaySetFormatError(f"basis index {lo if lo < 0 else hi} out of range")
         mask, common = 0, -1
         for i in basis:
             mask |= 1 << i
             common &= adjacency[i] | 1 << i
-        if mask.bit_count() != len(basis) or common & mask != mask:
+        if mask.bit_count() != dimension or common & mask != mask:
             raise RaySetFormatError(
                 f"supplied basis {basis!r} is not a mutually orthogonal {dimension}-tuple"
             )
@@ -408,14 +400,15 @@ def find_valuation(graph: OrthoGraph, bases) -> ColoringResult:
     and ``score``, whose lane per basis (Lamport, CACM 18(8), 1975) holds
     its unassigned members plus ``full`` times its members valued 1, with
     ``full`` above every basis size.  ``H[r]`` counts ray r's memberships
-    per lane: valuing r 1 adds ``(full - 1) * H[r]``, valuing it 0
-    subtracts ``H[r]``.  An add and a mask then test all lanes at once: two
-    1s at ``2 * full`` or above, dead at 0, forcing at 1, live basis-mates
-    of a 1 to zero above ``full``.  Lanes are the fewest of 1, 2, 4 or 8
-    bytes holding ``full * (full - 1)``, a lane's largest value, below the
-    top bit: one byte up to 10 members.  ``H`` costs rays x bases lanes,
-    240 KB for E8 and 0.5 MB for {0,+-1}^6.  A node's snapshot is its three
-    ints, so a failed branch has nothing to undo.
+    per lane: valuing r 1 adds ``(full - 1) * H[r]``, and the rays valued 0
+    subtract their ``H``, summed by ``compress``.  An add and a mask then
+    test all lanes at once: two 1s at ``2 * full`` or above, dead at 0,
+    forcing at 1, live basis-mates of a 1 to zero above ``full``.  Lanes
+    are the fewest of 1, 2, 4 or 8 bytes holding ``full * (full - 1)``, a
+    lane's largest value, below the top bit: one byte up to 10 members.
+    ``H`` is counted in ``bytearray`` rows and costs rays x bases lanes,
+    240 KB for E8 and 0.5 MB for {0,+-1}^6.  A node's snapshot is its
+    three ints, so a failed branch has nothing to undo.
 
     A node picks its branching basis with byte searches over ``score``'s
     bytes: for each value from 0 up to ``full - 1``, the first hit of that
@@ -427,13 +420,12 @@ def find_valuation(graph: OrthoGraph, bases) -> ColoringResult:
     bases = [tuple(b) for b in bases]
     full = max(map(len, bases), default=0) + 1
     width = next(w for w in (1, 2, 4, 8) if full * (full - 1) < 1 << 8 * w - 1)
-    fmt, size = "BHIQ"[width.bit_length() - 1], width * len(bases)
-    # H is written through a native cast, so every lane int, and each lane
-    # value the search looks for, uses the machine's byte order.
-    incidence = [memoryview(bytearray(size)).cast(fmt) for _ in range(n)]
-    for k, basis in enumerate(bases):
+    size = width * len(bases)
+    low_byte = width - 1 if sys.byteorder == "big" else 0  # lanes are in native byte order
+    incidence = [bytearray(size) for _ in range(n)]
+    for at, basis in zip(range(low_byte, size, width), bases):
         for i in basis:
-            incidence[i][k] += 1
+            incidence[i][at] += 1
     for i, row in enumerate(incidence):  # each buffer is freed as its int replaces it
         incidence[i] = int.from_bytes(row, sys.byteorder)
     unit = int.from_bytes(b"\x01".ljust(width, b"\x00") * len(bases), "little")  # 1 in every lane
@@ -457,14 +449,17 @@ def find_valuation(graph: OrthoGraph, bases) -> ColoringResult:
         """Values the rays of ``rise`` 1 and propagates to the fixpoint:
         the new state, or None at a conflict."""
         while True:
-            lift = 0
-            for ray in _bits(rise):
+            lift, pending = 0, rise
+            while pending:
+                ray = (pending & -pending).bit_length() - 1
+                pending &= pending - 1
                 fall |= graph.adjacency[ray]
                 lift += incidence[ray]
             ones |= rise
             fall &= ~zeros
             zeros |= fall
-            score += (full - 1) * lift - sum(map(incidence.__getitem__, _bits(fall)))
+            zeroed = format(fall, f"0{n}b").encode().translate(_SELECTORS)[::-1]
+            score += (full - 1) * lift - sum(compress(incidence, zeroed))
             # A 1 meets a 1, a lane holds two 1s, or a lane is dead.
             if fall & ones or (score + two_ones) & high or ~(score + low) & high:
                 return None
@@ -543,9 +538,10 @@ def ray_set_from_dict(doc: dict) -> RaySet:
         if not isinstance(raw_bases, list) or not all(isinstance(b, list) for b in raw_bases):
             raise RaySetFormatError("'bases' must be a list of index lists")
         bases = tuple(tuple(b) for b in raw_bases)
-        for basis in bases:
-            if any(not isinstance(i, int) or isinstance(i, bool) for i in basis):
-                raise RaySetFormatError(f"basis {basis!r} must hold integer indices")
+        if not set(map(type, chain.from_iterable(bases))) <= {int}:  # a bool is refused
+            for basis in bases:
+                if any(not isinstance(i, int) or isinstance(i, bool) for i in basis):
+                    raise RaySetFormatError(f"basis {basis!r} must hold integer indices")
     return RaySet(name, dimension, rays, doc.get("provenance", ""), bases)
 
 

@@ -273,6 +273,25 @@ class TestPlot:
         assert result.stderr == "error: plot grids need numpy, which is not installed\n"
         assert not out_path.exists()
 
+    def test_grid_with_a_broken_numpy_exits_2(self, tmp_path, oracle_file):
+        # numpy is found but its import raises a plain ImportError, as one
+        # built for another Python or missing its BLAS library does; the
+        # first line of the message is kept.
+        stub = tmp_path / "stub" / "numpy"
+        stub.mkdir(parents=True)
+        (stub / "__init__.py").write_text('raise ImportError("numpy is broken\\nsee above")\n')
+        source = oracle_file({"kind": "valuation2d_rotated", "intervals": [[0.2, 0.9]]})
+        out_path = tmp_path / "grid.csv"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(stub.parent), SRC,
+                                                          env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-m", "kswitness", "plot", "--oracle", source,
+                                 "--out", str(out_path)], env=env, capture_output=True,
+                                text=True, timeout=60)
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == "error: plot grids need numpy, which fails to import: numpy is broken\n"
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("fmt", ["csv", "svg"])
     def test_cell_pick_out_of_memory_exits_2(self, capsys, monkeypatch, tmp_path, fmt):
         # The cells are picked before the file is opened, so running out of

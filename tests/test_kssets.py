@@ -20,11 +20,12 @@ import os
 import random
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from kswitness import cli
+from kswitness import cli, kssets
 from kswitness.kssets import (
     DuplicateRay,
     OrthoGraph,
@@ -453,6 +454,22 @@ class TestIngestion:
                                    "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}).graph
         with pytest.raises(RaySetFormatError, match="not a mutually orthogonal 3-tuple"):
             validate_supplied_bases(graph, 3, ((0, 0, 1),))
+
+    @pytest.mark.parametrize("bases,message", [
+        ([[0, 1]], "basis (0, 1) must hold 3 distinct rays"),
+        ([[0, 1, 2, 0]], "basis (0, 1, 2, 0) must hold 3 distinct rays"),
+        ([[0, 1, 2], [0, 3, 1]], "basis index 3 out of range"),
+        ([[0, -1, 2]], "basis index -1 out of range"),
+        # A repeated ray is not orthogonal to itself.
+        ([[0, 0, 1]], "supplied basis (0, 0, 1) is not a mutually orthogonal 3-tuple"),
+        ([[0, 1, 2], [0, 1, True]], "basis (0, 1, True) must hold integer indices"),
+        ([[0, 1, 2.0]], "basis (0, 1, 2.0) must hold integer indices"),
+    ], ids=["short", "long", "past-the-end", "negative", "repeated", "bool", "float"])
+    def test_supplied_basis_errors_name_the_basis(self, bases, message):
+        with pytest.raises(RaySetFormatError) as info:
+            ray_set_from_dict({"name": "axes", "dimension": 3, "bases": bases,
+                               "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+        assert str(info.value) == message
 
     def test_supplied_bases_checked_when_built_in_code(self):
         with pytest.raises(RaySetFormatError, match="not a mutually orthogonal 3-tuple"):
@@ -943,6 +960,23 @@ def test_packed_solver_matches_trail_solver_on_degenerate_bases(bases):
     # A member listed twice counts twice, as in verify_assignment.
     assert result.colorable == any(verify_assignment(g, bases, values)
                                    for values in itertools.product((0, 1), repeat=5))
+
+
+@pytest.mark.parametrize("size", [10, 11, 256])
+def test_packed_solver_matches_trail_solver_in_big_endian_order(monkeypatch, size):
+    # The lanes follow sys.byteorder, and each count of H goes into its
+    # lane's low byte: the last byte of the lane on a big-endian machine.
+    # Run in that order, on lanes of one, two and four bytes, with the
+    # first pair's lone member also listed twice in a basis of its own,
+    # the search must still match the trail solver node for node.
+    monkeypatch.setattr(kssets, "sys", SimpleNamespace(byteorder="big"))
+    rng = random.Random(f"kssets-big-endian:{size}")
+    for trial in range(4):
+        graph, bases = chain_family(rng, size, colorable=trial % 2 == 0)
+        x, w = bases[0]
+        bases.append((x, x, w))
+        result = as_tuple(find_valuation(graph, bases))
+        assert result == trail_find_valuation(graph, bases)
 
 
 # --- basis enumeration against brute force and the ascending walk -------------
