@@ -14,7 +14,6 @@ errors to exit codes and writes the one ``error:`` line.
 
 from __future__ import annotations
 
-import argparse
 import errno
 import json
 import math
@@ -23,6 +22,7 @@ import re
 import stat
 import sys
 from importlib import import_module
+from types import SimpleNamespace
 
 from . import kssets
 
@@ -212,14 +212,15 @@ def _int_at_least(low: int):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
+            message = f"invalid integer {text!r}"
+        else:
+            if value >= low:
+                return value
+            message = f"must be at least {low}, got {value}"
+        import argparse  # only a rejected value needs it
+
+        raise argparse.ArgumentTypeError(message)
     return parse
-
-
-_positive_int = _int_at_least(1)
 
 
 # --- check-set ---------------------------------------------------------------
@@ -487,23 +488,69 @@ def cmd_plot(args) -> int:
 
 # --- parser ------------------------------------------------------------------
 
-def _add_check_set(sub) -> None:
-    p_check = sub.add_parser("check-set", help="decide {0,1}-colorability of a ray-set file")
-    p_check.add_argument("path", help="ray-set JSON file")
-    p_check.add_argument("--out", help="write the JSON report here instead of stdout")
-    p_check.set_defaults(func=cmd_check_set)
+# The subcommands ``main`` reads without argparse when their argv is plain:
+# each one's command, its positional's dest, and per flag its dest, its
+# least integer (None for a string) and its default.  The parser takes its
+# dests, types and defaults for them from here too.
+_PLAIN = {
+    "check-set": (cmd_check_set, "path", {"--out": ("out", None, None)}),
+    "witness": (cmd_witness, "oracle", {"--seed": ("seed", 0, 0),
+                                        "--budget": ("budget", 1, 10_000),
+                                        "--out": ("out", None, None)}),
+}
 
 
-def _add_witness(sub) -> None:
-    p_wit = sub.add_parser("witness", help="extract a contradiction certificate from an oracle")
-    p_wit.add_argument("oracle", help="oracle-spec JSON file")
-    p_wit.add_argument("--seed", type=_int_at_least(0), default=0,
-                       help="seed choosing the frame of the first basis read")
-    p_wit.add_argument("--budget", type=_positive_int, default=10_000,
-                       help="oracle calls the search may make; the certificate's re-check "
-                            "makes 2 or 3 fresh calls on top")
-    p_wit.add_argument("--out", help="write the report here instead of stdout")
-    p_wit.set_defaults(func=cmd_witness)
+def _read_plain(argv: list) -> dict | None:
+    """The namespace, as a dict, that the parser builds from ``argv`` if
+    ``argv`` is plain, else None.  A plain argv is a subcommand of
+    ``_PLAIN``, one ``str`` that does not start with ``-`` (the positional),
+    and that subcommand's flags, each at most once, each with a value that
+    does not start with ``-`` and, for an integer flag, that ``int`` reads
+    as an integer no less than the flag's least.  Every other argv (help,
+    usage errors, abbreviations, ``--flag=value``, repeated flags, bad
+    values) is the parser's."""
+    command = argv[0] if argv else None
+    if type(command) is not str or command not in _PLAIN:
+        return None
+    func, positional, flags = _PLAIN[command]
+    args = {"command": command, "func": func}
+    args.update((dest, default) for dest, _, default in flags.values())
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if type(token) is not str:
+            return None
+        if token in flags and token not in seen:
+            seen.add(token)
+            value = next(tokens, None)
+            if type(value) is not str or value.startswith("-"):
+                return None
+            dest, low, _ = flags[token]
+            if low is not None:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+                if value < low:
+                    return None
+            args[dest] = value
+        elif token.startswith("-") or positional in args:
+            return None
+        else:
+            args[positional] = token
+    return args if positional in args else None
+
+
+def _add_plain(sub, command: str, summary: str, positional_help: str, flag_helps: dict) -> None:
+    """Adds ``command`` of ``_PLAIN``: its positional and its flags, with
+    ``_PLAIN``'s dests, types and defaults."""
+    func, positional, flags = _PLAIN[command]
+    p_cmd = sub.add_parser(command, help=summary)
+    p_cmd.add_argument(positional, help=positional_help)
+    for flag, (dest, low, default) in flags.items():
+        p_cmd.add_argument(flag, dest=dest, default=default, help=flag_helps[flag],
+                           type=None if low is None else _int_at_least(low))
+    p_cmd.set_defaults(func=func)
 
 
 def _add_geom(sub) -> None:
@@ -532,7 +579,7 @@ def _add_plot(sub) -> None:
     p_plot.add_argument("--oracle", help="oracle-spec JSON file to grid instead")
     p_plot.add_argument("--out", required=True, help="output file path")
     p_plot.add_argument("--format", choices=("csv", "svg"), default="csv")
-    p_plot.add_argument("--grid", type=_positive_int, default=64, help="latitude rows (longitudes = 2x)")
+    p_plot.add_argument("--grid", type=_int_at_least(1), default=64, help="latitude rows (longitudes = 2x)")
     p_plot.add_argument("--theta-p", type=float, default=math.pi / 4,
                         help="descent-circle apex latitude")
     p_plot.add_argument("--phi-p", type=float, default=0.0,
@@ -540,43 +587,60 @@ def _add_plot(sub) -> None:
     p_plot.set_defaults(func=cmd_plot)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A new parser holding every subcommand."""
+def build_parser():
+    """A new ``argparse.ArgumentParser`` holding every subcommand."""
+    import argparse  # a plain argv runs without it
+
     parser = argparse.ArgumentParser(
         prog="kswitness",
         description="Valuations, descent-circle witnesses, and exact ray-set colorability. "
                     "All angles are radians.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for add in (_add_check_set, _add_witness, _add_geom, _add_plot):
-        add(sub)
+    _add_plain(sub, "check-set", "decide {0,1}-colorability of a ray-set file",
+               "ray-set JSON file", {"--out": "write the JSON report here instead of stdout"})
+    _add_plain(sub, "witness", "extract a contradiction certificate from an oracle",
+               "oracle-spec JSON file",
+               {"--seed": "seed choosing the frame of the first basis read",
+                "--budget": "oracle calls the search may make; the certificate's re-check "
+                            "makes 2 or 3 fresh calls on top",
+                "--out": "write the report here instead of stdout"})
+    _add_geom(sub)
+    _add_plot(sub)
     return parser
 
 
-# main's parser, built on its first call and reused by every later one.
-_parser: argparse.ArgumentParser | None = None
+# main's parser, built on the first argv the plain reader declines and
+# reused by every later one.
+_parser = None
 
 
 def main(argv=None) -> int:
     """Runs the command ``argv`` names (``sys.argv[1:]`` by default) and
-    returns its exit code.  The parser is built on the first call and
-    reused by every later call in the process."""
+    returns its exit code.  A plain ``check-set`` or ``witness`` argv
+    (``_read_plain``) runs without argparse; any other argv goes to the one
+    parser, built on the first argv the plain reader declines and reused by
+    every later call in the process."""
     global _parser
     argv = sys.argv[1:] if argv is None else list(argv)
-    if _parser is None:
-        _parser = build_parser()
     try:
-        try:
-            args = _parser.parse_args(argv)
-        except SystemExit as exc:
-            # argparse exits with 2 on bad flags, which matches the contract.
-            # It ignores a failed write of its usage, error or help, which the
-            # flush at exit would then meet again, so both streams are flushed
-            # here.  With stdout closed, argparse writes help to stderr.
-            if sys.stdout is not None:
-                _write_std("stdout", "")
-            _write_std("stderr", "")
-            return int(exc.code or 0)
+        plain = _read_plain(argv)
+        if plain is not None:
+            args = SimpleNamespace(**plain)
+        else:
+            if _parser is None:
+                _parser = build_parser()
+            try:
+                args = _parser.parse_args(argv)
+            except SystemExit as exc:
+                # argparse exits with 2 on bad flags, which matches the contract.
+                # It ignores a failed write of its usage, error or help, which the
+                # flush at exit would then meet again, so both streams are flushed
+                # here.  With stdout closed, argparse writes help to stderr.
+                if sys.stdout is not None:
+                    _write_std("stdout", "")
+                _write_std("stderr", "")
+                return int(exc.code or 0)
         return args.func(args)
     except _Error as exc:
         _write_std("stderr", f"error: {exc}\n")

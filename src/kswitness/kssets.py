@@ -69,8 +69,9 @@ def _normal_form(ray: tuple[Entry, ...]) -> tuple[Entry, ...]:
 
 # A rational coordinate string: an optional sign, digits, optional "/digits".
 # Nothing else (no exponent, decimal point, space or underscore), so the
-# cost of a string is bounded by its length.
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# cost of a string is bounded by its length.  A pattern string, which ``re``
+# compiles on the first string coordinate rather than on every start-up.
+_RATIONAL = r"([+-]?[0-9]+)(?:/([0-9]+))?"
 
 
 def _parse_entry(raw) -> tuple[Entry, int]:
@@ -87,7 +88,7 @@ def _parse_entry(raw) -> tuple[Entry, int]:
             )
         return (int(raw), 0), 1
     if isinstance(raw, str):
-        match = _RATIONAL.fullmatch(raw)
+        match = re.fullmatch(_RATIONAL, raw)
         if match is None:
             raise RaySetFormatError(f"bad rational coordinate {raw!r}; expected 'p' or 'p/q'")
         try:
@@ -329,18 +330,23 @@ def validate_supplied_bases(graph: OrthoGraph, dimension: int,
                             supplied: tuple[tuple[int, ...], ...]) -> None:
     """Supplied bases must be d-cliques: d indices in range, distinct (the
     members' mask has d bits), every pair an edge (the mask lies inside each
-    member's row with its own bit added, so one AND checks all pairs)."""
-    adjacency = graph.adjacency
+    member's closed row, its row with its own bit added, so one AND checks
+    all pairs)."""
+    closed = [row | 1 << i for i, row in enumerate(graph.adjacency)]
     for basis in supplied:
         if len(basis) != dimension:
             raise RaySetFormatError(f"basis {basis!r} must hold {dimension} distinct rays")
-        lo, hi = min(basis, default=0), max(basis, default=0)
-        if lo < 0 or hi >= graph.vertex_count:
-            raise RaySetFormatError(f"basis index {lo if lo < 0 else hi} out of range")
         mask, common = 0, -1
-        for i in basis:
-            mask |= 1 << i
-            common &= adjacency[i] | 1 << i
+        try:
+            for i in basis:
+                # The row first: an index past either end raises IndexError
+                # before it can reach a shift, and a small negative one
+                # raises ValueError from the shift.
+                common &= closed[i]
+                mask |= 1 << i
+        except (IndexError, ValueError):
+            lo, hi = min(basis), max(basis)
+            raise RaySetFormatError(f"basis index {lo if lo < 0 else hi} out of range") from None
         if mask.bit_count() != dimension or common & mask != mask:
             raise RaySetFormatError(
                 f"supplied basis {basis!r} is not a mutually orthogonal {dimension}-tuple"

@@ -756,10 +756,25 @@ def fresh_parsers(monkeypatch):
     monkeypatch.setattr(cli, "_parser", None)
 
 
+@pytest.fixture
+def added(monkeypatch):
+    """The names each subcommand action adds from now on, by its dest."""
+    added = {"command": [], "geom_command": []}
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        added[self.dest].append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    return added
+
+
 class TestParserPerSubcommand:
-    """``main`` builds the full parser on its first call and reuses it for
-    every later call in the process; every message argparse prints is the
-    one a new full parser prints."""
+    """``main`` builds the full parser on the first argv its plain reader
+    declines and reuses it for every later call in the process; a plain
+    ``check-set`` or ``witness`` argv builds none.  Every message argparse
+    prints is the one a new full parser prints."""
 
     SUBCOMMANDS = ("check-set", "witness", "geom", "plot")
     GEOM_COMMANDS = ("descend", "delta-phi", "chain", "crossings")
@@ -792,15 +807,7 @@ class TestParserPerSubcommand:
         assert (main(), *capsys.readouterr()) == expected
 
     @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
-    def test_one_parser_per_path(self, monkeypatch, capsys, fresh_parsers, argv):
-        added = {"command": [], "geom_command": []}
-        add_parser = argparse._SubParsersAction.add_parser
-
-        def spy(self, name, **kwargs):
-            added[self.dest].append(name)
-            return add_parser(self, name, **kwargs)
-
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    def test_one_parser_per_path(self, capsys, fresh_parsers, added, argv):
         main(list(argv))
         capsys.readouterr()
         # Whatever the argv, the first call adds every subcommand once.
@@ -811,6 +818,18 @@ class TestParserPerSubcommand:
             main(list(later))
         capsys.readouterr()
         assert added == every
+
+    def test_a_plain_argv_builds_no_parser(self, capsys, tmp_path, fresh_parsers, added):
+        out = tmp_path / "report.json"
+        path = str(bundled_data_dir() / "peres33.json")
+        assert main(["check-set", path, "--out", str(out)]) == 10
+        assert added == {"command": [], "geom_command": []} and cli._parser is None
+        assert json.loads(out.read_text())["name"] == "peres33"
+        # The first argv the reader declines adds every subcommand once.
+        assert main(["check-set", path, "--out=" + str(out)]) == 10
+        capsys.readouterr()
+        assert added == {"command": list(self.SUBCOMMANDS),
+                         "geom_command": list(self.GEOM_COMMANDS)}
 
     def test_reused_parsers_leak_no_state(self, monkeypatch, capsys, tmp_path, oracle_file,
                                           fresh_parsers):

@@ -15,8 +15,10 @@ import math
 import os
 import random
 import sys
+from pathlib import Path
 
-from kswitness.cli import main
+from kswitness import cli
+from kswitness.cli import build_parser, main
 from kswitness.kssets import bundled_data_dir
 
 DOCUMENTS = 300
@@ -185,18 +187,27 @@ def random_argv(rng: random.Random, files: dict) -> list:
     return argv
 
 
-def test_random_argvs_keep_the_exit_code_contract(capsys, tmp_path):
+def argv_corpus(tmp_path) -> tuple[list, dict]:
+    """The ``ARGVS`` seeded argv lists, and the files they name: an oracle
+    spec written under ``tmp_path``, a bundled ray set, and inputs and
+    outputs that cannot be read or written."""
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(SPECS[2]), encoding="utf-8")
     out = tmp_path / "out"
     # Every output lies in tmp_path: a directory and a path under a missing
     # one cannot be written.
-    files = {"spec": str(spec), "rays": str(bundled_data_dir() / "peres24.json")}
+    files = {"spec": str(spec), "rays": str(bundled_data_dir() / "peres24.json"), "out": out}
     files["inputs"] = (files["spec"], files["rays"], str(tmp_path / "missing.json"),
                        str(tmp_path))
     files["outputs"] = (str(out), str(out), str(out), str(tmp_path),
                         str(tmp_path / "missing" / "out"))
     rng = random.Random(3301)
+    return [random_argv(rng, files) for _ in range(ARGVS)], files
+
+
+def test_random_argvs_keep_the_exit_code_contract(capsys, tmp_path):
+    argvs, files = argv_corpus(tmp_path)
+    out = files["out"]
 
     def outcome(argv):
         out.unlink(missing_ok=True)
@@ -204,10 +215,42 @@ def test_random_argvs_keep_the_exit_code_contract(capsys, tmp_path):
         return (code, *capsys.readouterr(), out.read_bytes() if out.exists() else None)
 
     codes = set()
-    for _ in range(ARGVS):
-        argv = random_argv(rng, files)
+    for argv in argvs:
         first = outcome(argv)
         assert first[0] in EXIT_CODES, argv
         assert outcome(argv) == first, argv
         codes.add(first[0])
     assert codes == EXIT_CODES
+
+
+# Argvs at the edge of what the plain reader takes: abbreviations, joined
+# and repeated flags, values argparse refuses or converts with int()'s
+# leniency, a "-", an empty or a "--" token, a value or a positional that
+# starts with "-", and a token that is no str.
+EDGE_ARGVS = [
+    ["check-set", "x", "--ou", "o"], ["check-set", "x", "--out=o"],
+    ["witness", "x", "--seed", "1", "--seed", "2"], ["witness", "x", "--seed", "-1"],
+    ["witness", "x", "--seed", "\u0665"], ["witness", "x", "--seed", " 7"],
+    ["witness", "x", "--budget", "1_000"], ["witness", "x", "--budget", "0"],
+    ["witness", "x", "--seed", ""], ["witness", "x", "--out", ""],
+    ["check-set", "-"], ["check-set", ""], ["check-set", "x", "--out"],
+    ["check-set", "x", "--out", "-o"], ["witness", "-x", "--seed", "1"],
+    ["check-set", "--", "x"], ["check-set", "x", "--"], ["check-set", Path("x")],
+    ["witness", Path("x")], ["check-set", "x", "--out", Path("o")],
+    ["check-set", "check-set"], ["check-set", "x", "y"], ["check-set"], [],
+    ["witness", "--out", "o", "x"], ["witness", "--budget", "5", "x", "--seed", "3"],
+]
+
+
+def test_plain_reader_builds_the_parsers_namespace(capsys, tmp_path):
+    argvs, _ = argv_corpus(tmp_path)
+    read = set()
+    for argv in argvs + EDGE_ARGVS:
+        plain = cli._read_plain(list(argv))
+        if plain is None:
+            continue
+        read.add(argv[0])
+        # A plain argv is one the parser takes: it neither exits nor prints.
+        assert plain == vars(build_parser().parse_args(list(argv))), argv
+        assert capsys.readouterr() == ("", ""), argv
+    assert read == {"check-set", "witness"}

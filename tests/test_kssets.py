@@ -460,16 +460,34 @@ class TestIngestion:
         ([[0, 1, 2, 0]], "basis (0, 1, 2, 0) must hold 3 distinct rays"),
         ([[0, 1, 2], [0, 3, 1]], "basis index 3 out of range"),
         ([[0, -1, 2]], "basis index -1 out of range"),
+        # Far past either end: the index must never reach a shift.
+        ([[0, 1, 10**30]], f"basis index {10**30} out of range"),
+        ([[0, -10**30, 2]], f"basis index {-10**30} out of range"),
+        # -1 names a row; the shift refuses it.
+        ([[-1, 0, 1]], "basis index -1 out of range"),
+        ([[2, 10**30, -1]], "basis index -1 out of range"),
         # A repeated ray is not orthogonal to itself.
         ([[0, 0, 1]], "supplied basis (0, 0, 1) is not a mutually orthogonal 3-tuple"),
+        # The first bad basis is named, whatever its fault.
+        ([[0, 0, 1], [0, 1, 3]], "supplied basis (0, 0, 1) is not a mutually orthogonal 3-tuple"),
+        ([[0, 1, 3], [0, 0, 1]], "basis index 3 out of range"),
         ([[0, 1, 2], [0, 1, True]], "basis (0, 1, True) must hold integer indices"),
         ([[0, 1, 2.0]], "basis (0, 1, 2.0) must hold integer indices"),
-    ], ids=["short", "long", "past-the-end", "negative", "repeated", "bool", "float"])
+    ], ids=["short", "long", "past-the-end", "negative", "huge", "huge-negative", "minus-one-first",
+            "huge-and-minus-one", "repeated", "range-after-oblique", "oblique-after-range",
+            "bool", "float"])
     def test_supplied_basis_errors_name_the_basis(self, bases, message):
         with pytest.raises(RaySetFormatError) as info:
             ray_set_from_dict({"name": "axes", "dimension": 3, "bases": bases,
                                "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("rays", [0, 3], ids=["no-rays", "three-rays"])
+    def test_empty_basis_at_dimension_zero_passes(self, rays):
+        # Only a direct call reaches dimension 0: an empty basis is its one
+        # 0-clique, in range and orthogonal whatever the graph.
+        graph = OrthoGraph(rays, [0] * rays)
+        validate_supplied_bases(graph, 0, ((),))
 
     def test_supplied_bases_checked_when_built_in_code(self):
         with pytest.raises(RaySetFormatError, match="not a mutually orthogonal 3-tuple"):

@@ -99,14 +99,14 @@ def test_check_set_loads_neither_dataclasses_nor_inspect():
 HEAVY = ("numpy", "dataclasses", "inspect")
 
 
-def newly_loaded(code: str) -> list[str]:
-    """The modules of HEAVY that ``code`` loads in a fresh interpreter,
-    measured against what was loaded before it, as above."""
+def newly_loaded(code: str, modules=HEAVY) -> list[str]:
+    """The ``modules`` that ``code`` loads in a fresh interpreter, measured
+    against what was loaded before it, as above."""
     stdout = run_fresh(
         "import json, sys\n"
         "before = set(sys.modules)\n"
         + code +
-        f"\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules and m not in before]))\n"
+        f"\nprint(json.dumps([m for m in {modules!r} if m in sys.modules and m not in before]))\n"
     )
     return json.loads(stdout.splitlines()[-1])
 
@@ -144,6 +144,25 @@ def test_plot_oracle_loads_numpy(tmp_path):
     spec.write_text(json.dumps({"kind": "four_segment"}))
     argv = ["plot", "--oracle", str(spec), "--grid", "2", "--out", str(tmp_path / "grid.csv")]
     assert "numpy" in newly_loaded(f"from kswitness import cli\nassert cli.main({argv!r}) == 0\n")
+
+
+PARSER_MODULES = ("argparse", "gettext", "locale")
+
+
+@pytest.mark.parametrize("argv,code,loaded", [
+    (["check-set", "{rays}", "--out", "{out}"], 10, []),
+    (["witness", "{spec}", "--seed", "2", "--out", "{out}"], 0, []),
+    (["check-set", "-h"], 0, list(PARSER_MODULES)),
+], ids=["check-set", "witness", "check-set -h"])
+def test_only_a_declined_argv_loads_argparse(argv, code, loaded, tmp_path):
+    # main reads a plain argv itself, so argparse and the gettext and locale
+    # modules it loads stay unloaded; help is the parser's.
+    spec = tmp_path / "oracle.json"
+    spec.write_text(json.dumps(oracle_spec("valuation2d_rotated", 3)))
+    argv = [a.format(rays=bundled_data_dir() / "peres33.json", spec=spec, out=tmp_path / "out")
+            for a in argv]
+    run = f"from kswitness import cli\nassert cli.main({argv!r}) == {code}\n"
+    assert newly_loaded(run, PARSER_MODULES) == loaded
 
 
 # Refuses every numpy import; the child prints the names it refused.
